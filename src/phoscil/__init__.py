@@ -15,9 +15,8 @@ Layout:
 - :mod:`phoscil.cycle`      limit-cycle detection and analytic timescale accounting
 - :mod:`phoscil.cli`        reproducible command-line front end
 
-All analyses are deterministic: no randomness, no wall-clock state, and
-thread-pooled scans merge results by index so worker counts never change
-the output bytes.
+All analyses are deterministic and single-threaded: no randomness and
+no wall-clock state, so identical inputs give identical output bytes.
 """
 from __future__ import annotations
 

@@ -4,8 +4,8 @@ Each subcommand wraps one library operation and serializes its result to
 the output directory as plot-ready CSV or JSON.  Every output file opens
 with a deterministic provenance header (the subcommand and all effective
 settings, echoed as ``#`` comment lines or a ``"provenance"`` key), so
-identical invocations produce byte-identical files: there is no clock,
-no randomness, and no worker-count dependence in any output.
+identical invocations produce byte-identical files: there is no clock
+and no randomness in any output.
 
 Exit codes:
 
@@ -16,10 +16,9 @@ Exit codes:
 3     invalid arguments or malformed parameter-file contents
 ====  =========================================================
 
-``scan`` and ``timescales`` accept ``--workers``; the environment
-variable ``PHOSCIL_THREADS`` caps the pool for both.  All other
-subcommands are single-threaded.  JSON files may contain ``NaN`` tokens
-for undefined entries (Python's :mod:`json` reads them back natively).
+Every subcommand runs in one thread.  JSON files may contain ``NaN``
+tokens for undefined entries (Python's :mod:`json` reads them back
+natively).
 """
 from __future__ import annotations
 
@@ -187,11 +186,10 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
 
 
 def cmd_scan(run: RunConfig, kh_over_ks: tuple[float, float],
-             inv_alpha: tuple[float, float], grid: tuple[int, int],
-             workers: int | None) -> int:
+             inv_alpha: tuple[float, float], grid: tuple[int, int]) -> int:
     """Stability scan over the (K_h/K_s, 1/alpha) rectangle."""
     _, dp, _, _ = run.resolve()
-    smap = stability_scan(dp, kh_over_ks, inv_alpha, grid, workers=workers)
+    smap = stability_scan(dp, kh_over_ks, inv_alpha, grid)
     prov = run.provenance(
         "scan",
         f"kh_over_ks = {fmt17(kh_over_ks[0])} .. {fmt17(kh_over_ks[1])}",
@@ -269,11 +267,10 @@ def cmd_cycle(run: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_timescales(run: RunConfig, eps_list: tuple[float, ...],
-                   workers: int | None) -> int:
+def cmd_timescales(run: RunConfig, eps_list: tuple[float, ...]) -> int:
     """Analytic vs measured timescale table over a list of eps values."""
     _, dp, es0, cfg = run.resolve()
-    table = compare(dp, [es0.at_eps(e) for e in eps_list], cfg=cfg, workers=workers)
+    table = compare(dp, [es0.at_eps(e) for e in eps_list], cfg=cfg)
     prov = run.provenance("timescales",
                           "eps_list = " + ",".join(fmt17(e) for e in eps_list))
     name = f"timescales.{run.fmt}"
@@ -347,16 +344,6 @@ def _positive(name: str, upper: float | None = None):
             raise argparse.ArgumentTypeError(f"{name} must be <= {upper:g}, got {text!r}")
         return value
     return parse
-
-
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
 
 
 def _span(text: str) -> tuple[float, float]:
@@ -444,7 +431,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--kh-over-ks", type=_interval, default=(1.0, 20.0), metavar="A:B")
     p.add_argument("--inv-alpha", type=_interval, default=(1.0, 12.0), metavar="A:B")
     p.add_argument("--grid", type=_grid, default=(200, 200), metavar="NxM")
-    p.add_argument("--workers", type=_positive_int, default=None)
 
     p = sub.add_parser("fold-check", parents=[common],
                        help="verify the generic-fold conditions in one chart")
@@ -457,7 +443,6 @@ def _build_parser() -> _Parser:
                        help="analytic vs measured timescale table over several eps")
     p.add_argument("--eps-list", type=_eps_list, default=(1e-3, 1e-4, 1e-5),
                    metavar="E1,E2,...")
-    p.add_argument("--workers", type=_positive_int, default=None)
 
     p = sub.add_parser("fold-scaling", parents=[common],
                        help="fold-passage offset vs eps and its log-log slope")
@@ -480,13 +465,13 @@ def main(argv=None) -> int:
         if args.subcommand == "simulate":
             return cmd_simulate(run, args.t_span, args.x0)
         if args.subcommand == "scan":
-            return cmd_scan(run, args.kh_over_ks, args.inv_alpha, args.grid, args.workers)
+            return cmd_scan(run, args.kh_over_ks, args.inv_alpha, args.grid)
         if args.subcommand == "fold-check":
             return cmd_fold_check(run, args.chart)
         if args.subcommand == "cycle":
             return cmd_cycle(run)
         if args.subcommand == "timescales":
-            return cmd_timescales(run, args.eps_list, args.workers)
+            return cmd_timescales(run, args.eps_list)
         if args.subcommand == "fold-scaling":
             return cmd_fold_scaling(run, args.chart, args.eps_list)
         if args.subcommand == "fixed-point":

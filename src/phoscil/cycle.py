@@ -13,7 +13,6 @@ their ratio 1/(4 h_* w(h_*)) is eps-free.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +25,6 @@ from .errors import (
     PhoscilError,
     PreconditionError,
 )
-from .gspt import resolve_workers
 from .integrator import (
     EventHit,
     EventSpec,
@@ -435,18 +433,15 @@ class CompareTable:
         return "\n".join(lines)
 
 
-def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None,
-            workers: int | None = None) -> CompareTable:
+def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None) -> CompareTable:
     """Analytic vs measured segment times, one row per eps-split entry.
 
-    Rows run independently (thread pool, one integrator per row) and are
-    merged in input order; a row whose cycle detection fails carries the
-    error message without affecting its neighbours.
+    Rows run one after another in input order; a row whose cycle detection
+    fails carries the error message without affecting its neighbours.
     """
     es_list = list(es_list)
     if not es_list:
         raise DomainError("es_list must not be empty")
-    n_workers = resolve_workers(workers, len(es_list))
 
     def run_row(es: EpsSplit) -> CompareRow:
         ts = analytic_timescales(dp, es)
@@ -470,9 +465,4 @@ def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None,
                               ratio_analytic=ts.ratio, ratio_measured=math.nan,
                               error=f"{type(exc).__name__}: {exc}")
 
-    if n_workers == 1:
-        rows = [run_row(es) for es in es_list]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            rows = list(pool.map(run_row, es_list))
-    return CompareTable(rows=tuple(rows))
+    return CompareTable(rows=tuple(run_row(es) for es in es_list))

@@ -12,8 +12,6 @@ overshooting the fold by O(eps^(2/3)).
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +28,8 @@ from .errors import (
 )
 from .integrator import EventSpec, IntegratorConfig, integrate, integrate_until_event
 from .model import (
+    _monic_root,
+    _monic_root_array,
     make_field_chart_A,
     make_field_chart_B,
     rate_r,
@@ -66,23 +66,10 @@ __all__ = [
     "fold_passage_offset",
     "invariant_region_check",
     "return_map_contraction",
-    "resolve_workers",
 ]
 
 #: absolute tolerance for the two zero conditions of a generic fold
 FOLD_TOL = 1e-9
-
-
-def resolve_workers(requested: int | None, n_items: int) -> int:
-    """Worker count capped by the PHOSCIL_THREADS environment variable."""
-    cap = os.environ.get("PHOSCIL_THREADS")
-    limit = int(cap) if cap else (os.cpu_count() or 1)
-    if limit < 1:
-        raise DomainError(f"PHOSCIL_THREADS must be >= 1, got {cap!r}")
-    workers = requested if requested is not None else limit
-    if workers < 1:
-        raise DomainError(f"worker count must be >= 1, got {workers!r}")
-    return max(1, min(workers, limit, n_items))
 
 
 # --- fixed point and stability ------------------------------------------------
@@ -194,15 +181,13 @@ class StabilityMap:
 def stability_scan(dp: DimlessParams,
                    kh_over_ks: tuple[float, float],
                    inv_alpha: tuple[float, float],
-                   shape: tuple[int, int],
-                   workers: int | None = None) -> StabilityMap:
+                   shape: tuple[int, int]) -> StabilityMap:
     """Trace/det of the per-cell fixed point over a parameter rectangle.
 
     Each cell keeps the base parameters except K_h = x*K_s and
     alpha = 1/y.  Cells with x <= y have no positive equilibrium and are
-    marked inadmissible rather than errored.  Cells are recomputed in
-    closed form; bands of columns run on a thread pool and are merged by
-    index, so results do not depend on the worker count.
+    marked inadmissible rather than errored.  The whole grid is evaluated
+    in closed form by one vectorized call.
     """
     nx, ny = shape
     if nx < 2 or ny < 2:
@@ -213,26 +198,7 @@ def stability_scan(dp: DimlessParams,
         raise DomainError("scan ranges must be strictly positive")
 
     admissible = xs[:, None] > ys[None, :]
-    trace = np.full((nx, ny), np.nan)
-    det = np.full((nx, ny), np.nan)
-
-    n_workers = resolve_workers(workers, nx)
-    bands = np.array_split(np.arange(nx), n_workers)
-
-    def run_band(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        K_h = (xs[idx] * dp.K_s)[:, None]
-        alpha = (1.0 / ys)[None, :]
-        t, d = _trace_det_grid(dp, K_h, alpha)
-        return idx, t, d
-
-    if n_workers == 1:
-        results = [run_band(bands[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(run_band, bands))
-    for idx, t, d in results:
-        trace[idx] = t
-        det[idx] = d
+    trace, det = _trace_det_grid(dp, (xs * dp.K_s)[:, None], (1.0 / ys)[None, :])
     trace[~admissible] = np.nan
     det[~admissible] = np.nan
     oscillates = admissible & (trace > 0.0) & (det > 0.0)
@@ -254,12 +220,10 @@ def stability_scan(dp: DimlessParams,
             t, _ = _trace_det_grid(dp, K_h, 1.0 / y)
             return float(t)
 
-        col = trace[i]
         for j in range(ny - 1):
             if sign_flip_y[i, j]:
                 root = brentq(trace_at, ys[j], ys[j + 1], xtol=1e-6)
                 hopf.append((float(xs[i]), float(root)))
-        del col
     return StabilityMap(kh_over_ks=xs, inv_alpha=ys, trace=trace, det=det,
                         admissible=admissible, oscillates=oscillates,
                         boundary=boundary, hopf=tuple(hopf))
@@ -338,10 +302,7 @@ def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
 def _q_hat0(s, eta, es: EpsSplit, dp: DimlessParams):
     v = dp.alpha * es.A * dp.K * eta * eta - dp.K_h
     u = eta ** 3 / (dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta)  # r_hat*eta^2
-    w = es.A * dp.K * u * s
-    disc = np.hypot(v, 2.0 * np.sqrt(w))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v <= 0.0, 0.5 * (disc - v), 2.0 * w / (v + disc))
+    return _monic_root_array(v, es.A * dp.K * u * s)
 
 
 def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
@@ -456,9 +417,8 @@ def _chart_B_derivatives(s: float, eta: float, es: EpsSplit, dp: DimlessParams):
     w = es.A * dp.K * u * s
     w1 = es.A * dp.K * u1 * s
     w2 = es.A * dp.K * u2 * s
-    disc = math.hypot(v, 2.0 * math.sqrt(w))
-    q = 0.5 * (disc - v) if v <= 0.0 else 2.0 * w / (v + disc)
-    denom = 2.0 * q + v  # equals disc > 0 away from (w, v) = (0, 0)
+    q = _monic_root(v, w)
+    denom = 2.0 * q + v  # equals sqrt(v^2 + 4w) > 0 away from (w, v) = (0, 0)
     q1 = (w1 - q * v1) / denom
     q2 = ((w2 - q1 * v1 - q * v2) * denom - (w1 - q * v1) * (2.0 * q1 + v1)) / (denom * denom)
     q_s = es.A * dp.K * u / denom

@@ -28,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import DomainError
-from .params import DimlessParams, EpsSplit, PhysicalParams
+from .params import DimlessParams, EpsSplit, PhysicalParams, split_dimless
 
 __all__ = [
     "State",
@@ -165,6 +165,23 @@ def rate_r_hat(eta, es: EpsSplit, dp: DimlessParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _monic_root(v: float, w: float) -> float:
+    """Non-negative root of q^2 + v q - w = 0 for w >= 0, cancellation-free.
+
+    The explicit root (sqrt(v^2+4w) - v)/2 when v <= 0, the conjugate
+    2w/(v + sqrt(v^2+4w)) when v > 0.
+    """
+    disc = math.hypot(v, 2.0 * math.sqrt(w))
+    return 0.5 * (disc - v) if v <= 0.0 else 2.0 * w / (v + disc)
+
+
+def _monic_root_array(v, w):
+    """Elementwise :func:`_monic_root` over numpy arrays (or 0-d arrays)."""
+    disc = np.hypot(v, 2.0 * np.sqrt(w))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(v <= 0.0, 0.5 * (disc - v), 2.0 * w / (v + disc))
+
+
 def _v_of(h, dp: DimlessParams):
     return dp.alpha * dp.K / dp.eps2 * h * h - dp.K_h * (1.0 - h)
 
@@ -188,11 +205,7 @@ def q_func(s, h, dp: DimlessParams):
         raise DomainError("q_func requires s >= 0")
     if np.any(h <= 0.0):
         raise DomainError("q_func requires h > 0")
-    v = _v_of(h, dp)
-    w = _w_of(s, h, dp)
-    disc = np.hypot(v, 2.0 * np.sqrt(w))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(v <= 0.0, 0.5 * (disc - v), 2.0 * w / (v + disc))
+    out = _monic_root_array(_v_of(h, dp), _w_of(s, h, dp))
     return float(out) if out.ndim == 0 else out
 
 
@@ -210,13 +223,11 @@ def _q_partials(s, h, dp: DimlessParams):
     rp = rate_r_prime(h, dp)
     v = _v_of(h, dp)
     w = dp.K / dp.eps2 * r * h * h * s
-    disc = np.hypot(v, 2.0 * np.sqrt(w))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(v <= 0.0, 0.5 * (disc - v), 2.0 * w / (v + disc))
+    q = _monic_root_array(v, w)
     w_s = dp.K / dp.eps2 * r * h * h
     w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
     v_h = 2.0 * dp.alpha * dp.K / dp.eps2 * h + dp.K_h
-    denom = 2.0 * q + v  # equals disc >= 0
+    denom = 2.0 * q + v  # equals sqrt(v^2 + 4w) >= 0
     q_s = w_s / denom
     q_h = (w_h - q * v_h) / denom
     return q, q_s, q_h
@@ -314,10 +325,7 @@ def _q_hat(s, eta, es: EpsSplit, dp: DimlessParams):
     v = dp.alpha * es.A * dp.K * eta * eta - dp.K_h * (1.0 - e * eta)
     # r_hat*eta^2 = eta^3/(beta*C + eta + (beta/C) eta^2): finite at eta = 0
     rh2 = eta ** 3 / (dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta)
-    w = es.A * dp.K * rh2 * s
-    disc = np.hypot(v, 2.0 * np.sqrt(w))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(v <= 0.0, 0.5 * (disc - v), 2.0 * w / (v + disc))
+    return _monic_root_array(v, es.A * dp.K * rh2 * s)
 
 
 def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):
@@ -370,8 +378,7 @@ def rhs_reference(state, phys: PhysicalParams):
     k_cat = phys.v_max / (phys.k_M + s * phys.S_ext) * f_H
     b = 1.0 + phys.k_prime * phys.H_ext * h + (1.0 - 1.0 / h) * phys.k_H / phys.k
     c = 2.0 * k_cat * phys.k_prime * phys.S_ext * s / phys.k
-    disc = math.hypot(b, 2.0 * math.sqrt(c))
-    p = 0.5 * (disc - b) if b <= 0.0 else 2.0 * c / (b + disc)
+    p = _monic_root(b, c)
     ds = -k_cat * s + phys.k_S * (1.0 - s)
     dh = -phys.k * p * h + phys.k_H * (1.0 - h)
     return (ds, dh)
@@ -431,9 +438,7 @@ def _rhs_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float]:
     w = dp.K / dp.eps2 * (h * h * h / den) * s
     if w < 0.0:
         w = 0.0
-    disc = math.hypot(v, 2.0 * math.sqrt(w))
-    q = 0.5 * (disc - v) if v <= 0.0 else 2.0 * w / (v + disc)
-    return (dp.K_s - r * s, dp.K_h * (1.0 - h) - q)
+    return (dp.K_s - r * s, dp.K_h * (1.0 - h) - _monic_root(v, w))
 
 
 def _jac_scalar(s: float, h: float, dp: DimlessParams) -> np.ndarray:
@@ -450,9 +455,8 @@ def _jac_scalar(s: float, h: float, dp: DimlessParams) -> np.ndarray:
     w = dp.K / dp.eps2 * rh2 * s
     if w < 0.0:
         w = 0.0
-    disc = math.hypot(v, 2.0 * math.sqrt(w))
-    q = 0.5 * (disc - v) if v <= 0.0 else 2.0 * w / (v + disc)
-    denom = max(2.0 * q + v, 1e-300)  # equals disc
+    q = _monic_root(v, w)
+    denom = max(2.0 * q + v, 1e-300)  # equals sqrt(v^2 + 4w)
     w_s = dp.K / dp.eps2 * rh2
     w_h = dp.K / dp.eps2 * rh2_h * s
     q_s = w_s / denom
@@ -482,77 +486,33 @@ class _ModelField(Field):
         return _jac_scalar(float(y[0]), float(y[1]), self.dp)
 
 
-class _ChartAField(Field):
-    names = ("sigma", "h")
+class _ChartField(Field):
+    """The eps-split base field (f, g) in chart coordinates y = (cs*s, h/ch).
 
-    def __init__(self, es: EpsSplit, dp: DimlessParams):
-        self.es = es
-        self.dp = dp
-        from .params import split_dimless
+    Chart A (sigma = eps*s, original time): (cs, ch) = (eps, 1).
+    Chart B (eta = h/eps, time t' = t/eps): (cs, ch) = (1, eps).
+    Both give y' = (eps*f, g) at (s, h) = (y0/cs, ch*y1); the Jacobian
+    follows by the chain rule, diag(eps, 1) J diag(1/cs, ch).
+    """
 
+    def __init__(self, names: tuple[str, str], cs: float, ch: float,
+                 es: EpsSplit, dp: DimlessParams):
+        self.names = names
+        self._eps = es.eps
+        self._cs = cs
+        self._ch = ch
         self._split = split_dimless(dp, es)
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        sigma, h = float(y[0]), float(y[1])
-        es, dp = self.es, self.dp
-        e = es.eps
-        den = e * e * dp.beta * es.C + e * h + (dp.beta / es.C) * h * h
-        if den <= 0.0:
-            raise DomainError(f"chart-A field beyond its rational pole, h = {h!r}")
-        r_t = h / den
-        v = dp.alpha * es.A * dp.K * h * h - e * e * dp.K_h * (1.0 - h)
-        w = es.A * dp.K * (h * h * h / den) * sigma
-        if w < 0.0:
-            w = 0.0
-        disc = math.hypot(v, 2.0 * e * math.sqrt(w))
-        if v <= 0.0:
-            q = (disc - v) / (2.0 * e * e)
-        else:
-            q = 2.0 * w / (v + disc)
-        return np.array([e * (dp.K_s - r_t * sigma), dp.K_h * (1.0 - h) - q])
+        f, g = _rhs_scalar(float(y[0]) / self._cs, self._ch * float(y[1]), self._split)
+        return np.array([self._eps * f, g])
 
     def jac(self, t: float, y: np.ndarray) -> np.ndarray:
-        # conjugate the split-system Jacobian by diag(eps, 1)
-        e = self.es.eps
-        J = _jac_scalar(float(y[0]) / e, float(y[1]), self._split)
+        e, cs, ch = self._eps, self._cs, self._ch
+        J = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._split)
         return np.array([
-            [J[0, 0], e * J[0, 1]],
-            [J[1, 0] / e, J[1, 1]],
-        ])
-
-
-class _ChartBField(Field):
-    names = ("s", "eta")
-
-    def __init__(self, es: EpsSplit, dp: DimlessParams):
-        self.es = es
-        self.dp = dp
-        from .params import split_dimless
-
-        self._split = split_dimless(dp, es)
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        s, eta = float(y[0]), float(y[1])
-        es, dp = self.es, self.dp
-        e = es.eps
-        den = dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta
-        if den <= 0.0:
-            raise DomainError(f"chart-B field beyond its rational pole, eta = {eta!r}")
-        r_hat = eta / den
-        v = dp.alpha * es.A * dp.K * eta * eta - dp.K_h * (1.0 - e * eta)
-        w = es.A * dp.K * (eta * eta * eta / den) * s
-        if w < 0.0:
-            w = 0.0
-        disc = math.hypot(v, 2.0 * math.sqrt(w))
-        q = 0.5 * (disc - v) if v <= 0.0 else 2.0 * w / (v + disc)
-        return np.array([e * (dp.K_s - r_hat * s), dp.K_h * (1.0 - e * eta) - q])
-
-    def jac(self, t: float, y: np.ndarray) -> np.ndarray:
-        e = self.es.eps
-        J = _jac_scalar(float(y[0]), e * float(y[1]), self._split)
-        return np.array([
-            [e * J[0, 0], e * e * J[0, 1]],
-            [J[1, 0], e * J[1, 1]],
+            [e / cs * J[0, 0], e * ch * J[0, 1]],
+            [J[1, 0] / cs, ch * J[1, 1]],
         ])
 
 
@@ -570,11 +530,13 @@ def make_field(dp: DimlessParams) -> Field:
 
 
 def make_field_chart_A(es: EpsSplit, dp: DimlessParams) -> Field:
-    return _ChartAField(es, dp)
+    """Chart-A field in (sigma, h), original time, with analytic Jacobian."""
+    return _ChartField(("sigma", "h"), es.eps, 1.0, es, dp)
 
 
 def make_field_chart_B(es: EpsSplit, dp: DimlessParams) -> Field:
-    return _ChartBField(es, dp)
+    """Chart-B field in (s, eta), time t' = t/eps, with analytic Jacobian."""
+    return _ChartField(("s", "eta"), 1.0, es.eps, es, dp)
 
 
 def make_field_reference(phys: PhysicalParams) -> Field:

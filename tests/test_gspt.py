@@ -28,7 +28,6 @@ from phoscil.gspt import (
     manifold_B,
     manifold_B_stability,
     nullclines,
-    resolve_workers,
     return_map_contraction,
     slow_flow_A,
     slow_flow_B,
@@ -269,9 +268,9 @@ def test_scan_flags_follow_the_jacobian(dp):
                 assert not sm.oscillates[i, j]
 
 
-def test_scan_is_worker_invariant(dp, monkeypatch):
-    a = stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (16, 12), workers=1)
-    b = stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (16, 12), workers=3)
+def test_scan_is_worker_invariant(dp):
+    a = stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (16, 12))
+    b = stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (16, 12))
     np.testing.assert_array_equal(a.trace, b.trace)
     np.testing.assert_array_equal(a.det, b.det)
     np.testing.assert_array_equal(a.oscillates, b.oscillates)
@@ -318,24 +317,6 @@ def test_scan_csv_export(dp, tmp_path):
     assert lines[0] == "# probe"
     assert lines[1] == "kh_over_ks,inv_alpha,trace,det,oscillates"
     assert len(lines) == 2 + 4 * 3
-
-
-# --- worker resolution ----------------------------------------------------------------
-
-def test_resolve_workers_caps_by_items_and_env(monkeypatch):
-    monkeypatch.setenv("PHOSCIL_THREADS", "2")
-    assert resolve_workers(None, 100) == 2
-    assert resolve_workers(8, 100) == 2
-    assert resolve_workers(1, 100) == 1
-    assert resolve_workers(None, 1) == 1
-    monkeypatch.setenv("PHOSCIL_THREADS", "4")
-    assert resolve_workers(3, 2) == 2  # item count caps last
-    monkeypatch.setenv("PHOSCIL_THREADS", "0")
-    with pytest.raises(DomainError):
-        resolve_workers(None, 4)
-    monkeypatch.delenv("PHOSCIL_THREADS")
-    with pytest.raises(DomainError):
-        resolve_workers(0, 4)
 
 
 # --- invariant region -------------------------------------------------------------------

@@ -16,6 +16,8 @@ from phoscil.model import (
     from_log,
     h_plus_eps,
     make_field,
+    make_field_chart_A,
+    make_field_chart_B,
     make_field_reference,
     q_func,
     q_tilde_eps,
@@ -192,6 +194,30 @@ def test_chart_fields_are_pushforwards(dp, es, state):
     np.testing.assert_allclose(fa, (es.eps * f, g), rtol=1e-12)
     fb = rhs_chart_B((s, h / es.eps), es, dp)
     np.testing.assert_allclose(fb, (es.eps * f, g), rtol=1e-12)
+
+
+@pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7])
+def test_chart_field_objects_match_evaluators_and_jacobian(dp, es, eps):
+    """Integrator-facing chart fields against rhs_chart_A/B and their own
+    central differences, at chart points off the critical manifolds."""
+    es = es.at_eps(eps)
+    for make, evaluate, points in (
+        (make_field_chart_A, rhs_chart_A, [(1e-4, 0.3), (3e-4, 0.6), (5e-4, 0.8)]),
+        (make_field_chart_B, rhs_chart_B, [(0.01, 0.3), (0.05, 1.2), (0.5, 2.0)]),
+    ):
+        field = make(es, dp)
+        for point in points:
+            y = np.array(point)
+            np.testing.assert_allclose(field(0.0, y), evaluate(point, es, dp),
+                                       rtol=1e-12, atol=0.0)
+            J = field.jac(0.0, y)
+            fd = np.empty((2, 2))
+            for j in range(2):
+                step = np.zeros(2)
+                step[j] = 1e-6 * y[j]
+                fd[:, j] = (field(0.0, y + step) - field(0.0, y - step)) / (2.0 * step[j])
+            # entrywise, so the eps-scaled off-diagonal entries are checked too
+            np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-12 * np.max(np.abs(J)))
 
 
 def test_branch_seam_value_frozen(dp, es):
