@@ -45,8 +45,8 @@ from .gspt import (
     stability_scan,
     verify_generic_fold,
 )
-from .integrator import EventSpec, IntegratorConfig, Trajectory, export_trajectory, integrate
-from .model import make_field, rate_r, to_chart_A, to_log
+from .integrator import IntegratorConfig, Trajectory, export_trajectory, integrate
+from .model import make_field, to_chart_A, to_log
 from .params import (
     UREASE_VESICLE,
     derive_dimensionless,
@@ -54,7 +54,7 @@ from .params import (
     load_physical,
     split_dimless,
 )
-from .cycle import compare, find_limit_cycle
+from .cycle import _event_pair, _start_point, compare, find_limit_cycle
 
 __all__ = [
     "RunConfig",
@@ -152,20 +152,14 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
     dpe = split_dimless(dp, es)
     if x0 is None:
         try:
-            fp = fixed_point(dp)
-            x0 = (dpe.K_s / rate_r(fp.h_star, dpe), 2.0 * fp.h_star)
+            x0 = _start_point(dpe)
         except NoPositiveEquilibriumError:
             x0 = (1.0, 0.5)
-
-    def s_rate(t, y):
-        return dpe.K_s if y[1] <= 0.0 else dpe.K_s - rate_r(y[1], dpe) * y[0]
-
-    events = [EventSpec(func=s_rate, direction="falling"),
-              EventSpec(func=s_rate, direction="rising")]
     if t_span[1] == t_span[0]:
         traj = Trajectory.single(t_span[0], list(x0), names=("s", "h"))
     else:
-        traj = integrate(make_field(dpe), x0, t_span, cfg, events=events)
+        traj = integrate(make_field(dpe), x0, t_span, cfg,
+                         events=_event_pair(dpe, "s_max"))
     prov = run.provenance(
         "simulate",
         f"t_span = {fmt17(t_span[0])} .. {fmt17(t_span[1])}",

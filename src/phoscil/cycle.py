@@ -12,6 +12,7 @@ their ratio 1/(4 h_* w(h_*)) is eps-free.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -105,12 +106,7 @@ class CycleReport:
             "turning_points": None if tp is None else {
                 "s_max": list(tp[0]), "s_min": list(tp[1])},
             "n_transient_periods": self.n_transient_periods,
-            "analytic": {
-                "T_acid": self.analytic.T_acid,
-                "T_basic": self.analytic.T_basic,
-                "T_total": self.analytic.T_total,
-                "ratio": self.analytic.ratio,
-            },
+            "analytic": dataclasses.asdict(self.analytic),
         }
 
 
@@ -125,7 +121,7 @@ def analytic_timescales(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
     T_basic); the ratio is computed as 1/(4 h_* w(h_*)) so it carries no
     eps dependence at all.
     """
-    h_star = 1.0 - dp.K_s / (dp.alpha * dp.K_h)
+    h_star = dp.h_star
     if not 0.0 < h_star < 0.5:
         raise DomainError(
             f"analytic timescales need 0 < h_* < 1/2, got h_* = {h_star!r}")
@@ -135,6 +131,14 @@ def analytic_timescales(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
     return AnalyticTimescales(T_acid=T_acid, T_basic=T_basic,
                               T_total=T_acid + T_basic,
                               ratio=1.0 / (4.0 * h_star * w))
+
+
+def _analytic_or_nan(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
+    """analytic_timescales where its formulas hold, all NaN elsewhere."""
+    try:
+        return analytic_timescales(dp, es)
+    except DomainError:
+        return AnalyticTimescales(math.nan, math.nan, math.nan, math.nan)
 
 
 def physical_timescales(dp: DimlessParams, es: EpsSplit,
@@ -170,6 +174,15 @@ def oscillation_condition(phys: PhysicalParams) -> OscillationVerdict:
     lhs = phys.k_H * phys.H_ext
     rhs = 2.0 * phys.k_S * phys.S_ext
     return OscillationVerdict(oscillatory=lhs > rhs, margin=lhs - rhs)
+
+
+def _start_point(dp_eps: DimlessParams) -> tuple[float, float]:
+    """(s_*, 2 h_*) of the split system: the equilibrium, displaced in h."""
+    h_star = dp_eps.h_star
+    if h_star <= 0.0:
+        raise NoPositiveEquilibriumError(
+            "cycle detection needs a positive equilibrium (alpha*K_h > K_s)")
+    return (dp_eps.K_s / rate_r(h_star, dp_eps), 2.0 * h_star)
 
 
 def _event_pair(dp_eps: DimlessParams, anchor: str) -> tuple[EventSpec, EventSpec]:
@@ -219,29 +232,32 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     stop returning onto the sections, or whose recorded s-amplitude
     falls below EQUILIBRIUM_AMPLITUDE, yield an equilibrium report;
     exceeding TRANSIENT_BUDGET periods yields a non-converged report.
-    Neither outcome raises.
+    Neither outcome raises.  Parameters without a positive equilibrium
+    raise NoPositiveEquilibriumError.  The analytic companions are NaN
+    where their formulas do not hold (h_* >= 1/2).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     dp_eps = split_dimless(dp, es)
-    analytic = analytic_timescales(dp, es)
+    start = _start_point(dp_eps)
+    analytic = _analytic_or_nan(dp, es)
     field = make_field(dp_eps)
     anchor_ev, other_ev = _event_pair(dp_eps, anchor)
-    leg_budget = 6.0 * analytic.T_total
+    if math.isnan(analytic.T_total):
+        # beta/(eps C) (1 + 1/(4 h_*)) bounds T_total wherever it exists
+        # (w(h_*) < 1) and stays finite for every h_* > 0
+        leg_budget = 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
+    else:
+        leg_budget = 6.0 * analytic.T_total
 
-    if x0 is None:
-        h_star = 1.0 - dp_eps.K_s / (dp_eps.alpha * dp_eps.K_h)
-        if h_star <= 0.0:
-            raise NoPositiveEquilibriumError(
-                "default x0 needs a positive equilibrium; pass x0 explicitly")
-        x0 = (dp_eps.K_s / rate_r(h_star, dp_eps), 2.0 * h_star)
-
-    def stopped_report(n_seen: int, last_state, terminus_if_settled: str) -> CycleReport:
-        f, g = field(0.0, np.asarray(last_state, dtype=float))
-        terminus = terminus_if_settled if math.hypot(f, g) < 1e-8 else "no_convergence"
+    def no_cycle(n_seen: int, last_state=None) -> CycleReport:
+        # "equilibrium" when the orbit stopped at rest, else "no_convergence"
+        settled = (last_state is not None and
+                   math.hypot(*field(0.0, np.asarray(last_state, dtype=float))) < 1e-8)
         return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
                            tau_A_to_B=math.nan, turning_points=None,
                            analytic=analytic, converged=False,
-                           n_transient_periods=n_seen, terminus=terminus,
+                           n_transient_periods=n_seen,
+                           terminus="equilibrium" if settled else "no_convergence",
                            trajectory=None)
 
     def half_leg(x, t_start: float, event: EventSpec, keep_dense: bool):
@@ -250,47 +266,36 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
                                      keep_dense=keep_dense)
 
     # reach the anchor section once (x0 is generically off-section)
-    res = half_leg(np.asarray(tuple(x0), dtype=float), 0.0, anchor_ev, False)
+    res = half_leg(np.asarray(tuple(start if x0 is None else x0), dtype=float),
+                   0.0, anchor_ev, False)
     if not res.hit:
-        return stopped_report(0, res.trajectory.states[-1], "equilibrium")
+        return no_cycle(0, res.trajectory.states[-1])
     x = np.asarray(res.state_hit, dtype=float)
     t_now = float(res.t_hit)
     prev_return = np.array([es.eps * x[0], x[1]])
 
+    # transient periods, then one recorded period with dense output kept
     n_periods = 0
-    converged = False
-    while n_periods < TRANSIENT_BUDGET:
-        mid = half_leg(x, t_now, other_ev, False)
+    recording = False
+    while True:
+        mid = half_leg(x, t_now, other_ev, recording)
         if not mid.hit:
-            return stopped_report(n_periods, mid.trajectory.states[-1], "equilibrium")
+            return no_cycle(n_periods, mid.trajectory.states[-1])
         back = half_leg(np.asarray(mid.state_hit, dtype=float), float(mid.t_hit),
-                        anchor_ev, False)
+                        anchor_ev, recording)
         if not back.hit:
-            return stopped_report(n_periods, back.trajectory.states[-1], "equilibrium")
+            return no_cycle(n_periods, back.trajectory.states[-1])
+        if recording:
+            break
         x = np.asarray(back.state_hit, dtype=float)
         t_now = float(back.t_hit)
         n_periods += 1
         this_return = np.array([es.eps * x[0], x[1]])
-        if np.max(np.abs(this_return - prev_return)) < TRANSIENT_TOL:
-            converged = True
-            break
+        recording = bool(np.max(np.abs(this_return - prev_return)) < TRANSIENT_TOL)
+        if not recording and n_periods >= TRANSIENT_BUDGET:
+            return no_cycle(n_periods)
         prev_return = this_return
 
-    if not converged:
-        return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
-                           tau_A_to_B=math.nan, turning_points=None,
-                           analytic=analytic, converged=False,
-                           n_transient_periods=n_periods,
-                           terminus="no_convergence", trajectory=None)
-
-    # one recorded period from the converged anchor state, dense output kept
-    mid = half_leg(x, t_now, other_ev, True)
-    if not mid.hit:
-        return stopped_report(n_periods, mid.trajectory.states[-1], "equilibrium")
-    back = half_leg(np.asarray(mid.state_hit, dtype=float), float(mid.t_hit),
-                    anchor_ev, True)
-    if not back.hit:
-        return stopped_report(n_periods, back.trajectory.states[-1], "equilibrium")
     if anchor == "s_max":
         traj = _merge_halves(mid.trajectory, back.trajectory, 1, 0)
     else:
@@ -299,7 +304,7 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     smax_state = next(h.state for h in traj.events if h.index == 0)
     smin_state = next(h.state for h in traj.events if h.index == 1)
     if abs(float(smax_state[0]) - float(smin_state[0])) < EQUILIBRIUM_AMPLITUDE:
-        return stopped_report(n_periods, smax_state, "equilibrium")
+        return no_cycle(n_periods, smax_state)
     return CycleReport(eps=es.eps, period=tau_B_to_A + tau_A_to_B,
                        tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
                        turning_points=(tuple(float(v) for v in smax_state),
@@ -384,19 +389,9 @@ class CompareRow:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "eps": self.eps,
-            "T_acid": self.T_acid,
-            "tau_B_to_A": self.tau_B_to_A,
-            "T_basic": self.T_basic,
-            "tau_A_to_B": self.tau_A_to_B,
-            "T_analytic": self.T_analytic,
-            "period": self.period,
-            "ratio_analytic": self.ratio_analytic,
-            "ratio_measured": self.ratio_measured,
-        }
-        if self.error is not None:
-            out["error"] = self.error
+        out = dataclasses.asdict(self)
+        if self.error is None:
+            del out["error"]
         return out
 
 
@@ -444,25 +439,19 @@ def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None) -> 
         raise DomainError("es_list must not be empty")
 
     def run_row(es: EpsSplit) -> CompareRow:
-        ts = analytic_timescales(dp, es)
+        ts = _analytic_or_nan(dp, es)
+        fields = dict(eps=es.eps, T_acid=ts.T_acid, T_basic=ts.T_basic,
+                      T_analytic=ts.T_total, ratio_analytic=ts.ratio,
+                      tau_B_to_A=math.nan, tau_A_to_B=math.nan, period=math.nan,
+                      ratio_measured=math.nan)
         try:
             rep = find_limit_cycle(dp, es, cfg=cfg)
-            if rep.terminus != "limit_cycle":
-                return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=math.nan,
-                                  T_basic=ts.T_basic, tau_A_to_B=math.nan,
-                                  T_analytic=ts.T_total, period=math.nan,
-                                  ratio_analytic=ts.ratio, ratio_measured=math.nan,
-                                  error=f"no limit cycle: {rep.terminus}")
-            return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=rep.tau_B_to_A,
-                              T_basic=ts.T_basic, tau_A_to_B=rep.tau_A_to_B,
-                              T_analytic=ts.T_total, period=rep.period,
-                              ratio_analytic=ts.ratio,
-                              ratio_measured=rep.tau_A_to_B / rep.tau_B_to_A)
         except PhoscilError as exc:
-            return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=math.nan,
-                              T_basic=ts.T_basic, tau_A_to_B=math.nan,
-                              T_analytic=ts.T_total, period=math.nan,
-                              ratio_analytic=ts.ratio, ratio_measured=math.nan,
-                              error=f"{type(exc).__name__}: {exc}")
+            return CompareRow(**fields, error=f"{type(exc).__name__}: {exc}")
+        if rep.terminus != "limit_cycle":
+            return CompareRow(**fields, error=f"no limit cycle: {rep.terminus}")
+        fields.update(tau_B_to_A=rep.tau_B_to_A, tau_A_to_B=rep.tau_A_to_B,
+                      period=rep.period, ratio_measured=rep.tau_A_to_B / rep.tau_B_to_A)
+        return CompareRow(**fields)
 
     return CompareTable(rows=tuple(run_row(es) for es in es_list))

@@ -11,6 +11,7 @@ overshooting the fold by O(eps^(2/3)).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from ._fmt import fmt17, write_csv, write_json
+from .cycle import analytic_timescales
 from .errors import (
     DerivativeConsistencyError,
     DomainError,
@@ -29,7 +31,8 @@ from .errors import (
 from .integrator import EventSpec, IntegratorConfig, integrate, integrate_until_event
 from .model import (
     _monic_root,
-    _monic_root_array,
+    _q_hat,
+    _root_slopes,
     make_field_chart_A,
     make_field_chart_B,
     rate_r,
@@ -102,7 +105,7 @@ def fixed_point(dp: DimlessParams) -> FixedPoint:
     if not dp.admissible:
         raise NoPositiveEquilibriumError(
             f"alpha*K_h = {dp.alpha * dp.K_h!r} does not exceed K_s = {dp.K_s!r}")
-    h_star = 1.0 - dp.K_s / (dp.alpha * dp.K_h)
+    h_star = dp.h_star
     s_star = dp.K_s / rate_r(h_star, dp)
     J = rhs_jacobian((s_star, h_star), dp)
     trace = float(J[0, 0] + J[1, 1])
@@ -133,12 +136,10 @@ def _trace_det_grid(dp: DimlessParams, K_h, alpha):
         s = dp.K_s / r
         q = K_h * (1.0 - h)
         v = alpha * dp.K / dp.eps2 * h * h - q
-        denom = 2.0 * q + v
         w_s = dp.K / dp.eps2 * r * h * h
         w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
         v_h = 2.0 * alpha * dp.K / dp.eps2 * h + K_h
-        q_s = w_s / denom
-        q_h = (w_h - q * v_h) / denom
+        q_s, q_h = _root_slopes(q, 2.0 * q + v, w_s, w_h, v_h)
         f_s = -r
         f_h = -rp * s
         g_s = -q_s
@@ -299,12 +300,6 @@ def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     return f0, g0
 
 
-def _q_hat0(s, eta, es: EpsSplit, dp: DimlessParams):
-    v = dp.alpha * es.A * dp.K * eta * eta - dp.K_h
-    u = eta ** 3 / (dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta)  # r_hat*eta^2
-    return _monic_root_array(v, es.A * dp.K * u * s)
-
-
 def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     """Singular-limit chart-B pair (f0, g0); g0 extends to 0 on the s-axis."""
     s_arr = np.asarray(s, dtype=float)
@@ -316,7 +311,7 @@ def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
                          eta_arr / (dp.beta * es.C + eta_arr + (dp.beta / es.C) * eta_arr ** 2),
                          0.0)
     f0 = dp.K_s - r_hat * s_arr
-    g0 = dp.K_h - _q_hat0(s_arr, eta_arr, es, dp)
+    g0 = dp.K_h - _q_hat(s_arr, eta_arr, es.at_eps(0.0), dp)
     if f0.ndim == 0:
         return float(f0), float(g0)
     return f0, g0
@@ -327,8 +322,7 @@ def slow_flow_A(h, es: EpsSplit, dp: DimlessParams):
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr == 0.5):
         raise FoldSingularityError("slow_flow_A is singular at the fold h = 1/2")
-    h_star = 1.0 - dp.K_s / (dp.alpha * dp.K_h)
-    out = -es.C * 0.5 * (h_arr - h_star) / (dp.beta * (h_arr - 0.5))
+    out = -es.C * 0.5 * (h_arr - dp.h_star) / (dp.beta * (h_arr - 0.5))
     return float(out) if out.ndim == 0 else out
 
 
@@ -338,8 +332,7 @@ def slow_flow_B(eta, es: EpsSplit, dp: DimlessParams):
     eta_B = es.C
     if np.any(eta_arr == eta_B):
         raise FoldSingularityError("slow_flow_B is singular at the fold eta = C")
-    h_star = 1.0 - dp.K_s / (dp.alpha * dp.K_h)
-    out = (es.C * h_star / dp.beta) * eta_arr ** 2 / (eta_B ** 2 - eta_arr ** 2)
+    out = (es.C * dp.h_star / dp.beta) * eta_arr ** 2 / (eta_B ** 2 - eta_arr ** 2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -363,16 +356,7 @@ class FoldReport:
     is_generic: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "chart": self.chart,
-            "fold_location": list(self.fold_location),
-            "g0_value": self.g0_value,
-            "dg0_fast": self.dg0_fast,
-            "d2g0_fast": self.d2g0_fast,
-            "dg0_slow": self.dg0_slow,
-            "f0_value": self.f0_value,
-            "is_generic": self.is_generic,
-        }
+        return dataclasses.asdict(self)
 
 
 def _d1(f, x: float, scale_floor: float = 1.0) -> float:
@@ -419,9 +403,8 @@ def _chart_B_derivatives(s: float, eta: float, es: EpsSplit, dp: DimlessParams):
     w2 = es.A * dp.K * u2 * s
     q = _monic_root(v, w)
     denom = 2.0 * q + v  # equals sqrt(v^2 + 4w) > 0 away from (w, v) = (0, 0)
-    q1 = (w1 - q * v1) / denom
+    q_s, q1 = _root_slopes(q, denom, es.A * dp.K * u, w1, v1)
     q2 = ((w2 - q1 * v1 - q * v2) * denom - (w1 - q * v1) * (2.0 * q1 + v1)) / (denom * denom)
-    q_s = es.A * dp.K * u / denom
     g0 = dp.K_h - q
     return g0, -q1, -q2, -q_s
 
@@ -612,25 +595,21 @@ def invariant_region_check(dp: DimlessParams, samples: int = 200,
 # --- return-map contraction ------------------------------------------------------
 
 def return_map_contraction(dp: DimlessParams, es: EpsSplit,
-                           section_fraction: float = 0.6,
-                           perturbation: float = 0.05,
                            cfg: IntegratorConfig | None = None) -> float:
     """Displacement ratio of two successive returns to a chart-A section.
 
-    The section is sigma = section_fraction * sigma_A, crossed rising.
-    An orbit is first relaxed onto the cycle, then restarted from the
-    section with h displaced by ``perturbation`` relative; the ratio
-    |h2 - h1| / |h1 - h0| of successive return displacements measures the
-    return-map contraction (values << 1 mean strong contraction).
+    The section is sigma = 0.6 sigma_A, crossed rising.  An orbit is
+    first relaxed onto the cycle, then restarted from the section with h
+    displaced by 5% relative; the ratio |h2 - h1| / |h1 - h0| of
+    successive return displacements measures the return-map contraction
+    (values << 1 mean strong contraction).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     sigma_A, _ = fold_location_A(es, dp)
-    section = section_fraction * sigma_A
+    section = 0.6 * sigma_A
     field = make_field_chart_A(es, dp)
     event = EventSpec(func=lambda t, y: y[0] - section, direction="rising")
-    h_star = 1.0 - dp.K_s / (dp.alpha * dp.K_h)
-    w_star = 1.0 - (1.0 - 2.0 * h_star) * math.log((2.0 - 2.0 * h_star) / (1.0 - 2.0 * h_star))
-    period_guess = dp.beta / (es.eps * es.C) * (w_star + 0.25 / h_star)
+    period_guess = analytic_timescales(dp, es).T_total
 
     relax = integrate(field, (section, 0.95), (0.0, 3.0 * period_guess), cfg,
                       events=[event], keep_dense=False)
@@ -639,7 +618,7 @@ def return_map_contraction(dp: DimlessParams, es: EpsSplit,
         raise SectionNoHitError("orbit failed to return twice to the chart-A section")
     h_cycle = float(crossings[-1][1])
 
-    h0 = h_cycle * (1.0 + perturbation)
+    h0 = h_cycle * 1.05
     run = integrate(field, (section, h0), (0.0, 3.0 * period_guess), cfg,
                     events=[event], keep_dense=False)
     returns = [float(hit.state[1]) for hit in run.events]

@@ -8,8 +8,8 @@ not degrade when steps grow large on slow manifolds.
 
 Fields are callables ``field(t, y) -> dy``; when a field exposes an
 analytic Jacobian as ``field.jac(t, y)`` it is used for the implicit
-stages, otherwise a central-difference Jacobian with step
-sqrt(machine epsilon) * scale is substituted.
+stages, otherwise scipy's Radau differences the field itself (its
+``num_jac`` forward-difference Jacobian).
 """
 from __future__ import annotations
 
@@ -45,8 +45,6 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float | None = None
-    h_max: float | None = None
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
@@ -54,10 +52,6 @@ class IntegratorConfig:
             raise DomainError(f"rtol must lie in (0, 1e-3], got {self.rtol!r}")
         if not (self.atol > 0.0):
             raise DomainError(f"atol must be positive, got {self.atol!r}")
-        for name in ("h_init", "h_max"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0):
-                raise DomainError(f"{name} must be positive when given, got {value!r}")
         if not (self.max_steps > 0):
             raise DomainError(f"max_steps must be positive, got {self.max_steps!r}")
 
@@ -104,7 +98,7 @@ class Trajectory:
         if not self._segments:
             t_arr = np.atleast_1d(np.asarray(t, dtype=float))
             if not np.allclose(t_arr, self.t[0], rtol=0.0, atol=0.0):
-                raise DomainError("single-sample trajectory has no dense output")
+                raise DomainError("trajectory kept no dense output")
             out = np.broadcast_to(self.states[0], (t_arr.size, self.states.shape[1]))
             return out[0] if np.ndim(t) == 0 else out.copy()
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -129,25 +123,6 @@ class EventHitResult:
     @property
     def hit(self) -> bool:
         return self.t_hit is not None
-
-
-class _CentralDiffJacobian:
-    """Fallback Jacobian: central differences, step sqrt(eps)*scale."""
-
-    def __init__(self, fun: Callable[[float, np.ndarray], np.ndarray]):
-        self._fun = fun
-        self._sqrt_eps = math.sqrt(_MACH_EPS)
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        n = y.size
-        J = np.empty((n, n))
-        for j in range(n):
-            step = self._sqrt_eps * max(abs(y[j]), self._sqrt_eps)
-            e = np.zeros(n)
-            e[j] = step
-            J[:, j] = (np.asarray(self._fun(t, y + e)) - np.asarray(self._fun(t, y - e))) / (2.0 * step)
-        return J
 
 
 def _crossed(g_old: float, g_new: float, direction: str) -> bool:
@@ -195,13 +170,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     events = list(events)
     t_scale = max(1.0, abs(t0), abs(t1))
 
-    jac = getattr(field, "jac", None)
-    if not callable(jac):
-        jac = _CentralDiffJacobian(field)
-
-    solver = Radau(field, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol, jac=jac,
-                   first_step=cfg.h_init,
-                   max_step=cfg.h_max if cfg.h_max is not None else np.inf)
+    solver = Radau(field, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol,
+                   jac=getattr(field, "jac", None))
 
     ts = [t0]
     ys = [y0.copy()]
@@ -239,19 +209,17 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
             g_old = g_new
 
         if terminal_t is not None:
-            t_stop = max(terminal_t, np.nextafter(ts[-1], t_new))
-            segments.append(dense if keep_dense else None)
-            ts.append(t_stop)
-            ys.append(np.asarray(dense(terminal_t), dtype=float))
-            break
-        segments.append(dense if keep_dense else None)
+            t_new = max(terminal_t, np.nextafter(ts[-1], t_new))
+            y_new = np.asarray(dense(terminal_t), dtype=float)
+        if keep_dense:
+            segments.append(dense)
         ts.append(t_new)
         ys.append(y_new)
+        if terminal_t is not None:
+            break
 
-    traj = Trajectory(np.array(ts), np.vstack(ys),
-                      segments if keep_dense else [],
+    return Trajectory(np.array(ts), np.vstack(ys), segments,
                       hits, tuple(getattr(field, "names", ("y0", "y1"))))
-    return traj
 
 
 def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None,

@@ -217,6 +217,15 @@ def rhs(state, dp: DimlessParams):
     return (f, g)
 
 
+def _root_slopes(q, denom, w_s, w_h, v_h):
+    """(dq/ds, dq/dh) of the root q of q^2 + v(h) q - w(s,h) = 0.
+
+    Implicit differentiation gives (2q + v) dq = dw - q dv; ``denom`` is
+    2q + v, which equals sqrt(v^2 + 4w).
+    """
+    return w_s / denom, (w_h - q * v_h) / denom
+
+
 def _q_partials(s, h, dp: DimlessParams):
     """(q, dq/ds, dq/dh) by implicit differentiation of the quadratic."""
     r = rate_r(h, dp)
@@ -227,10 +236,7 @@ def _q_partials(s, h, dp: DimlessParams):
     w_s = dp.K / dp.eps2 * r * h * h
     w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
     v_h = 2.0 * dp.alpha * dp.K / dp.eps2 * h + dp.K_h
-    denom = 2.0 * q + v  # equals sqrt(v^2 + 4w) >= 0
-    q_s = w_s / denom
-    q_h = (w_h - q * v_h) / denom
-    return q, q_s, q_h
+    return (q, *_root_slopes(q, 2.0 * q + v, w_s, w_h, v_h))
 
 
 def rhs_jacobian(state, dp: DimlessParams):
@@ -441,7 +447,8 @@ def _rhs_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float]:
     return (dp.K_s - r * s, dp.K_h * (1.0 - h) - _monic_root(v, w))
 
 
-def _jac_scalar(s: float, h: float, dp: DimlessParams) -> np.ndarray:
+def _jac_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float, float, float]:
+    """(f_s, f_h, g_s, g_h): the Jacobian of :func:`_rhs_scalar` by rows."""
     den = dp.beta * dp.eps1 + h + dp.beta * h * h / dp.eps1
     if den <= 0.0:
         raise DomainError(f"Jacobian evaluated beyond its rational pole, h = {h!r}")
@@ -456,12 +463,10 @@ def _jac_scalar(s: float, h: float, dp: DimlessParams) -> np.ndarray:
     if w < 0.0:
         w = 0.0
     q = _monic_root(v, w)
-    denom = max(2.0 * q + v, 1e-300)  # equals sqrt(v^2 + 4w)
     w_s = dp.K / dp.eps2 * rh2
     w_h = dp.K / dp.eps2 * rh2_h * s
-    q_s = w_s / denom
-    q_h = (w_h - q * v_h) / denom
-    return np.array([[-r, -r_h * s], [-q_s, -q_h - dp.K_h]])
+    q_s, q_h = _root_slopes(q, max(2.0 * q + v, 1e-300), w_s, w_h, v_h)
+    return (-r, -r_h * s, -q_s, -q_h - dp.K_h)
 
 
 class Field:
@@ -475,45 +480,32 @@ class Field:
     jac = None  # subclasses may override with jac(t, y) -> 2x2 array
 
 
-class _ModelField(Field):
-    def __init__(self, dp: DimlessParams):
-        self.dp = dp
+class _ScaledField(Field):
+    """The base field (f, g) of ``dp`` in coordinates y = (cs*s, h/ch).
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.array(_rhs_scalar(float(y[0]), float(y[1]), self.dp))
-
-    def jac(self, t: float, y: np.ndarray) -> np.ndarray:
-        return _jac_scalar(float(y[0]), float(y[1]), self.dp)
-
-
-class _ChartField(Field):
-    """The eps-split base field (f, g) in chart coordinates y = (cs*s, h/ch).
-
+    The field is y' = (eps*f, g) at (s, h) = (y0/cs, ch*y1); its Jacobian
+    follows by the chain rule, diag(eps, 1) J diag(1/cs, ch).
+    make_field: (eps, cs, ch) = (1, 1, 1), which is the base field itself.
     Chart A (sigma = eps*s, original time): (cs, ch) = (eps, 1).
     Chart B (eta = h/eps, time t' = t/eps): (cs, ch) = (1, eps).
-    Both give y' = (eps*f, g) at (s, h) = (y0/cs, ch*y1); the Jacobian
-    follows by the chain rule, diag(eps, 1) J diag(1/cs, ch).
     """
 
-    def __init__(self, names: tuple[str, str], cs: float, ch: float,
-                 es: EpsSplit, dp: DimlessParams):
+    def __init__(self, names: tuple[str, str], eps: float, cs: float, ch: float,
+                 dp: DimlessParams):
         self.names = names
-        self._eps = es.eps
+        self._eps = eps
         self._cs = cs
         self._ch = ch
-        self._split = split_dimless(dp, es)
+        self._dp = dp
 
     def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        f, g = _rhs_scalar(float(y[0]) / self._cs, self._ch * float(y[1]), self._split)
+        f, g = _rhs_scalar(float(y[0]) / self._cs, self._ch * float(y[1]), self._dp)
         return np.array([self._eps * f, g])
 
     def jac(self, t: float, y: np.ndarray) -> np.ndarray:
         e, cs, ch = self._eps, self._cs, self._ch
-        J = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._split)
-        return np.array([
-            [e / cs * J[0, 0], e * ch * J[0, 1]],
-            [J[1, 0] / cs, ch * J[1, 1]],
-        ])
+        f_s, f_h, g_s, g_h = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._dp)
+        return np.array([[e / cs * f_s, e * ch * f_h], [g_s / cs, ch * g_h]])
 
 
 class _ReferenceField(Field):
@@ -526,19 +518,19 @@ class _ReferenceField(Field):
 
 def make_field(dp: DimlessParams) -> Field:
     """Integrator-ready reduced-model field with analytic Jacobian."""
-    return _ModelField(dp)
+    return _ScaledField(("s", "h"), 1.0, 1.0, 1.0, dp)
 
 
 def make_field_chart_A(es: EpsSplit, dp: DimlessParams) -> Field:
     """Chart-A field in (sigma, h), original time, with analytic Jacobian."""
-    return _ChartField(("sigma", "h"), es.eps, 1.0, es, dp)
+    return _ScaledField(("sigma", "h"), es.eps, es.eps, 1.0, split_dimless(dp, es))
 
 
 def make_field_chart_B(es: EpsSplit, dp: DimlessParams) -> Field:
     """Chart-B field in (s, eta), time t' = t/eps, with analytic Jacobian."""
-    return _ChartField(("s", "eta"), 1.0, es.eps, es, dp)
+    return _ScaledField(("s", "eta"), es.eps, 1.0, es.eps, split_dimless(dp, es))
 
 
 def make_field_reference(phys: PhysicalParams) -> Field:
-    """Reference kinetics field; Jacobian left to finite differences."""
+    """Reference kinetics field; the integrator differences it for a Jacobian."""
     return _ReferenceField(phys)

@@ -89,6 +89,11 @@ class DimlessParams:
         """True when alpha*K_h > K_s, i.e. a positive fixed point exists."""
         return self.alpha * self.K_h > self.K_s
 
+    @property
+    def h_star(self) -> float:
+        """Equilibrium acid fraction h_* = 1 - K_s/(alpha*K_h); eps-free."""
+        return 1.0 - self.K_s / (self.alpha * self.K_h)
+
 
 @dataclass(frozen=True)
 class EpsSplit:

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,6 +192,23 @@ def test_params_file_override_changes_results(tmp_path):
     _, _, rows = read_csv_rows(out / "fixed_point.csv")
     values = dict((r[0], r[1]) for r in rows)
     assert not math.isclose(float(values["h_star"]), 0.090598290598290498, rel_tol=1e-6)
+
+
+def test_cycle_and_timescales_classify_h_star_above_one_half(tmp_path):
+    # k_H = 1.8e-2 gives h_* = 0.545: no analytic timescales, attracting focus
+    shipped = Path(__file__).parent.parent / "params" / "urease_vesicle.txt"
+    params = tmp_path / "fast_acid.txt"
+    params.write_text(re.sub(r"(?m)^k_H\s*=\s*\S+", "k_H = 1.8e-2", shipped.read_text()))
+    out = tmp_path / "out"
+    common = ["--params", str(params), "--out", str(out), "--format", "json"]
+    assert main(["cycle", *common]) == EXIT_OK
+    report = json.loads((out / "cycle_report.json").read_text())
+    assert report["terminus"] == "equilibrium"
+    assert math.isnan(report["analytic"]["T_total"])
+    assert main(["timescales", "--eps-list", "1e-3", *common]) == EXIT_OK
+    row = json.loads((out / "timescales.json").read_text())["rows"][0]
+    assert row["error"] == "no limit cycle: equilibrium"
+    assert math.isnan(row["T_analytic"]) and math.isnan(row["period"])
 
 
 # --- exit codes ---------------------------------------------------------------------

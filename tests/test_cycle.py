@@ -24,7 +24,13 @@ from phoscil.errors import (
 )
 from phoscil.gspt import fixed_point
 from phoscil.integrator import EventSpec, IntegratorConfig, Trajectory, integrate
-from phoscil.params import PhysicalParams, UREASE_VESICLE, split_dimless
+from phoscil.params import (
+    PhysicalParams,
+    UREASE_VESICLE,
+    derive_dimensionless,
+    derive_eps_split,
+    split_dimless,
+)
 
 # One recorded period at eps = 1e-3, rtol 1e-10, s-max anchor (frozen run).
 PERIOD_1E3 = 90.238189256981258
@@ -194,6 +200,16 @@ def test_cycle_equilibrium_terminus(dp, es):
     assert math.isnan(rep.period)
     assert rep.turning_points is None and rep.trajectory is None
     assert rep.n_transient_periods == 4
+
+
+def test_cycle_is_total_where_the_analytic_formulas_fail(phys):
+    # faster acid transport puts h_* above 1/2, outside the domain of the
+    # analytic timescales; the fixed point attracts and is reported as such
+    dp_hi = derive_dimensionless(dataclasses.replace(phys, k_H=1.8e-2))
+    assert 0.5 < dp_hi.h_star < 1.0
+    rep = find_limit_cycle(dp_hi, derive_eps_split(dp_hi))
+    assert rep.terminus == "equilibrium"
+    assert all(math.isnan(v) for v in rep.analytic)
 
 
 def test_cycle_report_json_dict(cycle_1e3):

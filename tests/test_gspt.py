@@ -34,7 +34,7 @@ from phoscil.gspt import (
     stability_scan,
     verify_generic_fold,
 )
-from phoscil.model import rate_r, rhs, to_log
+from phoscil.model import rate_r, rhs, rhs_chart_B, to_log
 from phoscil.params import derive_dimensionless
 
 # Chart-A fold-passage offsets for eps in (1e-6, 1e-5, 1e-4), measured once
@@ -135,6 +135,13 @@ def test_manifolds_zero_the_layer_fields(dp, es):
     for eta in np.linspace(0.05, 3.0, 21):
         s = manifold_B(float(eta), es, dp)
         assert abs(layer_B(s, float(eta), es, dp)[1]) <= 1e-12
+
+
+def test_layer_B_is_the_chart_B_field_at_eps_zero(dp, es):
+    s, eta = np.meshgrid(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 3.0, 61))
+    assert np.any(eta == 0.0)
+    np.testing.assert_array_equal(layer_B(s, eta, es, dp)[1],
+                                  rhs_chart_B((s, eta), es.at_eps(0.0), dp)[1])
 
 
 def test_manifold_peaks_sit_at_the_folds(dp, es):
