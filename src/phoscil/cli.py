@@ -159,7 +159,7 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
         traj = Trajectory.single(t_span[0], list(x0), names=("s", "h"))
     else:
         traj = integrate(make_field(dpe), x0, t_span, cfg,
-                         events=_event_pair(dpe, "s_max"))
+                         events=_event_pair(dpe))
     prov = run.provenance(
         "simulate",
         f"t_span = {fmt17(t_span[0])} .. {fmt17(t_span[1])}",
@@ -193,17 +193,7 @@ def cmd_scan(run: RunConfig, kh_over_ks: tuple[float, float],
     if run.fmt == "csv":
         smap.to_csv(run.out("scan.csv"), provenance=prov)
     else:
-        write_json(run.out("scan.json"), {
-            "provenance": prov,
-            "kh_over_ks": smap.kh_over_ks.tolist(),
-            "inv_alpha": smap.inv_alpha.tolist(),
-            "trace": smap.trace.tolist(),
-            "det": smap.det.tolist(),
-            "admissible": smap.admissible.tolist(),
-            "oscillates": smap.oscillates.tolist(),
-            "boundary": smap.boundary.tolist(),
-            "hopf": [list(point) for point in smap.hopf],
-        })
+        write_json(run.out("scan.json"), {"provenance": prov, **smap.to_json_dict()})
     n_osc = int(smap.oscillates.sum())
     print(f"scan: {grid[0]}x{grid[1]} cells, {n_osc} oscillatory "
           f"-> {run.out('scan.' + run.fmt)}")

@@ -26,13 +26,7 @@ from .errors import (
     PhoscilError,
     PreconditionError,
 )
-from .integrator import (
-    EventHit,
-    EventSpec,
-    IntegratorConfig,
-    Trajectory,
-    integrate_until_event,
-)
+from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate_until_event
 from .model import make_field, rate_r
 from .params import DimlessParams, EpsSplit, PhysicalParams, derive_dimensionless, split_dimless
 
@@ -185,50 +179,42 @@ def _start_point(dp_eps: DimlessParams) -> tuple[float, float]:
     return (dp_eps.K_s / rate_r(h_star, dp_eps), 2.0 * h_star)
 
 
-def _event_pair(dp_eps: DimlessParams, anchor: str) -> tuple[EventSpec, EventSpec]:
+def _event_pair(dp_eps: DimlessParams) -> tuple[EventSpec, EventSpec]:
+    """(s-maximum, s-minimum) events: the zeros of ds/dt, falling and rising."""
     def f_value(t, y):
         return dp_eps.K_s - rate_r(y[1], dp_eps) * y[0] if y[1] > 0.0 else dp_eps.K_s
 
-    s_max = EventSpec(func=f_value, direction="falling")
-    s_min = EventSpec(func=f_value, direction="rising")
-    if anchor == "s_max":
-        return s_max, s_min
-    if anchor == "s_min":
-        return s_min, s_max
-    raise DomainError(f"anchor must be 's_max' or 's_min', got {anchor!r}")
+    return (EventSpec(func=f_value, direction="falling"),
+            EventSpec(func=f_value, direction="rising"))
 
 
-def _merge_halves(first: Trajectory, second: Trajectory,
-                  first_index: int, second_index: int) -> Trajectory:
-    """Glue two half-period runs sharing their junction sample.
+def _merge_halves(first: Trajectory, second: Trajectory) -> Trajectory:
+    """Glue the s-max -> s-min and s-min -> s-max halves of one period.
 
-    Each half carries exactly one (terminal) event hit; the merged
-    trajectory re-labels them with the canonical indices 0 = s-maximum,
-    1 = s-minimum.
+    The halves share their junction sample and each ends on its one
+    terminal hit; the merged trajectory labels the hits with the canonical
+    indices 0 = s-maximum, 1 = s-minimum.
     """
-    t = np.concatenate([first.t, second.t[1:]])
-    states = np.vstack([first.states, second.states[1:]])
-    segments = list(first._segments) + list(second._segments)
-    events = [
-        EventHit(t=first.events[-1].t, state=first.events[-1].state, index=first_index),
-        EventHit(t=second.events[-1].t, state=second.events[-1].state, index=second_index),
-    ]
-    return Trajectory(t, states, segments, events, first.names)
+    return Trajectory(np.concatenate([first.t, second.t[1:]]),
+                      np.vstack([first.states, second.states[1:]]),
+                      first.segments + second.segments,
+                      [dataclasses.replace(first.events[-1], index=1),
+                       dataclasses.replace(second.events[-1], index=0)],
+                      first.names)
 
 
 def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
                      x0: tuple[float, float] | None = None,
-                     cfg: IntegratorConfig | None = None,
-                     anchor: str = "s_max") -> CycleReport:
+                     cfg: IntegratorConfig | None = None) -> CycleReport:
     """Relax onto the cycle of the eps-split system and measure one period.
 
     Starting from ``x0`` (default (s_*, 2 h_*) of the split system), the
-    transient is discarded period by period on the anchor section until
-    two successive returns agree to TRANSIENT_TOL in chart-A coordinates
-    (sigma, h) = (eps*s, h); one further period is then recorded with
-    both turning-point events.  Each period runs as two half-legs
-    (anchor to opposite turning point, then back), so a run never starts
-    with its own section detector armed on the section.  Orbits that
+    transient is discarded period by period on the s-maximum section
+    until two successive returns agree to TRANSIENT_TOL in chart-A
+    coordinates (sigma, h) = (eps*s, h); one further period is then
+    recorded.  Each period runs as two half-legs (s-maximum to s-minimum,
+    then back), so a run never starts with its own section detector armed
+    on the section; the two hit times give the segment times.  Orbits that
     stop returning onto the sections, or whose recorded s-amplitude
     falls below EQUILIBRIUM_AMPLITUDE, yield an equilibrium report;
     exceeding TRANSIENT_BUDGET periods yields a non-converged report.
@@ -241,7 +227,7 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     start = _start_point(dp_eps)
     analytic = _analytic_or_nan(dp, es)
     field = make_field(dp_eps)
-    anchor_ev, other_ev = _event_pair(dp_eps, anchor)
+    s_max_ev, s_min_ev = _event_pair(dp_eps)
     if math.isnan(analytic.T_total):
         # beta/(eps C) (1 + 1/(4 h_*)) bounds T_total wherever it exists
         # (w(h_*) < 1) and stays finite for every h_* > 0
@@ -265,9 +251,9 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
                                      t_max=t_start + leg_budget, t0=t_start,
                                      keep_dense=keep_dense)
 
-    # reach the anchor section once (x0 is generically off-section)
+    # reach the s-maximum section once (x0 is generically off-section)
     res = half_leg(np.asarray(tuple(start if x0 is None else x0), dtype=float),
-                   0.0, anchor_ev, False)
+                   0.0, s_max_ev, False)
     if not res.hit:
         return no_cycle(0, res.trajectory.states[-1])
     x = np.asarray(res.state_hit, dtype=float)
@@ -278,11 +264,11 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     n_periods = 0
     recording = False
     while True:
-        mid = half_leg(x, t_now, other_ev, recording)
+        mid = half_leg(x, t_now, s_min_ev, recording)
         if not mid.hit:
             return no_cycle(n_periods, mid.trajectory.states[-1])
         back = half_leg(np.asarray(mid.state_hit, dtype=float), float(mid.t_hit),
-                        anchor_ev, recording)
+                        s_max_ev, recording)
         if not back.hit:
             return no_cycle(n_periods, back.trajectory.states[-1])
         if recording:
@@ -296,13 +282,9 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
             return no_cycle(n_periods)
         prev_return = this_return
 
-    if anchor == "s_max":
-        traj = _merge_halves(mid.trajectory, back.trajectory, 1, 0)
-    else:
-        traj = _merge_halves(mid.trajectory, back.trajectory, 0, 1)
-    tau_B_to_A, tau_A_to_B = segment_times(traj)
-    smax_state = next(h.state for h in traj.events if h.index == 0)
-    smin_state = next(h.state for h in traj.events if h.index == 1)
+    tau_A_to_B = mid.t_hit - t_now
+    tau_B_to_A = back.t_hit - mid.t_hit
+    smax_state, smin_state = back.state_hit, mid.state_hit
     if abs(float(smax_state[0]) - float(smin_state[0])) < EQUILIBRIUM_AMPLITUDE:
         return no_cycle(n_periods, smax_state)
     return CycleReport(eps=es.eps, period=tau_B_to_A + tau_A_to_B,
@@ -311,7 +293,7 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
                                        tuple(float(v) for v in smin_state)),
                        analytic=analytic, converged=True,
                        n_transient_periods=n_periods, terminus="limit_cycle",
-                       trajectory=traj)
+                       trajectory=_merge_halves(mid.trajectory, back.trajectory))
 
 
 def segment_times(traj: Trajectory) -> tuple[float, float]:
@@ -319,8 +301,8 @@ def segment_times(traj: Trajectory) -> tuple[float, float]:
 
     The trajectory must start on a turning-point section, contain exactly
     one interior hit of the other turning point (event index 0 =
-    s-maximum, 1 = s-minimum) and end on its terminal anchor hit;
-    anything else raises MalformedCycleError.  tau_B_to_A spans s-minimum
+    s-maximum, 1 = s-minimum) and end on a hit of the section it started
+    on; anything else raises MalformedCycleError.  tau_B_to_A spans s-minimum
     to s-maximum; the two values share event times, so their sum
     reproduces the period exactly.
     """
@@ -334,7 +316,7 @@ def segment_times(traj: Trajectory) -> tuple[float, float]:
     if not math.isclose(last_hit, t_end, rel_tol=0.0, abs_tol=1e-9 * max(1.0, abs(t_end))):
         raise MalformedCycleError("trajectory does not end on its terminal turning point")
     if smin_t[0] < smax_t[0]:
-        # anchored on an s-maximum: descend to the s-minimum, then back up
+        # started on an s-maximum: descend to the s-minimum, then back up
         tau_A_to_B = smin_t[0] - t0
         tau_B_to_A = smax_t[0] - smin_t[0]
     else:
@@ -395,8 +377,7 @@ class CompareRow:
         return out
 
 
-_COMPARE_COLUMNS = ("eps", "T_acid", "tau_B_to_A", "T_basic", "tau_A_to_B",
-                    "T_analytic", "period", "ratio_analytic", "ratio_measured")
+_COMPARE_COLUMNS = tuple(f.name for f in dataclasses.fields(CompareRow) if f.name != "error")
 
 
 @dataclass(frozen=True)

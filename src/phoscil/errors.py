@@ -5,6 +5,21 @@ branches so the CLI can map them to distinct exit codes.
 """
 from __future__ import annotations
 
+__all__ = [
+    "PhoscilError",
+    "DomainError",
+    "ParameterFileError",
+    "StiffnessError",
+    "BudgetError",
+    "EventBracketError",
+    "NoPositiveEquilibriumError",
+    "FoldSingularityError",
+    "DerivativeConsistencyError",
+    "SectionNoHitError",
+    "PreconditionError",
+    "MalformedCycleError",
+]
+
 
 class PhoscilError(Exception):
     """Base class for all package-specific failures."""

@@ -178,6 +178,11 @@ class StabilityMap:
         write_csv(path, ["kh_over_ks", "inv_alpha", "trace", "det", "oscillates"],
                   rows, provenance=list(provenance))
 
+    def to_json_dict(self) -> dict:
+        """Every field in declaration order, arrays as nested lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in dataclasses.fields(self)}
+
 
 def stability_scan(dp: DimlessParams,
                    kh_over_ks: tuple[float, float],
@@ -359,13 +364,13 @@ class FoldReport:
         return dataclasses.asdict(self)
 
 
-def _d1(f, x: float, scale_floor: float = 1.0) -> float:
-    step = 1e-6 * max(abs(x), scale_floor)
+def _d1(f, x: float) -> float:
+    step = 1e-6 * max(abs(x), 1.0)
     return (f(x + step) - f(x - step)) / (2.0 * step)
 
 
-def _d2(f, x: float, scale_floor: float = 1.0) -> float:
-    step = 1e-3 * max(abs(x), scale_floor)
+def _d2(f, x: float) -> float:
+    step = 1e-3 * max(abs(x), 1.0)
     return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
 

@@ -4,7 +4,10 @@ The production path is Radau IIA (order 5, L-stable) with adaptive step
 control; the wrapper adds a hard accepted-step budget, per-step dense
 output retention, and event localization by bracketing plus
 derivative-free root polishing on the dense output, so event timing does
-not degrade when steps grow large on slow manifolds.
+not degrade when steps grow large on slow manifolds.  A trajectory's
+dense output is one :class:`scipy.integrate.OdeSolution` over the kept
+per-step interpolants; a trajectory without them answers only at its
+recorded sample times.
 
 Fields are callables ``field(t, y) -> dy``; when a field exposes an
 analytic Jacobian as ``field.jac(t, y)`` it is used for the implicit
@@ -19,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import Radau
+from scipy.integrate import OdeSolution, Radau
 from scipy.optimize import brentq
 
 from ._fmt import fmt17, write_csv, write_json
@@ -77,15 +80,22 @@ class EventHit:
 
 
 class Trajectory:
-    """Time-ordered samples with piecewise dense output and event hits."""
+    """Time-ordered samples with piecewise dense output and event hits.
+
+    ``segments`` holds one interpolant per step, evaluated together as one
+    OdeSolution (at a step boundary the step that starts there answers).
+    Without segments the trajectory answers exactly at its sample times
+    and raises DomainError anywhere else.
+    """
 
     def __init__(self, t: np.ndarray, states: np.ndarray, segments: list,
                  events: list[EventHit], names: tuple[str, ...]):
         self.t = t
         self.states = states
-        self._segments = segments
+        self.segments = segments
         self.events = events
         self.names = names
+        self._dense = OdeSolution(t, segments, alt_segment=True) if segments else None
 
     @classmethod
     def single(cls, t0: float, y0: np.ndarray, names: tuple[str, ...]) -> "Trajectory":
@@ -95,21 +105,15 @@ class Trajectory:
 
     def __call__(self, t):
         """Dense-output evaluation; scalar t -> (d,), array t -> (n, d)."""
-        if not self._segments:
-            t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-            if not np.allclose(t_arr, self.t[0], rtol=0.0, atol=0.0):
-                raise DomainError("trajectory kept no dense output")
-            out = np.broadcast_to(self.states[0], (t_arr.size, self.states.shape[1]))
-            return out[0] if np.ndim(t) == 0 else out.copy()
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t_arr < self.t[0]) or np.any(t_arr > self.t[-1]):
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.t[0]) or np.any(t > self.t[-1]):
             raise DomainError("dense evaluation outside the integrated span")
-        idx = np.clip(np.searchsorted(self.t, t_arr, side="right") - 1,
-                      0, len(self._segments) - 1)
-        out = np.empty((t_arr.size, self.states.shape[1]))
-        for k, (ti, i) in enumerate(zip(t_arr, idx)):
-            out[k] = self._segments[i](ti)
-        return out[0] if np.ndim(t) == 0 else out
+        if self._dense is not None:
+            return self._dense(t).T
+        idx = np.searchsorted(self.t, t)
+        if not np.array_equal(self.t[idx], t):
+            raise DomainError("trajectory kept no dense output")
+        return self.states.take(idx, axis=0)
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,7 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     step's dense output to |dt| <= 1e-12 * t_scale; terminal events
     truncate the trajectory at the hit.  ``keep_dense=False`` drops the
     per-step interpolants after event processing to bound memory on very
-    long runs (the returned trajectory then has no dense evaluation).
+    long runs (the returned trajectory then answers only at its samples).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))

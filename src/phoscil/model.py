@@ -126,11 +126,6 @@ class LogState:
         yield self.pH
 
 
-def _coords(state) -> tuple:
-    a, b = state
-    return a, b
-
-
 # --- rate functions ---------------------------------------------------------
 
 def rate_r(h, dp: DimlessParams):
@@ -211,7 +206,7 @@ def q_func(s, h, dp: DimlessParams):
 
 def rhs(state, dp: DimlessParams):
     """(ds/dt, dh/dt) of the reduced model."""
-    s, h = _coords(state)
+    s, h = state
     f = -rate_r(h, dp) * s + dp.K_s
     g = -q_func(s, h, dp) + dp.K_h * (1.0 - h)
     return (f, g)
@@ -226,25 +221,20 @@ def _root_slopes(q, denom, w_s, w_h, v_h):
     return w_s / denom, (w_h - q * v_h) / denom
 
 
-def _q_partials(s, h, dp: DimlessParams):
-    """(q, dq/ds, dq/dh) by implicit differentiation of the quadratic."""
+def rhs_jacobian(state, dp: DimlessParams):
+    """Analytic Jacobian of ``rhs`` with respect to (s, h).
+
+    q's partials follow by implicit differentiation of its quadratic.
+    """
+    s, h = state
     r = rate_r(h, dp)
     rp = rate_r_prime(h, dp)
     v = _v_of(h, dp)
-    w = dp.K / dp.eps2 * r * h * h * s
-    q = _monic_root_array(v, w)
     w_s = dp.K / dp.eps2 * r * h * h
+    q = _monic_root_array(v, w_s * s)
     w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
     v_h = 2.0 * dp.alpha * dp.K / dp.eps2 * h + dp.K_h
-    return (q, *_root_slopes(q, 2.0 * q + v, w_s, w_h, v_h))
-
-
-def rhs_jacobian(state, dp: DimlessParams):
-    """Analytic Jacobian of ``rhs`` with respect to (s, h)."""
-    s, h = _coords(state)
-    r = rate_r(h, dp)
-    rp = rate_r_prime(h, dp)
-    _, q_s, q_h = _q_partials(s, h, dp)
+    q_s, q_h = _root_slopes(q, 2.0 * q + v, w_s, w_h, v_h)
     return np.array([
         [-r, -rp * s],
         [-q_s, -q_h - dp.K_h],
@@ -313,7 +303,7 @@ def rhs_chart_A(x, es: EpsSplit, dp: DimlessParams):
     At eps = 0 the second component is the layer problem g_tilde_0(sigma,h)
     = -C*sigma/(alpha*beta*h) + K_h(1-h) and the first vanishes.
     """
-    sigma, h = _coords(x)
+    sigma, h = x
     h_arr = np.asarray(h, dtype=float)
     if np.any(h_arr <= 0.0):
         raise DomainError("rhs_chart_A requires h > 0")
@@ -340,7 +330,7 @@ def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):
     g_hat extends continuously to eta = 0 (the s-axis branch of the
     critical manifold) with value 0 at eps = 0.
     """
-    s, eta = _coords(x)
+    s, eta = x
     s_arr = np.asarray(s, dtype=float)
     eta_arr = np.asarray(eta, dtype=float)
     if np.any(s_arr < 0.0) or np.any(eta_arr < 0.0):
@@ -374,7 +364,7 @@ def rhs_reference(state, phys: PhysicalParams):
     of p^2 + b p - c = 0 for b = 1 + k'*H_ext*h + (1 - 1/h) k_H/k and
     c = 2 k_cat k' S_ext s / k (same conjugate-form evaluation as q).
     """
-    s, h = _coords(state)
+    s, h = state
     if not (0.0 <= s <= 1.0):
         raise DomainError(f"rhs_reference requires 0 <= s <= 1, got s={s!r}")
     if not (0.0 < h <= 1.0):
@@ -393,35 +383,35 @@ def rhs_reference(state, phys: PhysicalParams):
 # --- coordinate maps ----------------------------------------------------------
 
 def to_chart_A(state, es: EpsSplit) -> ChartAState:
-    s, h = _coords(state)
+    s, h = state
     return ChartAState(sigma=es.eps * s, h=h)
 
 
 def from_chart_A(x, es: EpsSplit) -> State:
-    sigma, h = _coords(x)
+    sigma, h = x
     return State(s=sigma / es.eps, h=h)
 
 
 def to_chart_B(state, es: EpsSplit) -> ChartBState:
-    s, h = _coords(state)
+    s, h = state
     return ChartBState(s=s, eta=h / es.eps)
 
 
 def from_chart_B(x, es: EpsSplit) -> State:
-    s, eta = _coords(x)
+    s, eta = x
     return State(s=s, h=es.eps * eta)
 
 
 def to_log(state, phys: PhysicalParams) -> LogState:
     """(pS, pH) of the molar concentrations s*S_ext and h*H_ext."""
-    s, h = _coords(state)
+    s, h = state
     if not (s > 0.0 and h > 0.0):
         raise DomainError("log coordinates require s > 0 and h > 0")
     return LogState(pS=-math.log10(s * phys.S_ext), pH=-math.log10(h * phys.H_ext))
 
 
 def from_log(x, phys: PhysicalParams) -> State:
-    pS, pH = _coords(x)
+    pS, pH = x
     return State(s=10.0 ** (-pS) / phys.S_ext, h=10.0 ** (-pH) / phys.H_ext)
 
 

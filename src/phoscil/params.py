@@ -80,9 +80,11 @@ class DimlessParams:
     eps2: float
 
     def __post_init__(self) -> None:
+        # stored as plain floats (same bits), so numpy scalars cannot leak into messages
         for name, value in dataclasses.asdict(self).items():
             if not (value > 0.0 and math.isfinite(value)):
                 raise DomainError(f"dimensionless parameter {name} must be positive, got {value!r}")
+            object.__setattr__(self, name, float(value))
 
     @property
     def admissible(self) -> bool:

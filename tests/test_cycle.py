@@ -24,6 +24,7 @@ from phoscil.errors import (
 )
 from phoscil.gspt import fixed_point
 from phoscil.integrator import EventSpec, IntegratorConfig, Trajectory, integrate
+from phoscil.model import make_field, rhs
 from phoscil.params import (
     PhysicalParams,
     UREASE_VESICLE,
@@ -88,6 +89,14 @@ def test_analytic_timescales_domain(dp, es):
     inadmissible = dataclasses.replace(dp, alpha=dp.K_s / dp.K_h)
     with pytest.raises(DomainError):
         analytic_timescales(inadmissible, es)
+
+
+def test_analytic_timescales_domain_error_shows_a_plain_float(dp, es):
+    # a numpy scalar parameter is stored as a float, so its repr stays plain
+    hot = dataclasses.replace(dp, K_h=np.float64(3.0) * dp.K_h)
+    with pytest.raises(DomainError, match=r"got h_\* = 0\.69") as info:
+        analytic_timescales(hot, es)
+    assert "np.float64" not in str(info.value)
 
 
 def test_physical_timescales_frozen(dp, es, phys):
@@ -160,15 +169,17 @@ def test_cycle_measured_period_near_analytic_total(cycle_1e3):
     assert abs(cycle_1e3.period - cycle_1e3.analytic.T_total) / cycle_1e3.analytic.T_total < 0.15
 
 
-def test_cycle_anchor_choice_does_not_move_the_period(dp, es):
-    rep = find_limit_cycle(dp, es.at_eps(1e-3), anchor="s_min")
-    assert math.isclose(rep.period, PERIOD_1E3, rel_tol=1e-9)
-    assert math.isclose(rep.tau_B_to_A, TAU_B_TO_A_1E3, rel_tol=1e-6)
-
-
-def test_cycle_rejects_unknown_anchor(dp, es):
-    with pytest.raises(DomainError):
-        find_limit_cycle(dp, es, anchor="h_max")
+def test_free_run_meets_the_s_minimum_once_per_period(dp, es, cycle_1e3):
+    # the report times its period on the s-maximum section; a free run from
+    # the recorded s-maximum, watched on the s-minimum section, must agree
+    dpe = split_dimless(dp, es.at_eps(1e-3))
+    s_min = EventSpec(func=lambda t, y: rhs((y[0], y[1]), dpe)[0], direction="rising")
+    traj = integrate(make_field(dpe), cycle_1e3.turning_points[0], (0.0, 2.2 * PERIOD_1E3),
+                     events=[s_min], keep_dense=False)
+    assert len(traj.events) == 2
+    first, second = (hit.t for hit in traj.events)
+    assert math.isclose(second - first, PERIOD_1E3, rel_tol=1e-9)
+    assert math.isclose(first, TAU_A_TO_B_1E3, rel_tol=1e-6)
 
 
 def test_cycle_segment_times_recompute_from_the_trajectory(cycle_1e3):

@@ -164,6 +164,14 @@ def test_keep_dense_false_drops_interpolants_not_events():
         traj(1.0)
 
 
+def test_trajectory_without_dense_output_answers_at_its_samples():
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 7.0), keep_dense=False)
+    np.testing.assert_array_equal(traj(traj.t[-1]), traj.states[-1])
+    np.testing.assert_array_equal(traj(traj.t[[1, 3]]), traj.states[[1, 3]])
+    with pytest.raises(DomainError, match="kept no dense output"):
+        traj(0.5 * (traj.t[1] + traj.t[2]))
+
+
 def test_single_sample_trajectory():
     traj = Trajectory.single(2.0, np.array([0.3, 0.4]), ("s", "h"))
     assert traj.t.shape == (1,) and traj.states.shape == (1, 2)
