@@ -14,14 +14,17 @@ analytic Jacobian as ``field.jac(t, y)`` it is used for the implicit
 stages, otherwise scipy's Radau differences the field itself (its
 ``num_jac`` forward-difference Jacobian).
 
-Each step factorizes two 2x2 iteration matrices and solves with them
-several times.  The stepper is scipy's Radau, but its factorizations and
-solves go straight to LAPACK getrf/getrs, with the arguments and checks
-of ``scipy.linalg.lu_factor``/``lu_solve`` and without their per-call
-wrapping; the results are bit-identical.
+phoscil runs scipy's Radau step itself (:class:`_Radau`): scipy's step
+and collocation Newton loop, operation for operation, with scipy's
+tableau, step-size policy and interpolant.  The results are bit-identical
+to scipy's step, which the tests keep as the reference; what goes is the
+per-call wrapping around each operation.  Factorizations and solves go
+straight to LAPACK getrf/getrs with the arguments and checks of
+``scipy.linalg.lu_factor``/``lu_solve``.
 """
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import astuple, dataclass
@@ -30,6 +33,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import OdeSolution, Radau
+from scipy.integrate._ivp.radau import (
+    C, E, MAX_FACTOR, MIN_FACTOR, MU_COMPLEX, MU_REAL, NEWTON_MAXITER, T, TI, TI_COMPLEX,
+    TI_REAL, RadauDenseOutput, predict_factor,
+)
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 from scipy.optimize import brentq
@@ -96,12 +103,15 @@ class EventHit:
 
 @dataclass(frozen=True)
 class SolverStats:
-    """Work counts of an integration: accepted steps and Radau's counters."""
+    """Work counts of an integration: accepted steps, Radau's counters,
+    error-test rejections and unconverged collocation solves."""
 
     steps: int = 0
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
+    rejected: int = 0
+    newton_failures: int = 0
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -137,7 +147,7 @@ class Trajectory:
     def __call__(self, t):
         """Dense-output evaluation; scalar t -> (d,), array t -> (n, d)."""
         t = np.asarray(t, dtype=float)
-        if np.any(t < self.t[0]) or np.any(t > self.t[-1]):
+        if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
             raise DomainError("dense evaluation outside the integrated span")
         if self._dense is not None:
             return self._dense(t).T
@@ -186,9 +196,20 @@ def _locate(ev: EventSpec, dense, t_lo: float, t_hi: float,
         raise EventBracketError(f"bracketing failed on [{t_lo}, {t_hi}]: {exc}") from exc
 
 
+def _finite(x: np.ndarray) -> bool:
+    """``np.isfinite(x).all()`` for the short arrays of a step, without a ufunc."""
+    return all(map(cmath.isfinite, x.ravel().tolist()))
+
+
+def _rms(x: np.ndarray) -> float:
+    """scipy's RMS ``norm``: the arithmetic of ``np.linalg.norm``'s fast path."""
+    x = x.ravel()
+    return math.sqrt(x.dot(x)) / x.size ** 0.5
+
+
 def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``scipy.linalg.lu_factor(a, overwrite_a=True)`` without its wrapping."""
-    if not np.isfinite(a).all():
+    if not _finite(a):
         raise ValueError("array must not contain infs or NaNs")
     lu, piv, info = _GETRF[a.dtype.char](a, overwrite_a=True)
     if info < 0:
@@ -202,7 +223,7 @@ def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
     """``scipy.linalg.lu_solve(lu_piv, b, overwrite_b=True)`` without its wrapping."""
     lu, piv = lu_piv
-    if not np.isfinite(b).all():
+    if not _finite(b):
         raise ValueError("array must not contain infs or NaNs")
     x, info = _GETRS[lu.dtype.char](lu, piv, b, trans=0, overwrite_b=True)
     if info != 0:
@@ -210,21 +231,241 @@ def _lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarra
     return x
 
 
-def _use_lapack(solver: Radau) -> None:
-    """Send a dense-Jacobian Radau's factorizations and solves to LAPACK.
+def _predict(sol: RadauDenseOutput, t, h, y: np.ndarray) -> np.ndarray:
+    """Radau's Newton predictor ``sol(t + h * C).T - y`` without
+    ``DenseOutput.__call__``; x, x*x, (x*x)*x are the powers ``cumprod`` takes."""
+    x = (t + h * C - sol.t_old) / sol.h
+    xx = x * x
+    y_pred = np.dot(sol.Q, np.array([x, xx, xx * x]))
+    y_pred += sol.y_old[:, None]
+    return y_pred.T - y
 
-    Radau makes them through its ``lu`` (which also counts ``nlu``) and
-    ``solve_lu`` attributes; a sparse Jacobian keeps scipy's splu path.
+
+class _Radau(Radau):
+    """scipy's Radau with the step run here: scipy 1.17's ``_step_impl`` and
+    ``solve_collocation_system``, operation for operation.
+
+    Only the per-call wrapping differs.  The Newton loop calls the field
+    directly and counts ``nfev`` itself; the predictor is :func:`_predict`;
+    a dense Jacobian's factorizations and solves go to the LAPACK helpers
+    above, a sparse one keeps scipy's ``splu`` closures.
+    It also counts what only the step sees: error-test rejections
+    (``rejected``) and unconverged collocation solves (``newton_failures``).
+    Both methods keep scipy's layout, so they diff line by line against it.
     """
-    if issparse(solver.J):
-        return
 
-    def lu(a):
-        solver.nlu += 1
+    def __init__(self, field, t0, y0, t_bound, rtol, atol, jac):
+        super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
+        self._field = field
+        self.rejected = 0
+        self.newton_failures = 0
+        if issparse(self.J):
+            self._factor, self._solve = self.lu, self.solve_lu
+        else:
+            self._factor, self._solve = self._lapack_factor, _lu_solve
+
+    def _lapack_factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        self.nlu += 1
         return _lu_factor(a)
 
-    solver.lu = lu
-    solver.solve_lu = _lu_solve
+    def _collocate(self, t, y, h, Z0, scale, LU_real, LU_complex):
+        """scipy's ``solve_collocation_system(self.fun, ...)``."""
+        field, solve, tol = self._field, self._solve, self.newton_tol
+        n = y.shape[0]
+        M_real = MU_REAL / h
+        M_complex = MU_COMPLEX / h
+
+        W = TI.dot(Z0)
+        Z = Z0
+
+        F = np.empty((3, n))
+        ch = h * C
+
+        dW_norm_old = None
+        dW = np.empty_like(W)
+        converged = False
+        rate = None
+        for k in range(NEWTON_MAXITER):
+            for i in range(3):
+                F[i] = field(t + ch[i], y + Z[i])
+            self.nfev += 3
+
+            if not _finite(F):
+                break
+
+            f_real = F.T.dot(TI_REAL) - M_real * W[0]
+            f_complex = F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+
+            dW_real = solve(LU_real, f_real)
+            dW_complex = solve(LU_complex, f_complex)
+
+            dW[0] = dW_real
+            dW[1] = dW_complex.real
+            dW[2] = dW_complex.imag
+
+            dW_norm = _rms(dW / scale)
+            if dW_norm_old is not None:
+                rate = dW_norm / dW_norm_old
+
+            if (rate is not None and (rate >= 1 or
+                    rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
+                break
+
+            W += dW
+            Z = T.dot(W)
+
+            if (dW_norm == 0 or
+                    rate is not None and rate / (1 - rate) * dW_norm < tol):
+                converged = True
+                break
+
+            dW_norm_old = dW_norm
+
+        return converged, k + 1, Z, rate
+
+    def _step_impl(self):
+        t = self.t
+        y = self.y
+        f = self.f
+
+        max_step = self.max_step
+        atol = self.atol
+        rtol = self.rtol
+
+        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
+        if self.h_abs > max_step:
+            h_abs = max_step
+            h_abs_old = None
+            error_norm_old = None
+        elif self.h_abs < min_step:
+            h_abs = min_step
+            h_abs_old = None
+            error_norm_old = None
+        else:
+            h_abs = self.h_abs
+            h_abs_old = self.h_abs_old
+            error_norm_old = self.error_norm_old
+
+        J = self.J
+        LU_real = self.LU_real
+        LU_complex = self.LU_complex
+
+        current_jac = self.current_jac
+        jac = self.jac
+
+        rejected = False
+        step_accepted = False
+        message = None
+        while not step_accepted:
+            if h_abs < min_step:
+                return False, self.TOO_SMALL_STEP
+
+            h = h_abs * self.direction
+            t_new = t + h
+
+            if self.direction * (t_new - self.t_bound) > 0:
+                t_new = self.t_bound
+
+            h = t_new - t
+            h_abs = np.abs(h)
+
+            if self.sol is None:
+                Z0 = np.zeros((3, y.shape[0]))
+            else:
+                Z0 = _predict(self.sol, t, h, y)
+
+            scale = atol + np.abs(y) * rtol
+
+            converged = False
+            while not converged:
+                if LU_real is None or LU_complex is None:
+                    LU_real = self._factor(MU_REAL / h * self.I - J)
+                    LU_complex = self._factor(MU_COMPLEX / h * self.I - J)
+
+                converged, n_iter, Z, rate = self._collocate(
+                    t, y, h, Z0, scale, LU_real, LU_complex)
+
+                if not converged:
+                    self.newton_failures += 1
+                    if current_jac:
+                        break
+
+                    J = self.jac(t, y, f)
+                    current_jac = True
+                    LU_real = None
+                    LU_complex = None
+
+            if not converged:
+                h_abs *= 0.5
+                LU_real = None
+                LU_complex = None
+                continue
+
+            y_new = y + Z[-1]
+            ZE = Z.T.dot(E) / h
+            error = self._solve(LU_real, f + ZE)
+            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            # numpy's float keeps predict_factor's 0 ** -0.25 = inf
+            error_norm = np.float64(_rms(error / scale))
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER
+                                                       + n_iter)
+
+            if rejected and error_norm > 1:
+                error = self._solve(LU_real, self.fun(t, y + error) + ZE)
+                error_norm = np.float64(_rms(error / scale))
+
+            if error_norm > 1:
+                factor = predict_factor(h_abs, h_abs_old,
+                                        error_norm, error_norm_old)
+                h_abs *= max(MIN_FACTOR, safety * factor)
+
+                LU_real = None
+                LU_complex = None
+                rejected = True
+                self.rejected += 1
+            else:
+                step_accepted = True
+
+        recompute_jac = jac is not None and n_iter > 2 and rate > 1e-3
+
+        factor = predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = min(MAX_FACTOR, safety * factor)
+
+        if not recompute_jac and factor < 1.2:
+            factor = 1
+        else:
+            LU_real = None
+            LU_complex = None
+
+        f_new = self.fun(t_new, y_new)
+        if recompute_jac:
+            J = jac(t_new, y_new, f_new)
+            current_jac = True
+        elif jac is not None:
+            current_jac = False
+
+        self.h_abs_old = self.h_abs
+        self.error_norm_old = error_norm
+
+        self.h_abs = h_abs * factor
+
+        self.y_old = y
+
+        self.t = t_new
+        self.y = y_new
+        self.f = f_new
+
+        self.Z = Z
+
+        self.LU_real = LU_real
+        self.LU_complex = LU_complex
+        self.current_jac = current_jac
+        self.J = J
+
+        self.t_old = t
+        self.sol = self._compute_dense_output()
+
+        return step_accepted, message
 
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
@@ -246,9 +487,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     events = list(events)
     t_scale = max(1.0, abs(t0), abs(t1))
 
-    solver = Radau(field, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol,
-                   jac=getattr(field, "jac", None))
-    _use_lapack(solver)
+    solver = _Radau(field, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol,
+                    jac=getattr(field, "jac", None))
 
     ts = [t0]
     ys = [y0.copy()]
@@ -295,7 +535,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
         if terminal_t is not None:
             break
 
-    stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu)
+    stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
+                        rejected=solver.rejected, newton_failures=solver.newton_failures)
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 

@@ -29,14 +29,14 @@ def es(dp):
 
 @pytest.fixture(scope="session")
 def cycle_1e3(dp, es):
-    """The converged eps = 1e-3 limit-cycle report (reused, 1.5 s to build)."""
+    """The converged eps = 1e-3 limit-cycle report (reused, 1.3 s to build)."""
     from phoscil.cycle import find_limit_cycle
     return find_limit_cycle(dp, es.at_eps(1e-3))
 
 
 @pytest.fixture(scope="session")
 def reference_period(phys):
-    """Period of the full reference kinetics in seconds (8.9 s to measure).
+    """Period of the full reference kinetics in seconds (7.8 s to measure).
 
     Measured as the spacing of the last two substrate maxima of a 2e4 s
     run from (0.9, 0.5).  All 17 spacings lie within 5.3e-12 relative of

@@ -163,7 +163,8 @@ def test_cycle_segments_sum_to_the_period_exactly(cycle_1e3):
 def test_cycle_solver_stats_frozen(cycle_1e3):
     # the recorded period's two half-legs, summed
     stats = cycle_1e3.trajectory.stats
-    assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358)
+    assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358,
+                                rejected=39, newton_failures=21)
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 

@@ -1,4 +1,5 @@
 """Solver correctness against closed-form problems, plus event machinery."""
+import dataclasses
 import json
 import math
 
@@ -6,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.integrate._ivp.radau as scipy_radau
 from hypothesis import given, strategies as st
+from scipy.integrate._ivp.common import norm as scipy_norm
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from phoscil import integrator
 from phoscil.cycle import _event_pair
@@ -32,6 +35,16 @@ def decay(t, y):
 
 def rotation(t, y):
     return np.array([-y[1], y[0]])
+
+
+class SparseRotation:
+    """``rotation`` with a constant sparse Jacobian."""
+
+    def __call__(self, t, y):
+        return rotation(t, y)
+
+    def jac(self, t, y):
+        return csc_matrix([[0.0, -1.0], [1.0, 0.0]])
 
 
 # --- config validation ---------------------------------------------------------
@@ -155,6 +168,15 @@ def test_dense_output_is_bounded_by_span():
         traj(2.0 + 1e-9)
 
 
+@pytest.mark.parametrize("keep_dense", [True, False])
+def test_nan_time_is_outside_the_span(keep_dense):
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 3.0), keep_dense=keep_dense)
+    with pytest.raises(DomainError, match="outside the integrated span"):
+        traj(math.nan)
+    with pytest.raises(DomainError, match="outside the integrated span"):
+        traj(np.array([traj.t[1], math.nan]))
+
+
 def test_scalar_and_array_dense_evaluation_agree():
     traj = integrate(rotation, (1.0, 0.0), (0.0, 3.0))
     single = traj(1.5)
@@ -189,7 +211,8 @@ def test_single_sample_trajectory():
 
 def test_single_sample_trajectory_did_no_work():
     traj = Trajectory.single(2.0, np.array([0.3, 0.4]), ("s", "h"))
-    assert traj.stats == SolverStats(steps=0, nfev=0, njev=0, nlu=0)
+    assert traj.stats == SolverStats(steps=0, nfev=0, njev=0, nlu=0,
+                                     rejected=0, newton_failures=0)
 
 
 def test_stats_count_accepted_steps_and_radau_work():
@@ -199,9 +222,18 @@ def test_stats_count_accepted_steps_and_radau_work():
     assert traj.stats.nlu >= 2 * traj.stats.njev
 
 
+def test_stats_count_rejections_and_newton_failures(dp, es):
+    traj = integrate(make_field(split_dimless(dp, es.at_eps(1e-4))), (0.5, 0.9), (0.0, 400.0))
+    stats = traj.stats
+    assert stats.rejected > 0 and stats.newton_failures > 0
+    # every rejection and every unconverged solve discards both factorizations
+    assert stats.nlu >= 2 * (1 + stats.rejected + stats.newton_failures)
+
+
 def test_stats_add_fieldwise():
-    total = SolverStats(1, 2, 3, 4) + SolverStats(10, 20, 30, 40)
-    assert total == SolverStats(steps=11, nfev=22, njev=33, nlu=44)
+    total = SolverStats(1, 2, 3, 4, 5, 6) + SolverStats(10, 20, 30, 40, 50, 60)
+    assert total == SolverStats(steps=11, nfev=22, njev=33, nlu=44,
+                                rejected=55, newton_failures=66)
 
 
 def test_t_span_must_increase():
@@ -231,21 +263,40 @@ def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
     assert traj.states[:, 1].max() > 0.5 and traj.states[:, 1].min() < 0.01
 
 
-# --- LAPACK factorizations and solves ------------------------------------------------
+# --- the owned Radau step against scipy's ---------------------------------------------
 
 def _stock_and_direct(monkeypatch, *args, **kwargs):
-    """integrate(*args) with scipy's own lu_factor/lu_solve closures, then as shipped."""
-    stock_calls = []
+    """integrate(*args) stepped by scipy's own Radau step, then as shipped.
 
-    def counting_lu_factor(*a, **kw):
-        stock_calls.append(1)
-        return lu_factor(*a, **kw)
+    The stock run uses scipy's ``Radau._step_impl`` with its
+    ``lu_factor``/``lu_solve`` (or ``splu``) closures.  scipy's step does
+    not count rejections and Newton failures, so wrappers count them: one
+    ``predict_factor`` call per rejection and per accepted step, and the
+    collocation solves that return unconverged.
+    """
+    calls = {"lu": 0, "predict": 0, "failed": 0}
+
+    def counting(name, func, count=lambda result: 1):
+        def wrapper(*a, **kw):
+            result = func(*a, **kw)
+            calls[name] += count(result)
+            return result
+        return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(integrator, "_use_lapack", lambda solver: None)
-        m.setattr(scipy_radau, "lu_factor", counting_lu_factor)
+        m.setattr(integrator._Radau, "_step_impl", scipy_radau.Radau._step_impl)
+        m.setattr(scipy_radau, "lu_factor", counting("lu", lu_factor))
+        m.setattr(scipy_radau, "splu", counting("lu", splu))
+        m.setattr(scipy_radau, "predict_factor", counting("predict", scipy_radau.predict_factor))
+        m.setattr(scipy_radau, "solve_collocation_system",
+                  counting("failed", scipy_radau.solve_collocation_system,
+                           lambda result: not result[0]))
         stock = integrate(*args, **kwargs)
-    assert len(stock_calls) == stock.stats.nlu > 0
+    assert calls["lu"] == stock.stats.nlu > 0
+    assert calls["predict"] >= stock.stats.steps > 0
+    assert stock.stats.rejected == stock.stats.newton_failures == 0
+    stock.stats = dataclasses.replace(stock.stats, rejected=calls["predict"] - stock.stats.steps,
+                                      newton_failures=calls["failed"])
     return stock, integrate(*args, **kwargs)
 
 
@@ -264,6 +315,7 @@ def test_direct_lapack_is_bit_identical_on_the_eps_1e3_cycle(monkeypatch, dp, es
         monkeypatch, make_field(dpe), cycle_1e3.turning_points[0],
         (0.0, 1.05 * cycle_1e3.period), events=list(_event_pair(dpe)))
     assert {h.index for h in direct.events} == {0, 1}
+    assert direct.stats.rejected > 0 and direct.stats.newton_failures > 0
     _assert_bit_identical(stock, direct)
 
 
@@ -290,6 +342,57 @@ def test_direct_lapack_is_bit_identical_on_the_difference_jacobian_path(monkeypa
     _assert_bit_identical(stock, direct)
 
 
+def test_owned_step_is_bit_identical_on_a_1d_field(monkeypatch):
+    half = EventSpec(func=lambda t, y: y[0] - 0.5, direction="falling")
+    stock, direct = _stock_and_direct(monkeypatch, decay, (1.0,), (0.0, 5.0), events=[half])
+    assert len(direct.events) == 1 and direct.states.shape[1] == 1
+    _assert_bit_identical(stock, direct)
+
+
+def test_owned_step_is_bit_identical_with_a_sparse_jacobian(monkeypatch):
+    stock, direct = _stock_and_direct(monkeypatch, SparseRotation(), (1.0, 0.0), (0.0, 7.0))
+    _assert_bit_identical(stock, direct)
+
+
+def test_owned_step_is_bit_identical_on_a_zero_field(monkeypatch):
+    # every error estimate is exactly 0, so each step grows by MAX_FACTOR
+    stock, direct = _stock_and_direct(monkeypatch, lambda t, y: np.zeros_like(y),
+                                      (1.0, 2.0), (0.0, 10.0))
+    assert np.array_equal(direct.states, np.tile([1.0, 2.0], (len(direct.t), 1)))
+    _assert_bit_identical(stock, direct)
+
+
+def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
+    # y' = -sqrt(y) reaches 0 at t = 2; Newton iterates below 0 give NaN
+    def root_decay(t, y):
+        return np.where(y > 0.0, -np.sqrt(np.abs(y)), np.nan)
+
+    checks = []
+    finite = integrator._finite
+
+    def recording_finite(x):
+        checks.append(finite(x))
+        return checks[-1]
+
+    monkeypatch.setattr(integrator, "_finite", recording_finite)
+    stock, direct = _stock_and_direct(monkeypatch, root_decay, (1.0,), (0.0, 1.99999))
+    assert not all(checks) and direct.stats.newton_failures > 0
+    _assert_bit_identical(stock, direct)
+
+
+def test_radau_never_reaches_scipys_step(monkeypatch, dp, es):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy's Radau step machinery was called")
+
+    monkeypatch.setattr(scipy_radau, "solve_collocation_system", refuse)
+    monkeypatch.setattr(scipy_radau.Radau, "_step_impl", refuse)
+    monkeypatch.setattr(scipy_radau, "norm", refuse)
+    # the Newton predictor evaluates the last interpolant without calling it
+    monkeypatch.setattr(scipy_radau.RadauDenseOutput, "_call_impl", refuse)
+    traj = integrate(make_field(split_dimless(dp, es.at_eps(1e-3))), (0.5, 0.9), (0.0, 100.0))
+    assert traj.t[-1] == 100.0 and traj.stats.steps > 1
+
+
 def test_radau_never_reaches_scipys_lu_wrappers(monkeypatch, dp, es):
     def refuse(*args, **kwargs):
         raise AssertionError("scipy's lu_factor/lu_solve wrapper was called")
@@ -302,13 +405,6 @@ def test_radau_never_reaches_scipys_lu_wrappers(monkeypatch, dp, es):
 
 
 def test_sparse_jacobian_keeps_scipys_sparse_lu():
-    class SparseRotation:
-        def __call__(self, t, y):
-            return rotation(t, y)
-
-        def jac(self, t, y):
-            return csc_matrix([[0.0, -1.0], [1.0, 0.0]])
-
     traj = integrate(SparseRotation(), (1.0, 0.0), (0.0, 7.0))
     np.testing.assert_allclose(np.hypot(traj.states[:, 0], traj.states[:, 1]), 1.0, rtol=1e-8)
     assert traj.stats.nlu > 0
@@ -351,6 +447,30 @@ def test_lu_factor_warns_on_an_exactly_singular_matrix_like_scipy():
     with pytest.warns(LinAlgWarning, match="Diagonal number 2 is exactly zero"):
         got = integrator._lu_factor(a.copy())
     assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+
+
+def test_predictor_matches_the_interpolant_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            t_old, t = sorted(rng.uniform(-10.0, 10.0, 2))
+            sol = scipy_radau.RadauDenseOutput(t_old, t, rng.standard_normal(n),
+                                               rng.standard_normal((n, 3)))
+            h = rng.uniform(0.1, 2.0) * (t - t_old)
+            y = rng.standard_normal(n)
+            assert np.array_equal(integrator._predict(sol, t, h, y),
+                                  sol(t + h * scipy_radau.C).T - y)
+
+
+def test_rms_and_finite_helpers_match_numpy():
+    rng = np.random.default_rng(11)
+    for shape in [(1,), (2,), (3, 1), (3, 2), (3, 5)]:
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 3)
+        assert integrator._rms(x) == scipy_norm(x)
+    for x in [np.array([1.0, -2.0]), np.array([np.inf, 0.0]), np.array([[0.0, np.nan]]),
+              np.array([1.0 + 2.0j, 3.0j]), np.array([complex(0.0, np.inf), 1.0]),
+              np.array([[1e308, 1e308], [1e308, 1e308]])]:
+        assert integrator._finite(x) == np.isfinite(x).all()
 
 
 # --- exports -------------------------------------------------------------------------
