@@ -27,7 +27,7 @@ from .errors import (
     PreconditionError,
 )
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate_until_event
-from .model import make_field, rate_r
+from .model import _rate, make_field, rate_r
 from .params import DimlessParams, EpsSplit, PhysicalParams, derive_dimensionless, split_dimless
 
 __all__ = [
@@ -181,8 +181,10 @@ def _start_point(dp_eps: DimlessParams) -> tuple[float, float]:
 
 def _event_pair(dp_eps: DimlessParams) -> tuple[EventSpec, EventSpec]:
     """(s-maximum, s-minimum) events: the zeros of ds/dt, falling and rising."""
+    # runs on every accepted step: plain floats, no per-call domain check
     def f_value(t, y):
-        return dp_eps.K_s - rate_r(y[1], dp_eps) * y[0] if y[1] > 0.0 else dp_eps.K_s
+        s, h = y.tolist()
+        return dp_eps.K_s - _rate(h, dp_eps) * s if h > 0.0 else dp_eps.K_s
 
     return (EventSpec(func=f_value, direction="falling"),
             EventSpec(func=f_value, direction="rising"))

@@ -32,6 +32,7 @@ from .integrator import EventSpec, IntegratorConfig, integrate, integrate_until_
 from .model import (
     _monic_root,
     _q_hat,
+    _rate,
     _root_slopes,
     make_field_chart_A,
     make_field_chart_B,
@@ -131,7 +132,7 @@ def _trace_det_grid(dp: DimlessParams, K_h, alpha):
     alpha = np.asarray(alpha, dtype=float)
     h = 1.0 - dp.K_s / (alpha * K_h)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = 1.0 / (dp.beta * dp.eps1 / h + 1.0 + dp.beta * h / dp.eps1)
+        r = _rate(h, dp)
         rp = (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
         s = dp.K_s / r
         q = K_h * (1.0 - h)
@@ -167,14 +168,17 @@ class StabilityMap:
     hopf: tuple[tuple[float, float], ...]
 
     def to_csv(self, path, provenance=()) -> None:
-        rows = []
-        for i, x in enumerate(self.kh_over_ks):
-            for j, y in enumerate(self.inv_alpha):
-                rows.append([
-                    fmt17(x), fmt17(y),
-                    fmt17(self.trace[i, j]), fmt17(self.det[i, j]),
-                    "1" if self.oscillates[i, j] else "0",
-                ])
+        """One row per cell, kh_over_ks-major, built column by column.
+
+        Each coordinate is formatted once and repeated, so an nx x ny grid
+        costs nx + ny + 2*nx*ny ``fmt17`` calls.
+        """
+        xs = [fmt17(x) for x in self.kh_over_ks.tolist()]
+        ys = [fmt17(y) for y in self.inv_alpha.tolist()]
+        rows = zip([x for x in xs for _ in ys], ys * len(xs),
+                   map(fmt17, self.trace.ravel().tolist()),
+                   map(fmt17, self.det.ravel().tolist()),
+                   ["1" if o else "0" for o in self.oscillates.ravel().tolist()])
         write_csv(path, ["kh_over_ks", "inv_alpha", "trace", "det", "oscillates"],
                   rows, provenance=list(provenance))
 

@@ -43,7 +43,7 @@ from scipy.optimize import brentq
 from scipy.sparse import issparse
 
 from ._fmt import fmt17, write_csv, write_json
-from .errors import BudgetError, DomainError, EventBracketError, StiffnessError
+from .errors import BudgetError, DomainError, EventBracketError, PhoscilError, StiffnessError
 
 __all__ = [
     "IntegratorConfig",
@@ -500,7 +500,14 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     while solver.status == "running":
         if n_steps >= cfg.max_steps:
             raise BudgetError(f"max_steps = {cfg.max_steps} exhausted at t = {solver.t}")
-        message = solver.step()
+        try:
+            message = solver.step()
+        except PhoscilError:
+            raise
+        except ValueError as exc:
+            # a non-finite Jacobian or stage (e.g. a field that is NaN past
+            # its domain) fails the finite check of _lu_factor/_lu_solve
+            raise DomainError(f"step failed at t = {solver.t}: {exc}") from exc
         n_steps += 1
         if solver.status == "failed":
             raise StiffnessError(f"step size underflow at t = {solver.t}: {message}")
@@ -572,10 +579,11 @@ def export_trajectory(traj: Trajectory, csv_path: str | Path,
     significant digits.
     """
     names = tuple(names) if names is not None else traj.names
-    rows = []
-    for ti, yi in zip(traj.t, traj.states):
-        out = transform(yi) if transform is not None else yi
-        rows.append([fmt17(ti)] + [fmt17(v) for v in out])
+    if transform is None:
+        states = traj.states.T.tolist()
+    else:
+        states = zip(*map(transform, traj.states))
+    rows = zip(*(map(fmt17, col) for col in (traj.t.tolist(), *states)))
     write_csv(csv_path, ["t", *names], rows, provenance=list(provenance))
     if events_path is not None:
         payload = {

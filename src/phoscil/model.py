@@ -128,6 +128,11 @@ class LogState:
 
 # --- rate functions ---------------------------------------------------------
 
+def _rate(h, dp: DimlessParams):
+    """r(h) on a float or an array, unchecked: h > 0 is the caller's."""
+    return 1.0 / (dp.beta * dp.eps1 / h + 1.0 + dp.beta * h / dp.eps1)
+
+
 def rate_r(h, dp: DimlessParams):
     """Bell-shaped enzymatic rate r(h); maximal at h = eps1.
 
@@ -137,7 +142,7 @@ def rate_r(h, dp: DimlessParams):
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0.0):
         raise DomainError("rate_r requires h > 0")
-    out = 1.0 / (dp.beta * dp.eps1 / h + 1.0 + dp.beta * h / dp.eps1)
+    out = _rate(h, dp)
     return float(out) if out.ndim == 0 else out
 
 
@@ -146,7 +151,7 @@ def rate_r_prime(h, dp: DimlessParams):
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0.0):
         raise DomainError("rate_r_prime requires h > 0")
-    r = 1.0 / (dp.beta * dp.eps1 / h + 1.0 + dp.beta * h / dp.eps1)
+    r = _rate(h, dp)
     out = (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
     return float(out) if out.ndim == 0 else out
 

@@ -9,6 +9,7 @@ import pytest
 from phoscil.cycle import (
     CompareRow,
     CompareTable,
+    _event_pair,
     _merge_halves,
     analytic_timescales,
     compare,
@@ -32,7 +33,7 @@ from phoscil.integrator import (
     integrate,
     integrate_until_event,
 )
-from phoscil.model import make_field, rhs
+from phoscil.model import make_field, rate_r, rhs
 from phoscil.params import (
     PhysicalParams,
     UREASE_VESICLE,
@@ -211,6 +212,19 @@ def test_free_run_meets_the_s_minimum_once_per_period(dp, es, cycle_1e3):
     first, second = (hit.t for hit in traj.events)
     assert math.isclose(second - first, PERIOD_1E3, rel_tol=1e-9)
     assert math.isclose(first, TAU_A_TO_B_1E3, rel_tol=1e-6)
+
+
+def test_turning_point_events_equal_the_checked_rate_bit_for_bit(dp, es):
+    dpe = split_dimless(dp, es.at_eps(1e-3))
+    s_max_ev, s_min_ev = _event_pair(dpe)
+    rng = np.random.default_rng(7)
+    for s, h in zip(rng.uniform(0.0, 50.0, 500), np.exp(rng.uniform(-20.0, 0.5, 500))):
+        y = np.array([s, h])
+        expected = dpe.K_s - rate_r(y[1], dpe) * y[0]
+        assert s_max_ev.func(0.0, y) == expected == s_min_ev.func(0.0, y)
+    # at and below h = 0 the events read the h -> 0 limit r = 0
+    assert s_max_ev.func(0.0, np.array([1.0, 0.0])) == dpe.K_s
+    assert s_max_ev.func(0.0, np.array([1.0, -1e-3])) == dpe.K_s
 
 
 def test_cycle_segment_times_recompute_from_the_trajectory(cycle_1e3):

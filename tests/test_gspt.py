@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from phoscil import gspt
+from phoscil._fmt import fmt17, write_csv
 from phoscil.errors import (
     DomainError,
     FoldSingularityError,
@@ -324,6 +326,38 @@ def test_scan_csv_export(dp, tmp_path):
     assert lines[0] == "# probe"
     assert lines[1] == "kh_over_ks,inv_alpha,trace,det,oscillates"
     assert len(lines) == 2 + 4 * 3
+
+
+def _per_cell_scan_csv(sm, path, provenance):
+    """The cell-by-cell writer that the column-wise ``to_csv`` replaced."""
+    rows = []
+    for i, x in enumerate(sm.kh_over_ks):
+        for j, y in enumerate(sm.inv_alpha):
+            rows.append([fmt17(x), fmt17(y), fmt17(sm.trace[i, j]), fmt17(sm.det[i, j]),
+                         "1" if sm.oscillates[i, j] else "0"])
+    write_csv(path, ["kh_over_ks", "inv_alpha", "trace", "det", "oscillates"],
+              rows, provenance=list(provenance))
+
+
+def test_scan_csv_bytes_match_the_per_cell_writer(dp, tmp_path):
+    sm = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (7, 5))
+    assert not sm.admissible.all() and sm.oscillates.any()
+    sm.to_csv(tmp_path / "columns.csv", provenance=["probe"])
+    _per_cell_scan_csv(sm, tmp_path / "cells.csv", ["probe"])
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def test_scan_csv_formats_each_coordinate_once(dp, tmp_path, monkeypatch):
+    calls = []
+
+    def counting_fmt17(x):
+        calls.append(x)
+        return fmt17(x)
+
+    monkeypatch.setattr(gspt, "fmt17", counting_fmt17)
+    nx, ny = 7, 5
+    stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (nx, ny)).to_csv(tmp_path / "scan.csv")
+    assert len(calls) == nx + ny + 2 * nx * ny
 
 
 # --- invariant region -------------------------------------------------------------------

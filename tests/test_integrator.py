@@ -13,6 +13,7 @@ from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from phoscil import integrator
+from phoscil._fmt import fmt17, write_csv
 from phoscil.cycle import _event_pair
 from phoscil.errors import BudgetError, DomainError
 from phoscil.gspt import _eta_start_B, fold_location_B, manifold_B
@@ -249,6 +250,26 @@ def test_step_budget_is_enforced():
     with pytest.raises(BudgetError):
         integrate(rotation, (1.0, 0.0), (0.0, 1000.0),
                   IntegratorConfig(max_steps=5))
+
+
+def test_a_field_that_turns_nan_raises_a_domain_error():
+    # y' = -sqrt(y) reaches 0 at t = 2 and is NaN below it: the Jacobian
+    # turns non-finite and LAPACK's finite check fails inside the step
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="at t = ") as info:
+        integrate(lambda t, y: -np.sqrt(y), (1.0,), (0.0, 2.5))
+    assert isinstance(info.value.__cause__, ValueError)
+    assert not isinstance(info.value.__cause__, DomainError)
+
+
+def test_a_field_domain_error_passes_through_unwrapped():
+    def guarded(t, y):
+        if y[0] < 0.5:
+            raise DomainError("guarded field left its domain")
+        return -y
+
+    with pytest.raises(DomainError, match="guarded field") as info:
+        integrate(guarded, (1.0,), (0.0, 2.0))
+    assert info.value.__cause__ is None
 
 
 # --- stiff model runs ----------------------------------------------------------------
@@ -500,6 +521,24 @@ def test_export_transform_changes_coordinates(tmp_path):
     rows = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
     t_last, log_last = rows[-1].split(",")
     assert math.isclose(float(log_last), -float(t_last), rel_tol=0.0, abs_tol=1e-8)
+
+
+def _per_row_export_csv(traj, path, names, transform=None):
+    """The row-by-row writer that the column-wise export replaced."""
+    rows = []
+    for ti, yi in zip(traj.t, traj.states):
+        out = transform(yi) if transform is not None else yi
+        rows.append([fmt17(ti)] + [fmt17(v) for v in out])
+    write_csv(path, ["t", *names], rows, provenance=["probe"])
+
+
+@pytest.mark.parametrize("transform", [None, lambda y: (math.hypot(*y), float(np.arctan2(y[1], y[0])))])
+def test_export_bytes_match_the_per_row_writer(tmp_path, transform):
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 7.0))
+    export_trajectory(traj, tmp_path / "columns.csv", names=("a", "b"), transform=transform,
+                      provenance=["probe"])
+    _per_row_export_csv(traj, tmp_path / "rows.csv", ("a", "b"), transform)
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_export_floats_roundtrip_exactly(tmp_path):
