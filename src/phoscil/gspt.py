@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._fmt import fmt17, write_csv, write_json
 from .cycle import analytic_timescales
@@ -28,7 +27,7 @@ from .errors import (
     PreconditionError,
     SectionNoHitError,
 )
-from .integrator import EventSpec, IntegratorConfig, integrate, integrate_until_event
+from .integrator import EventSpec, IntegratorConfig, _brentq, integrate, integrate_until_event
 from .model import (
     _monic_root,
     _q_hat,
@@ -232,8 +231,8 @@ def stability_scan(dp: DimlessParams,
 
         for j in range(ny - 1):
             if sign_flip_y[i, j]:
-                root = brentq(trace_at, ys[j], ys[j + 1], xtol=1e-6)
-                hopf.append((float(xs[i]), float(root)))
+                root, _ = _brentq(trace_at, ys[j], ys[j + 1], xtol=1e-6)
+                hopf.append((float(xs[i]), root))
     return StabilityMap(kh_over_ks=xs, inv_alpha=ys, trace=trace, det=det,
                         admissible=admissible, oscillates=oscillates,
                         boundary=boundary, hopf=tuple(hopf))
@@ -579,8 +578,8 @@ def invariant_region_check(dp: DimlessParams, samples: int = 200,
         raise PreconditionError(f"samples must be >= 2, got {samples!r}")
 
     r_target = dp.K_s / s_nul
-    h_nul = float(brentq(lambda h: rate_r(h, dp) - r_target, 1e-30, dp.eps1,
-                         xtol=1e-30, rtol=8.0 * np.finfo(float).eps))
+    h_nul, _ = _brentq(lambda h: rate_r(h, dp) - r_target, 1e-30, dp.eps1,
+                       xtol=1e-30, rtol=8.0 * np.finfo(float).eps)
 
     violations: list[tuple[str, float, float, float]] = []
     h_line = np.linspace(h_nul, h_top, samples)

@@ -5,42 +5,39 @@ control; the wrapper adds a hard accepted-step budget, per-step dense
 output retention, and event localization by bracketing plus
 derivative-free root polishing on the dense output, so event timing does
 not degrade when steps grow large on slow manifolds.  A trajectory's
-dense output is one :class:`scipy.integrate.OdeSolution` over the kept
-per-step interpolants; a trajectory without them answers only at its
-recorded sample times.
+dense output is its per-step interpolants, evaluated as scipy's
+``OdeSolution(alt_segment=True)`` does; a trajectory without them answers
+only at its recorded sample times.
 
 Fields are callables ``field(t, y) -> dy``; when a field exposes an
 analytic Jacobian as ``field.jac(t, y)`` it is used for the implicit
-stages, otherwise scipy's Radau differences the field itself (its
-``num_jac`` forward-difference Jacobian).
+stages, otherwise scipy's ``num_jac`` differences the field itself.
 
-phoscil runs scipy's Radau step itself (:class:`_Radau`): scipy's step
-and collocation Newton loop, operation for operation, with scipy's
-tableau, step-size policy and interpolant.  The results are bit-identical
-to scipy's step, which the tests keep as the reference; what goes is the
-per-call wrapping around each operation.  Factorizations and solves go
-straight to LAPACK getrf/getrs with the arguments and checks of
-``scipy.linalg.lu_factor``/``lu_solve``.
+phoscil owns the solver (:class:`_Radau`), its dense output and the event
+polish (:func:`_brentq`).  They restate scipy 1.17's ``Radau``,
+``RadauDenseOutput``, ``OdeSolution`` and ``brentq`` (Hairer & Wanner,
+*Solving ODEs II*, Sec. IV.8; Brent's method) operation for operation, so
+results are bit-identical to scipy's, which the tests keep as the
+reference.  What goes is the per-call wrapping around each operation, and
+the import: a run loads ``scipy.linalg`` only.  Factorizations and solves
+go straight to LAPACK getrf/getrs with the arguments and checks of
+``scipy.linalg.lu_factor``/``lu_solve``.  Two paths that no CLI
+subcommand takes import scipy lazily: ``num_jac`` for a field without
+``.jac`` and ``splu`` for a sparse Jacobian.
 """
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import astuple, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import OdeSolution, Radau
-from scipy.integrate._ivp.radau import (
-    C, E, MAX_FACTOR, MIN_FACTOR, MU_COMPLEX, MU_REAL, NEWTON_MAXITER, T, TI, TI_COMPLEX,
-    TI_REAL, RadauDenseOutput, predict_factor,
-)
 from scipy.linalg import LinAlgWarning
 from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
-from scipy.optimize import brentq
-from scipy.sparse import issparse
 
 from ._fmt import fmt17, write_csv, write_json
 from .errors import BudgetError, DomainError, EventBracketError, PhoscilError, StiffnessError
@@ -63,6 +60,33 @@ _MACH_EPS = float(np.finfo(float).eps)
 _GETRF = {"d": dgetrf, "D": zgetrf}
 _GETRS = {"d": dgetrs, "D": zgetrs}
 
+# Radau IIA tableau and step-size policy, as scipy 1.17 writes them
+S6 = 6 ** 0.5
+C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
+E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
+# A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T**-1
+MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
+MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
+              - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
+T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1, 1, 0]])
+TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+TI_REAL = TI[0]
+TI_COMPLEX = TI[1] + 1j * TI[2]
+#: interpolant coefficients: the collocation polynomial in powers of (t - t_old)/h
+P = np.array([
+    [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
+    [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
+    [1/3, -8/3, 10/3]])
+NEWTON_MAXITER = 6
+MIN_FACTOR = 0.2
+MAX_FACTOR = 10
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -73,8 +97,9 @@ class IntegratorConfig:
     max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.rtol <= 1e-3):
-            raise DomainError(f"rtol must lie in (0, 1e-3], got {self.rtol!r}")
+        # below 100 eps Radau's error test cannot hold (scipy clamps rtol there)
+        if not (100.0 * _MACH_EPS <= self.rtol <= 1e-3):
+            raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {self.rtol!r}")
         if not (self.atol > 0.0):
             raise DomainError(f"atol must be positive, got {self.atol!r}")
         if not (self.max_steps > 0):
@@ -104,7 +129,8 @@ class EventHit:
 @dataclass(frozen=True)
 class SolverStats:
     """Work counts of an integration: accepted steps, Radau's counters,
-    error-test rejections and unconverged collocation solves."""
+    error-test rejections, unconverged collocation solves, event brackets
+    located and the event-function calls that polished them."""
 
     steps: int = 0
     nfev: int = 0
@@ -112,6 +138,8 @@ class SolverStats:
     nlu: int = 0
     rejected: int = 0
     newton_failures: int = 0
+    event_polishes: int = 0
+    polish_evals: int = 0
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -120,11 +148,12 @@ class SolverStats:
 class Trajectory:
     """Time-ordered samples with piecewise dense output and event hits.
 
-    ``segments`` holds one interpolant per step, evaluated together as one
-    OdeSolution (at a step boundary the step that starts there answers).
-    Without segments the trajectory answers exactly at its sample times
-    and raises DomainError anywhere else.  ``stats`` counts the work that
-    produced it (zeros when nothing was integrated).
+    ``segments`` holds one interpolant per step.  At a step boundary the
+    step that starts there answers, and an array of times is evaluated in
+    sorted order, one call per step: scipy's ``OdeSolution`` with
+    ``alt_segment=True``.  Without segments the trajectory answers exactly
+    at its sample times and raises DomainError anywhere else.  ``stats``
+    counts the work that produced it (zeros when nothing was integrated).
     """
 
     def __init__(self, t: np.ndarray, states: np.ndarray, segments: list,
@@ -136,7 +165,6 @@ class Trajectory:
         self.events = events
         self.names = names
         self.stats = stats
-        self._dense = OdeSolution(t, segments, alt_segment=True) if segments else None
 
     @classmethod
     def single(cls, t0: float, y0: np.ndarray, names: tuple[str, ...]) -> "Trajectory":
@@ -147,14 +175,32 @@ class Trajectory:
     def __call__(self, t):
         """Dense-output evaluation; scalar t -> (d,), array t -> (n, d)."""
         t = np.asarray(t, dtype=float)
+        if t.ndim > 1:
+            raise DomainError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
         if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
             raise DomainError("dense evaluation outside the integrated span")
-        if self._dense is not None:
-            return self._dense(t).T
+        if self.segments:
+            return self._dense(t)
         idx = np.searchsorted(self.t, t)
         if not np.array_equal(self.t[idx], t):
             raise DomainError("trajectory kept no dense output")
         return self.states.take(idx, axis=0)
+
+    def _dense(self, t: np.ndarray) -> np.ndarray:
+        last = len(self.segments) - 1
+        if t.ndim == 0:
+            step = min(max(int(np.searchsorted(self.t, t, side="right")) - 1, 0), last)
+            return self.segments[step](t)
+        out = np.empty((t.size, self.states.shape[1]))
+        if t.size == 0:
+            return out
+        order = np.argsort(t)
+        t_sorted = t[order]
+        steps = np.clip(np.searchsorted(self.t, t_sorted, side="right") - 1, 0, last)
+        bounds = [0, *(np.flatnonzero(np.diff(steps)) + 1).tolist(), t.size]
+        out[order] = np.hstack([self.segments[steps[a]](t_sorted[a:b])
+                                for a, b in zip(bounds, bounds[1:])]).T
+        return out
 
 
 @dataclass(frozen=True)
@@ -183,17 +229,85 @@ def _crossed(g_old: float, g_new: float, direction: str) -> bool:
 
 
 def _locate(ev: EventSpec, dense, t_lo: float, t_hi: float,
-            g_lo: float, g_hi: float, t_scale: float) -> float:
+            g_lo: float, g_hi: float, t_scale: float) -> tuple[float, int]:
+    """(event time, event-function calls) on one bracketing step."""
     if g_hi == 0.0:
-        return t_hi
+        return t_hi, 0
     if g_lo * g_hi > 0.0:
         raise EventBracketError(
             f"sign change reported on [{t_lo}, {t_hi}] but endpoints do not bracket")
     try:
-        return float(brentq(lambda tt: ev.func(tt, dense(tt)), t_lo, t_hi,
-                            xtol=1e-12 * t_scale, rtol=4.0 * _MACH_EPS))
+        return _brentq(lambda tt: ev.func(tt, dense(tt)), t_lo, t_hi,
+                       xtol=1e-12 * t_scale, rtol=4.0 * _MACH_EPS)
     except ValueError as exc:
         raise EventBracketError(f"bracketing failed on [{t_lo}, {t_hi}]: {exc}") from exc
+
+
+def _value(f, x: float) -> float:
+    fx = f(x)
+    if math.isnan(fx):
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return float(fx)
+
+
+def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _MACH_EPS,
+            maxiter: int = 100) -> tuple[float, int]:
+    """(root of ``f`` on [a, b], calls of ``f``): scipy's ``brentq``.
+
+    Brent's method as scipy's ``brentq.c`` writes it, line for line, with
+    the checks of its Python wrapper: xtol > 0, rtol >= 4 eps, f(a) and
+    f(b) of opposite signs, and no NaN value.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4.0 * _MACH_EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4.0 * _MACH_EPS:g})")
+    xpre, xcur = float(a), float(b)
+    fpre = _value(f, xpre)
+    fcur = _value(f, xcur)
+    calls = 2
+    if fpre == 0:
+        return xpre, calls
+    if fcur == 0:
+        return xcur, calls
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur, calls
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _value(f, xcur)
+        calls += 1
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 def _finite(x: np.ndarray) -> bool:
@@ -231,42 +345,181 @@ def _lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarra
     return x
 
 
-def _predict(sol: RadauDenseOutput, t, h, y: np.ndarray) -> np.ndarray:
-    """Radau's Newton predictor ``sol(t + h * C).T - y`` without
-    ``DenseOutput.__call__``; x, x*x, (x*x)*x are the powers ``cumprod`` takes."""
-    x = (t + h * C - sol.t_old) / sol.h
-    xx = x * x
-    y_pred = np.dot(sol.Q, np.array([x, xx, xx * x]))
-    y_pred += sol.y_old[:, None]
-    return y_pred.T - y
+def _issparse(a) -> bool:
+    """scipy's ``issparse``; a sparse matrix exists only once scipy.sparse is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
 
 
-class _Radau(Radau):
-    """scipy's Radau with the step run here: scipy 1.17's ``_step_impl`` and
-    ``solve_collocation_system``, operation for operation.
+def _select_initial_step(fun, t0, y0: np.ndarray, t_bound, f0: np.ndarray,
+                         rtol: float, atol: float) -> float:
+    """scipy's ``select_initial_step`` for Radau (error order 3), forward in time
+    and without a step bound (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.4)."""
+    interval_length = abs(t_bound - t0)
+    scale = atol + np.abs(y0) * rtol
+    d0 = _rms(y0 / scale)
+    d1 = _rms(f0 / scale)
+    if d0 < 1e-5 or d1 < 1e-5:
+        h0 = 1e-6
+    else:
+        h0 = 0.01 * d0 / d1
+    h0 = min(h0, interval_length)
+    y1 = y0 + h0 * f0
+    f1 = fun(t0 + h0, y1)
+    d2 = _rms((f1 - f0) / scale) / h0
 
-    Only the per-call wrapping differs.  The Newton loop calls the field
-    directly and counts ``nfev`` itself; the predictor is :func:`_predict`;
-    a dense Jacobian's factorizations and solves go to the LAPACK helpers
-    above, a sparse one keeps scipy's ``splu`` closures.
-    It also counts what only the step sees: error-test rejections
-    (``rejected``) and unconverged collocation solves (``newton_failures``).
-    Both methods keep scipy's layout, so they diff line by line against it.
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 4)
+
+    return min(100 * h0, h1, interval_length)
+
+
+def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
+    """scipy's ``predict_factor``: by which factor to change the step.
+    An error norm of exactly 0 gives inf, as numpy's ``0.0 ** -0.25`` does."""
+    if error_norm_old is None or h_abs_old is None or error_norm == 0:
+        multiplier = 1
+    else:
+        multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
+    if error_norm == 0:
+        return math.inf
+    return min(1, multiplier) * error_norm ** -0.25
+
+
+class _RadauDense:
+    """One step's collocation polynomial: scipy's ``RadauDenseOutput``.
+
+    x, x*x, (x*x)*x are the powers that scipy's ``cumprod`` takes; scalar t
+    gives (n,), 1-D t gives (n, len(t)).
     """
 
+    def __init__(self, t_old, t, y_old: np.ndarray, Q: np.ndarray):
+        self.t_old = t_old
+        self.h = t - t_old
+        self.Q = Q
+        self.y_old = y_old
+
+    def __call__(self, t) -> np.ndarray:
+        x = (np.asarray(t) - self.t_old) / self.h
+        xx = x * x
+        y = np.dot(self.Q, np.array([x, xx, xx * x]))
+        y += self.y_old if y.ndim == 1 else self.y_old[:, None]
+        return y
+
+
+class _Radau:
+    """Radau IIA of order 5 with scipy 1.17's step-size and Newton policy.
+
+    It restates scipy's ``OdeSolver``/``Radau`` constructor, ``step``,
+    ``solve_collocation_system`` and dense output operation for operation,
+    forward in time and without a maximum step (``integrate`` asks for
+    neither).  scipy's ``Radau`` is the reference in the tests.  Only the
+    per-call wrapping differs: the Newton loop calls the field directly and
+    counts ``nfev`` itself; a dense Jacobian's factorizations and solves go
+    to the LAPACK helpers above, a sparse one to scipy's ``splu``.
+    It also counts what only the step sees: error-test rejections
+    (``rejected``) and unconverged collocation solves (``newton_failures``).
+    ``_collocate`` and ``step`` keep scipy's layout, so they diff line by
+    line against it.
+    """
+
+    TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
     def __init__(self, field, t0, y0, t_bound, rtol, atol, jac):
-        super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
+        y0 = np.asarray(y0, dtype=float)
+        if y0.ndim != 1 or y0.size == 0:
+            raise DomainError(f"the state must be a non-empty 1-D array, got shape {y0.shape}")
+        if not _finite(y0):
+            raise DomainError(f"the initial state must be finite, got {y0.tolist()!r}")
         self._field = field
-        self.rejected = 0
-        self.newton_failures = 0
-        if issparse(self.J):
-            self._factor, self._solve = self.lu, self.solve_lu
+        self.t = t0
+        self.y = y0
+        self.t_bound = t_bound
+        n = y0.size
+        self.status = "running"
+        self.nfev = self.njev = self.nlu = 0
+        self.rejected = self.newton_failures = 0
+
+        self.rtol, self.atol = rtol, atol
+        self.f = self.fun(t0, y0)
+        self.h_abs = _select_initial_step(self.fun, t0, y0, t_bound, self.f, rtol, atol)
+        self.h_abs_old = None
+        self.error_norm_old = None
+
+        self.newton_tol = max(10 * _MACH_EPS / rtol, min(0.03, rtol ** 0.5))
+        self.sol = None
+
+        if jac is None:
+            # the difference Jacobian is the one use of scipy.integrate
+            from scipy.integrate._ivp.common import num_jac
+            self.jac_factor = None
+
+            def jac_wrapped(t, y, f):
+                self.njev += 1
+                J, self.jac_factor = num_jac(self._fun_vectorized, t, y, f,
+                                             self.atol, self.jac_factor, None)
+                return J
+            J = jac_wrapped(t0, y0, self.f)
+        else:
+            J = jac(t0, y0)
+            self.njev = 1
+            if _issparse(J):
+                from scipy.sparse import csc_matrix
+                J = csc_matrix(J)
+
+                def jac_wrapped(t, y, _=None):
+                    self.njev += 1
+                    return csc_matrix(jac(t, y), dtype=float)
+            else:
+                J = np.asarray(J, dtype=float)
+
+                def jac_wrapped(t, y, _=None):
+                    self.njev += 1
+                    return np.asarray(jac(t, y), dtype=float)
+
+            if J.shape != (n, n):
+                raise ValueError(f"`jac` is expected to have shape {(n, n)},"
+                                 f" but actually has {J.shape}.")
+        self.jac, self.J = jac_wrapped, J
+
+        if _issparse(J):
+            from scipy.sparse import eye
+            from scipy.sparse.linalg import splu
+
+            def sparse_factor(a):
+                self.nlu += 1
+                return splu(a)
+
+            self._factor, self._solve = sparse_factor, lambda lu, b: lu.solve(b)
+            self.I = eye(n, format="csc")
         else:
             self._factor, self._solve = self._lapack_factor, _lu_solve
+            self.I = np.identity(n)
+
+        self.current_jac = True
+        self.LU_real = None
+        self.LU_complex = None
+
+    def fun(self, t, y) -> np.ndarray:
+        self.nfev += 1
+        return np.asarray(self._field(t, y), dtype=float)
+
+    def _fun_vectorized(self, t, y: np.ndarray) -> np.ndarray:
+        """The field on each column of y, uncounted (``num_jac``'s differences)."""
+        f = np.empty_like(y)
+        for i, yi in enumerate(y.T):
+            f[:, i] = np.asarray(self._field(t, yi), dtype=float)
+        return f
 
     def _lapack_factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.nlu += 1
         return _lu_factor(a)
+
+    def dense_output(self) -> _RadauDense:
+        """The interpolant of the last accepted step."""
+        return self.sol
 
     def _collocate(self, t, y, h, Z0, scale, LU_real, LU_complex):
         """scipy's ``solve_collocation_system(self.fun, ...)``."""
@@ -323,21 +576,18 @@ class _Radau(Radau):
 
         return converged, k + 1, Z, rate
 
-    def _step_impl(self):
+    def step(self):
+        """One accepted step (``OdeSolver.step`` around ``Radau._step_impl``);
+        returns scipy's failure message, or None."""
         t = self.t
         y = self.y
         f = self.f
 
-        max_step = self.max_step
         atol = self.atol
         rtol = self.rtol
 
-        min_step = 10 * np.abs(np.nextafter(t, self.direction * np.inf) - t)
-        if self.h_abs > max_step:
-            h_abs = max_step
-            h_abs_old = None
-            error_norm_old = None
-        elif self.h_abs < min_step:
+        min_step = 10 * abs(math.nextafter(t, math.inf) - t)
+        if self.h_abs < min_step:
             h_abs = min_step
             h_abs_old = None
             error_norm_old = None
@@ -355,24 +605,24 @@ class _Radau(Radau):
 
         rejected = False
         step_accepted = False
-        message = None
         while not step_accepted:
             if h_abs < min_step:
-                return False, self.TOO_SMALL_STEP
+                self.status = "failed"
+                return self.TOO_SMALL_STEP
 
-            h = h_abs * self.direction
+            h = h_abs
             t_new = t + h
 
-            if self.direction * (t_new - self.t_bound) > 0:
+            if t_new > self.t_bound:
                 t_new = self.t_bound
 
             h = t_new - t
-            h_abs = np.abs(h)
+            h_abs = abs(h)
 
             if self.sol is None:
                 Z0 = np.zeros((3, y.shape[0]))
             else:
-                Z0 = _predict(self.sol, t, h, y)
+                Z0 = self.sol(t + h * C).T - y
 
             scale = atol + np.abs(y) * rtol
 
@@ -405,18 +655,17 @@ class _Radau(Radau):
             ZE = Z.T.dot(E) / h
             error = self._solve(LU_real, f + ZE)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            # numpy's float keeps predict_factor's 0 ** -0.25 = inf
-            error_norm = np.float64(_rms(error / scale))
+            error_norm = _rms(error / scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER
                                                        + n_iter)
 
             if rejected and error_norm > 1:
                 error = self._solve(LU_real, self.fun(t, y + error) + ZE)
-                error_norm = np.float64(_rms(error / scale))
+                error_norm = _rms(error / scale)
 
             if error_norm > 1:
-                factor = predict_factor(h_abs, h_abs_old,
-                                        error_norm, error_norm_old)
+                factor = _predict_factor(h_abs, h_abs_old,
+                                         error_norm, error_norm_old)
                 h_abs *= max(MIN_FACTOR, safety * factor)
 
                 LU_real = None
@@ -428,7 +677,7 @@ class _Radau(Radau):
 
         recompute_jac = jac is not None and n_iter > 2 and rate > 1e-3
 
-        factor = predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
         factor = min(MAX_FACTOR, safety * factor)
 
         if not recompute_jac and factor < 1.2:
@@ -449,23 +698,19 @@ class _Radau(Radau):
 
         self.h_abs = h_abs * factor
 
-        self.y_old = y
-
         self.t = t_new
         self.y = y_new
         self.f = f_new
-
-        self.Z = Z
 
         self.LU_real = LU_real
         self.LU_complex = LU_complex
         self.current_jac = current_jac
         self.J = J
 
-        self.t_old = t
-        self.sol = self._compute_dense_output()
-
-        return step_accepted, message
+        self.sol = _RadauDense(t, t_new, y, np.dot(Z.T, P))
+        if t_new >= self.t_bound:
+            self.status = "finished"
+        return None
 
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
@@ -495,7 +740,7 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     segments: list = []
     hits: list[EventHit] = []
     g_old = [float(ev.func(t0, y0)) for ev in events]
-    n_steps = 0
+    n_steps = polishes = polish_evals = 0
 
     while solver.status == "running":
         if n_steps >= cfg.max_steps:
@@ -521,7 +766,10 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
             step_hits: list[tuple[float, int]] = []
             for i, ev in enumerate(events):
                 if _crossed(g_old[i], g_new[i], ev.direction):
-                    t_hit = _locate(ev, dense, ts[-1], t_new, g_old[i], g_new[i], t_scale)
+                    t_hit, n_evals = _locate(ev, dense, ts[-1], t_new, g_old[i], g_new[i],
+                                             t_scale)
+                    polishes += 1
+                    polish_evals += n_evals
                     step_hits.append((t_hit, i))
             step_hits.sort()
             for t_hit, i in step_hits:
@@ -543,7 +791,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
             break
 
     stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
-                        rejected=solver.rejected, newton_failures=solver.newton_failures)
+                        rejected=solver.rejected, newton_failures=solver.newton_failures,
+                        event_polishes=polishes, polish_evals=polish_evals)
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 

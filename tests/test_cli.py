@@ -1,12 +1,16 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phoscil
 from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 PARAM_KEYS = ("S_ext", "H_ext", "v_max", "k_M", "k_E1", "k_E2",
@@ -266,6 +270,43 @@ def test_numeric_failure_maps_to_its_own_code(tmp_path, capsys):
     code = main(["fixed-point", "--params", str(params), "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
     assert "NoPositiveEquilibriumError" in capsys.readouterr().err
+
+
+def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a new interpreter that imports this checkout's phoscil."""
+    src = str(Path(phoscil.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
+def test_rtol_below_100_eps_is_a_numeric_error_without_a_scipy_warning(tmp_path):
+    # scipy would clamp it to 100 eps with a UserWarning and run on
+    done = _fresh_python("import sys; from phoscil.cli import main; sys.exit(main(sys.argv[1:]))",
+                         "simulate", "--t-span", "0:10", "--rtol", "1e-20", "--out", str(tmp_path))
+    assert done.returncode == EXIT_NUMERIC
+    assert done.stderr.startswith("phoscil: DomainError: rtol must lie in [2.220446049250313e-14")
+    assert "Warning" not in done.stderr and "scipy" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_jobs_leave_scipys_integrate_optimize_special_and_sparse_unloaded(tmp_path):
+    # each is a long import that a CLI process does not need; scipy.linalg is the one kept
+    code = """
+import json, sys
+from phoscil.cli import main
+out = sys.argv[1]
+for argv in (["fixed-point"], ["scan", "--grid", "9x7"], ["fold-check", "--chart", "A"],
+             ["simulate", "--t-span", "0:50"], ["cycle"]):
+    assert main(argv + ["--out", out]) == 0, argv
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith(heavy))))
+"""
+    done = _fresh_python(code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert {"fixed_point.csv", "scan.csv", "fold_report_a.csv", "simulate_state.csv",
+            "cycle_report.csv"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_exit_code_constants():

@@ -165,7 +165,8 @@ def test_cycle_solver_stats_frozen(cycle_1e3):
     # the recorded period's two half-legs, summed
     stats = cycle_1e3.trajectory.stats
     assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358,
-                                rejected=39, newton_failures=21)
+                                rejected=39, newton_failures=21,
+                                event_polishes=2, polish_evals=11)
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 

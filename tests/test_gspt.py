@@ -302,6 +302,18 @@ def test_scan_boundary_cells_bracket_the_hopf_curve(dp):
     assert not (sm.boundary & ~sm.admissible).any()
 
 
+def test_hopf_points_and_region_root_match_scipys_brentq(monkeypatch, dp):
+    from scipy.optimize import brentq
+
+    own_scan = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30))
+    own_region = invariant_region_check(dp)
+    monkeypatch.setattr(gspt, "_brentq", lambda f, a, b, xtol, rtol=4 * np.finfo(float).eps:
+                        (brentq(f, a, b, xtol=xtol, rtol=rtol), None))
+    stock_scan = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30))
+    assert len(own_scan.hopf) > 10 and own_scan.hopf == stock_scan.hopf
+    assert own_region.h_nul == invariant_region_check(dp).h_nul
+
+
 def test_scan_reference_cell_oscillates(dp):
     sm = stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (33, 27))
     x0 = dp.K_h / dp.K_s

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.integrate._ivp.radau as scipy_radau
 from hypothesis import given, strategies as st
-from scipy.integrate._ivp.common import norm as scipy_norm
+from scipy.integrate import OdeSolution
+from scipy.integrate._ivp.common import norm as scipy_norm, select_initial_step
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
@@ -58,7 +60,7 @@ def test_config_defaults_are_tight():
 
 @pytest.mark.parametrize("kwargs", [
     {"rtol": 0.0}, {"rtol": 1e-2}, {"rtol": -1e-10},
-    {"atol": -1.0}, {"max_steps": 0},
+    {"atol": -1.0}, {"max_steps": 0}, {"rtol": 1e-20},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
@@ -213,7 +215,8 @@ def test_single_sample_trajectory():
 def test_single_sample_trajectory_did_no_work():
     traj = Trajectory.single(2.0, np.array([0.3, 0.4]), ("s", "h"))
     assert traj.stats == SolverStats(steps=0, nfev=0, njev=0, nlu=0,
-                                     rejected=0, newton_failures=0)
+                                     rejected=0, newton_failures=0,
+                                     event_polishes=0, polish_evals=0)
 
 
 def test_stats_count_accepted_steps_and_radau_work():
@@ -232,9 +235,10 @@ def test_stats_count_rejections_and_newton_failures(dp, es):
 
 
 def test_stats_add_fieldwise():
-    total = SolverStats(1, 2, 3, 4, 5, 6) + SolverStats(10, 20, 30, 40, 50, 60)
+    total = SolverStats(1, 2, 3, 4, 5, 6, 7, 8) + SolverStats(10, 20, 30, 40, 50, 60, 70, 80)
     assert total == SolverStats(steps=11, nfev=22, njev=33, nlu=44,
-                                rejected=55, newton_failures=66)
+                                rejected=55, newton_failures=66,
+                                event_polishes=77, polish_evals=88)
 
 
 def test_t_span_must_increase():
@@ -286,14 +290,28 @@ def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
 
 # --- the owned Radau step against scipy's ---------------------------------------------
 
-def _stock_and_direct(monkeypatch, *args, **kwargs):
-    """integrate(*args) stepped by scipy's own Radau step, then as shipped.
+class _StockRadau(scipy_radau.Radau):
+    """scipy's own Radau, built the way ``integrate`` builds its solver."""
 
-    The stock run uses scipy's ``Radau._step_impl`` with its
-    ``lu_factor``/``lu_solve`` (or ``splu``) closures.  scipy's step does
-    not count rejections and Newton failures, so wrappers count them: one
-    ``predict_factor`` call per rejection and per accepted step, and the
-    collocation solves that return unconverged.
+    def __init__(self, field, t0, y0, t_bound, rtol, atol, jac):
+        super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
+        self.rejected = self.newton_failures = 0
+
+
+def _scipy_brentq(f, a, b, xtol, rtol):
+    root, info = brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True)
+    return root, info.function_calls
+
+
+def _stock_and_direct(monkeypatch, *args, **kwargs):
+    """integrate(*args) with scipy's own solver and event polish, then as shipped.
+
+    The stock run builds scipy's ``Radau`` (its constructor, initial step,
+    ``step()``, ``lu_factor``/``lu_solve`` or ``splu`` closures and
+    ``RadauDenseOutput``) and polishes events with scipy's ``brentq``.
+    scipy's step does not count rejections and Newton failures, so
+    wrappers count them: one ``predict_factor`` call per rejection and per
+    accepted step, and the collocation solves that return unconverged.
     """
     calls = {"lu": 0, "predict": 0, "failed": 0}
 
@@ -305,7 +323,8 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
         return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(integrator._Radau, "_step_impl", scipy_radau.Radau._step_impl)
+        m.setattr(integrator, "_Radau", _StockRadau)
+        m.setattr(integrator, "_brentq", _scipy_brentq)
         m.setattr(scipy_radau, "lu_factor", counting("lu", lu_factor))
         m.setattr(scipy_radau, "splu", counting("lu", splu))
         m.setattr(scipy_radau, "predict_factor", counting("predict", scipy_radau.predict_factor))
@@ -316,6 +335,7 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
     assert calls["lu"] == stock.stats.nlu > 0
     assert calls["predict"] >= stock.stats.steps > 0
     assert stock.stats.rejected == stock.stats.newton_failures == 0
+    assert all(isinstance(seg, scipy_radau.RadauDenseOutput) for seg in stock.segments)
     stock.stats = dataclasses.replace(stock.stats, rejected=calls["predict"] - stock.stats.steps,
                                       newton_failures=calls["failed"])
     return stock, integrate(*args, **kwargs)
@@ -470,17 +490,185 @@ def test_lu_factor_warns_on_an_exactly_singular_matrix_like_scipy():
     assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
 
 
+def _random_interpolants(rng, n):
+    """The same random step as scipy's and as phoscil's interpolant."""
+    t_old, t = sorted(rng.uniform(-10.0, 10.0, 2))
+    y_old, Q = rng.standard_normal(n), rng.standard_normal((n, 3))
+    return (scipy_radau.RadauDenseOutput(t_old, t, y_old, Q),
+            integrator._RadauDense(t_old, t, y_old.copy(), Q.copy()))
+
+
 def test_predictor_matches_the_interpolant_bit_for_bit():
     rng = np.random.default_rng(5)
     for n in (1, 2, 3):
         for _ in range(200):
-            t_old, t = sorted(rng.uniform(-10.0, 10.0, 2))
-            sol = scipy_radau.RadauDenseOutput(t_old, t, rng.standard_normal(n),
-                                               rng.standard_normal((n, 3)))
-            h = rng.uniform(0.1, 2.0) * (t - t_old)
+            stock, own = _random_interpolants(rng, n)
+            h = rng.uniform(0.1, 2.0) * (stock.t - stock.t_old)
             y = rng.standard_normal(n)
-            assert np.array_equal(integrator._predict(sol, t, h, y),
-                                  sol(t + h * scipy_radau.C).T - y)
+            assert np.array_equal(own(stock.t + h * integrator.C).T - y,
+                                  stock(stock.t + h * scipy_radau.C).T - y)
+
+
+def test_interpolant_matches_scipys_on_scalar_and_array_times():
+    rng = np.random.default_rng(17)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            stock, own = _random_interpolants(rng, n)
+            times = rng.uniform(stock.t_old, stock.t, rng.integers(1, 9))
+            assert np.array_equal(own(times), stock(times)) and own(times).shape == (n, times.size)
+            for t in (times[0], float(times[0]), np.asarray(times[0]), stock.t_old, stock.t):
+                assert np.array_equal(own(t), stock(t)) and own(t).shape == (n,)
+
+
+def test_tableau_constants_match_scipys_bitwise():
+    for name in ("C", "E", "T", "TI", "TI_REAL", "TI_COMPLEX", "P"):
+        own, stock = getattr(integrator, name), getattr(scipy_radau, name)
+        assert own.dtype == stock.dtype and np.array_equal(own, stock), name
+    for name in ("MU_REAL", "MU_COMPLEX", "NEWTON_MAXITER", "MIN_FACTOR", "MAX_FACTOR"):
+        assert getattr(integrator, name) == getattr(scipy_radau, name), name
+
+
+def test_initial_step_matches_scipys():
+    rng = np.random.default_rng(3)
+    fields = [decay, rotation, lambda t, y: np.zeros_like(y), lambda t, y: -1e6 * y + np.sin(t)]
+    for field in fields:
+        for _ in range(50):
+            y0 = rng.standard_normal(2) * 10.0 ** rng.uniform(-14, 3)
+            t0 = rng.uniform(-5.0, 5.0)
+            t_bound = t0 + 10.0 ** rng.uniform(-9, 4)
+            rtol, atol = 10.0 ** rng.uniform(-13, -3), 10.0 ** rng.uniform(-14, -3)
+            f0 = np.asarray(field(t0, y0), dtype=float)
+            own = integrator._select_initial_step(field, t0, y0, t_bound, f0, rtol, atol)
+            stock = select_initial_step(field, t0, y0, t_bound, np.inf, f0, 1, 3, rtol, atol)
+            assert own == stock
+
+
+def test_step_factor_matches_scipys_including_a_zero_error():
+    rng = np.random.default_rng(13)
+    cases = [(1.0, None, 0.5, None), (1.0, 0.5, 0.0, 0.3), (1.0, None, 0.0, None),
+             (2.0, 1.0, 4.0, None), (2.0, None, 4.0, 1.0)]
+    cases += [tuple(10.0 ** rng.uniform(-6, 2, 4)) for _ in range(500)]
+    for h_abs, h_abs_old, error_norm, error_norm_old in cases:
+        own = integrator._predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
+        with np.errstate(divide="ignore"):
+            stock = scipy_radau.predict_factor(h_abs, h_abs_old, np.float64(error_norm),
+                                               error_norm_old)
+        assert own == stock
+    assert integrator._predict_factor(1.0, 0.5, 0.0, 0.3) == math.inf
+
+
+def _brent_problems(rng):
+    """Random (f, a, b, xtol, rtol) with a sign change on [a, b]."""
+    while True:
+        kind = rng.integers(4)
+        c = rng.standard_normal(4)
+        if kind == 0:
+            def f(x, c=c):
+                return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+        elif kind == 1:
+            def f(x, c=c):
+                return math.sin(3.0 * c[0] * x + c[1]) + 0.5 * c[2]
+        elif kind == 2:
+            def f(x, c=c):
+                return math.exp(c[0] * x) - 1.0 - c[1] ** 2
+        else:
+            def f(x, c=c):
+                return math.copysign(abs(x - c[0]) ** 0.3, x - c[0])
+        a, b = sorted(rng.uniform(-5.0, 5.0, 2))
+        if f(a) * f(b) < 0.0:
+            # coarse xtol too, where delta decides between step and bisection
+            yield f, a, b, 10.0 ** rng.uniform(-14, 0), 4 * np.finfo(float).eps * rng.uniform(1, 1e4)
+
+
+def test_brentq_matches_scipys_on_random_brackets():
+    rng = np.random.default_rng(23)
+    problems = _brent_problems(rng)
+    for _ in range(3000):
+        f, a, b, xtol, rtol = next(problems)
+        assert integrator._brentq(f, a, b, xtol, rtol) == _scipy_brentq(f, a, b, xtol, rtol)
+    # an exact zero at either end, and the loop landing on an exact zero
+    assert integrator._brentq(lambda x: x, 0.0, 1.0, 1e-12) == _scipy_brentq(
+        lambda x: x, 0.0, 1.0, 1e-12, 4 * np.finfo(float).eps)
+    assert integrator._brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == (1.0, 2)
+    assert integrator._brentq(lambda x: x - 0.5, 0.0, 1.0, 1e-12) == _scipy_brentq(
+        lambda x: x - 0.5, 0.0, 1.0, 1e-12, 4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("f, a, b, kwargs", [
+    (lambda x: x, -1.0, 1.0, {"xtol": 0.0}),
+    (lambda x: x, -1.0, 1.0, {"xtol": 1e-12, "rtol": 1e-16}),
+    (lambda x: x * x + 1.0, -1.0, 1.0, {"xtol": 1e-12}),
+    (lambda x: math.nan, -1.0, 1.0, {"xtol": 1e-12}),
+    (lambda x: x if x < 0.25 else math.nan, -1.0, 1.0, {"xtol": 1e-12}),
+], ids=["xtol", "rtol", "no-sign-change", "nan-at-a", "nan-inside"])
+def test_brentq_errors_match_scipys(f, a, b, kwargs):
+    with pytest.raises(ValueError) as stock:
+        brentq(f, a, b, **kwargs)
+    with pytest.raises(ValueError) as own:
+        integrator._brentq(f, a, b, **kwargs)
+    assert str(own.value) == str(stock.value)
+
+
+def test_brentq_reports_non_convergence_like_scipy():
+    with pytest.raises(RuntimeError) as stock:
+        brentq(math.atan, -1.0, 3.0, xtol=1e-15, maxiter=3)
+    with pytest.raises(RuntimeError) as own:
+        integrator._brentq(math.atan, -1.0, 3.0, xtol=1e-15, maxiter=3)
+    assert str(own.value) == str(stock.value)
+
+
+def test_segments_are_evaluated_as_scipys_ode_solution(dp, es):
+    traj = integrate(make_field(split_dimless(dp, es.at_eps(1e-3))), (0.5, 0.9), (0.0, 60.0))
+    calls = []
+
+    def recording(i, segment):
+        def call(t):
+            calls.append((i, np.asarray(t).tolist()))
+            return segment(t)
+        return call
+
+    segments = [recording(i, seg) for i, seg in enumerate(traj.segments)]
+    own = Trajectory(traj.t, traj.states, segments, [], traj.names)
+    stock = OdeSolution(traj.t, segments, alt_segment=True)
+    rng = np.random.default_rng(29)
+    # step boundaries (the step that starts there answers), shuffled, with repeats
+    # and interior times, and the two ends of the span
+    times = np.concatenate([traj.t, traj.t[::7], rng.uniform(0.0, 60.0, 500)])
+    rng.shuffle(times)
+    for batch in (times, times[:1], *np.array_split(times, 7)):
+        expect = stock(batch).T
+        stock_calls, calls[:] = calls[:], []
+        assert np.array_equal(own(batch), expect)
+        # the same segments, called with the same sorted groups of times
+        assert calls == stock_calls
+        calls.clear()
+    for t in [*traj.t[:20], traj.t[-1], *rng.uniform(0.0, 60.0, 20)]:
+        assert np.array_equal(own(t), stock(t)) and calls[0] == calls[1]
+        calls.clear()
+
+
+@pytest.mark.parametrize("keep_dense", [True, False])
+def test_empty_and_2d_times_answer_alike_for_both_kinds(keep_dense):
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 3.0), keep_dense=keep_dense)
+    assert traj(np.array([])).shape == (0, 2)
+    assert traj([]).shape == (0, 2)
+    with pytest.raises(DomainError, match="1-D"):
+        traj(np.array([[traj.t[1], traj.t[2]], [traj.t[3], traj.t[4]]]))
+
+
+@pytest.mark.parametrize("x0", [(), ((1.0, 2.0),), (math.nan, 1.0)], ids=["empty", "2d", "nan"])
+def test_a_bad_initial_state_is_a_domain_error(x0):
+    with pytest.raises(DomainError):
+        integrate(rotation, x0, (0.0, 1.0))
+
+
+def test_event_polish_counts_its_brackets_and_calls():
+    ev = EventSpec(func=lambda t, y: y[1], direction="both")
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 6.0 * math.pi + 1.0), events=[ev])
+    stats = traj.stats
+    assert stats.event_polishes == len(traj.events) == 6
+    assert stats.polish_evals >= 2 * stats.event_polishes
+    assert integrate(rotation, (1.0, 0.0), (0.0, 7.0)).stats.event_polishes == 0
 
 
 def test_rms_and_finite_helpers_match_numpy():
