@@ -244,6 +244,7 @@ def _locate(ev: EventSpec, dense, t_lo: float, t_hi: float,
 
 
 def _value(f, x: float) -> float:
+    """f(x) as a float; NaN raises as in scipy's ``brentq`` wrapper."""
     fx = f(x)
     if math.isnan(fx):
         raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
@@ -510,7 +511,7 @@ class _Radau:
         """The field on each column of y, uncounted (``num_jac``'s differences)."""
         f = np.empty_like(y)
         for i, yi in enumerate(y.T):
-            f[:, i] = np.asarray(self._field(t, yi), dtype=float)
+            f[:, i] = self._field(t, yi)
         return f
 
     def _lapack_factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
