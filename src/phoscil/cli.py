@@ -372,8 +372,9 @@ def _state(text: str) -> tuple[float, float]:
         s, h = float(parts[0]), float(parts[1])
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected numbers in s,h, got {text!r}")
-    if not (math.isfinite(s) and math.isfinite(h) and s >= 0.0 and h >= 0.0):
-        raise argparse.ArgumentTypeError(f"state coordinates must be >= 0, got {text!r}")
+    # simulate's log export (pS, pH) needs s > 0 and h > 0
+    if not (0.0 < s < math.inf and 0.0 < h < math.inf):
+        raise argparse.ArgumentTypeError(f"state coordinates must be positive, got {text!r}")
     return s, h
 
 
@@ -408,7 +409,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--t-span", type=_span, default=(0.0, 300.0), metavar="T0:T1",
                    help="integration window (default 0:300); T0:T0 exports one sample")
     p.add_argument("--x0", type=_state, default=None, metavar="S,H",
-                   help="initial state (default: near the fixed point, displaced in h)")
+                   help="initial state, s > 0 and h > 0 "
+                        "(default: near the fixed point, displaced in h)")
 
     p = sub.add_parser("scan", parents=[common],
                        help="trace/det stability scan over (K_h/K_s, 1/alpha)")

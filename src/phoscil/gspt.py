@@ -506,6 +506,8 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     the scaling regime.
     """
     eps_arr = sorted(float(e) for e in eps_list)
+    if not all(0.0 < e < math.inf for e in eps_arr):
+        raise DomainError(f"every eps must be positive and finite, got {eps_arr!r}")
     if len(eps_arr) < 2:
         raise PreconditionError("eps_list needs at least two entries")
     span = math.log10(eps_arr[-1] / eps_arr[0])

@@ -10,8 +10,9 @@ dense output is its per-step interpolants, evaluated as scipy's
 only at its recorded sample times.
 
 Fields are callables ``field(t, y) -> dy``; when a field exposes an
-analytic Jacobian as ``field.jac(t, y)`` it is used for the implicit
-stages, otherwise scipy's ``num_jac`` differences the field itself.
+analytic Jacobian as ``field.jac(t, y)`` (a dense n x n array) it is used
+for the implicit stages, otherwise scipy's ``num_jac`` differences the
+field itself.
 
 phoscil owns the solver (:class:`_Radau`), its dense output and the event
 polish (:func:`_brentq`).  They restate scipy 1.17's ``Radau``,
@@ -21,15 +22,14 @@ results are bit-identical to scipy's, which the tests keep as the
 reference.  What goes is the per-call wrapping around each operation, and
 the import: a run loads ``scipy.linalg`` only.  Factorizations and solves
 go straight to LAPACK getrf/getrs with the arguments and checks of
-``scipy.linalg.lu_factor``/``lu_solve``.  Two paths that no CLI
-subcommand takes import scipy lazily: ``num_jac`` for a field without
-``.jac`` and ``splu`` for a sparse Jacobian.
+``scipy.linalg.lu_factor``/``lu_solve``.  The one path that no CLI
+subcommand takes, a field without ``.jac``, imports scipy's ``num_jac``
+lazily.
 """
 from __future__ import annotations
 
 import cmath
 import math
-import sys
 import warnings
 from dataclasses import astuple, dataclass
 from pathlib import Path
@@ -346,12 +346,6 @@ def _lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarra
     return x
 
 
-def _issparse(a) -> bool:
-    """scipy's ``issparse``; a sparse matrix exists only once scipy.sparse is loaded."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(a)
-
-
 def _select_initial_step(fun, t0, y0: np.ndarray, t_bound, f0: np.ndarray,
                          rtol: float, atol: float) -> float:
     """scipy's ``select_initial_step`` for Radau (error order 3), forward in time
@@ -418,8 +412,9 @@ class _Radau:
     forward in time and without a maximum step (``integrate`` asks for
     neither).  scipy's ``Radau`` is the reference in the tests.  Only the
     per-call wrapping differs: the Newton loop calls the field directly and
-    counts ``nfev`` itself; a dense Jacobian's factorizations and solves go
-    to the LAPACK helpers above, a sparse one to scipy's ``splu``.
+    counts ``nfev`` itself, and factorizations and solves go to the LAPACK
+    helpers above.  The Jacobian is always a dense float array: the
+    field's ``jac`` or, without one, ``num_jac``'s differences.
     It also counts what only the step sees: error-test rejections
     (``rejected``) and unconverged collocation solves (``newton_failures``).
     ``_collocate`` and ``step`` keep scipy's layout, so they diff line by
@@ -466,38 +461,17 @@ class _Radau:
         else:
             J = jac(t0, y0)
             self.njev = 1
-            if _issparse(J):
-                from scipy.sparse import csc_matrix
-                J = csc_matrix(J)
+            # a matrix object numpy cannot read as an array has shape () here
+            if np.asarray(J).shape != (n, n):
+                raise DomainError(f"field.jac must return a dense array of shape {(n, n)},"
+                                  f" got {type(J).__name__} of shape {np.shape(J)}")
+            J = np.asarray(J, dtype=float)
 
-                def jac_wrapped(t, y, _=None):
-                    self.njev += 1
-                    return csc_matrix(jac(t, y), dtype=float)
-            else:
-                J = np.asarray(J, dtype=float)
-
-                def jac_wrapped(t, y, _=None):
-                    self.njev += 1
-                    return np.asarray(jac(t, y), dtype=float)
-
-            if J.shape != (n, n):
-                raise ValueError(f"`jac` is expected to have shape {(n, n)},"
-                                 f" but actually has {J.shape}.")
+            def jac_wrapped(t, y, _=None):
+                self.njev += 1
+                return np.asarray(jac(t, y), dtype=float)
         self.jac, self.J = jac_wrapped, J
-
-        if _issparse(J):
-            from scipy.sparse import eye
-            from scipy.sparse.linalg import splu
-
-            def sparse_factor(a):
-                self.nlu += 1
-                return splu(a)
-
-            self._factor, self._solve = sparse_factor, lambda lu, b: lu.solve(b)
-            self.I = eye(n, format="csc")
-        else:
-            self._factor, self._solve = self._lapack_factor, _lu_solve
-            self.I = np.identity(n)
+        self.I = np.identity(n)
 
         self.current_jac = True
         self.LU_real = None
@@ -514,7 +488,7 @@ class _Radau:
             f[:, i] = self._field(t, yi)
         return f
 
-    def _lapack_factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         self.nlu += 1
         return _lu_factor(a)
 
@@ -524,7 +498,7 @@ class _Radau:
 
     def _collocate(self, t, y, h, Z0, scale, LU_real, LU_complex):
         """scipy's ``solve_collocation_system(self.fun, ...)``."""
-        field, solve, tol = self._field, self._solve, self.newton_tol
+        field, solve, tol = self._field, _lu_solve, self.newton_tol
         n = y.shape[0]
         M_real = MU_REAL / h
         M_complex = MU_COMPLEX / h
@@ -654,14 +628,14 @@ class _Radau:
 
             y_new = y + Z[-1]
             ZE = Z.T.dot(E) / h
-            error = self._solve(LU_real, f + ZE)
+            error = _lu_solve(LU_real, f + ZE)
             scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
             error_norm = _rms(error / scale)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER
                                                        + n_iter)
 
             if rejected and error_norm > 1:
-                error = self._solve(LU_real, self.fun(t, y + error) + ZE)
+                error = _lu_solve(LU_real, self.fun(t, y + error) + ZE)
                 error_norm = _rms(error / scale)
 
             if error_norm > 1:
@@ -676,7 +650,7 @@ class _Radau:
             else:
                 step_accepted = True
 
-        recompute_jac = jac is not None and n_iter > 2 and rate > 1e-3
+        recompute_jac = n_iter > 2 and rate > 1e-3
 
         factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
         factor = min(MAX_FACTOR, safety * factor)
@@ -691,7 +665,7 @@ class _Radau:
         if recompute_jac:
             J = jac(t_new, y_new, f_new)
             current_jac = True
-        elif jac is not None:
+        else:
             current_jac = False
 
         self.h_abs_old = self.h_abs

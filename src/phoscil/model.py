@@ -464,18 +464,7 @@ def _jac_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float, fl
     return (-r, -r_h * s, -q_s, -q_h - dp.K_h)
 
 
-class Field:
-    """Planar vector field y' = F(t, y) with an optional analytic Jacobian."""
-
-    names = ("s", "h")
-
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    jac = None  # subclasses may override with jac(t, y) -> 2x2 array
-
-
-class _ScaledField(Field):
+class _ScaledField:
     """The base field (f, g) of ``dp`` in coordinates y = (cs*s, h/ch).
 
     The field is y' = (eps*f, g) at (s, h) = (y0/cs, ch*y1); its Jacobian
@@ -503,7 +492,11 @@ class _ScaledField(Field):
         return np.array([[e / cs * f_s, e * ch * f_h], [g_s / cs, ch * g_h]])
 
 
-class _ReferenceField(Field):
+class _ReferenceField:
+    """Reference kinetics in (s, h); it has no ``jac``: the integrator differences it."""
+
+    names = ("s", "h")
+
     def __init__(self, phys: PhysicalParams):
         self.phys = phys
 
@@ -511,21 +504,21 @@ class _ReferenceField(Field):
         return np.asarray(rhs_reference((y[0], y[1]), self.phys), dtype=float)
 
 
-def make_field(dp: DimlessParams) -> Field:
+def make_field(dp: DimlessParams) -> _ScaledField:
     """Integrator-ready reduced-model field with analytic Jacobian."""
     return _ScaledField(("s", "h"), 1.0, 1.0, 1.0, dp)
 
 
-def make_field_chart_A(es: EpsSplit, dp: DimlessParams) -> Field:
+def make_field_chart_A(es: EpsSplit, dp: DimlessParams) -> _ScaledField:
     """Chart-A field in (sigma, h), original time, with analytic Jacobian."""
     return _ScaledField(("sigma", "h"), es.eps, es.eps, 1.0, split_dimless(dp, es))
 
 
-def make_field_chart_B(es: EpsSplit, dp: DimlessParams) -> Field:
+def make_field_chart_B(es: EpsSplit, dp: DimlessParams) -> _ScaledField:
     """Chart-B field in (s, eta), time t' = t/eps, with analytic Jacobian."""
     return _ScaledField(("s", "eta"), es.eps, 1.0, es.eps, split_dimless(dp, es))
 
 
-def make_field_reference(phys: PhysicalParams) -> Field:
+def make_field_reference(phys: PhysicalParams) -> _ReferenceField:
     """Reference kinetics field; the integrator differences it for a Jacobian."""
     return _ReferenceField(phys)

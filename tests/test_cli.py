@@ -230,6 +230,15 @@ def test_malformed_grid_is_a_usage_error(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("x0", ["0,0.5", "0.5,0"])
+def test_a_start_off_the_log_chart_is_a_usage_error(tmp_path, x0):
+    # simulate exports log coordinates, which need s > 0 and h > 0
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--t-span", "0:10", "--x0", x0, "--out", str(tmp_path)])
+    assert exc.value.code == EXIT_USAGE
+    assert not any(tmp_path.iterdir())
+
+
 def test_workers_flag_is_a_usage_error(tmp_path):
     # every subcommand runs in one thread; there is no worker count to set
     with pytest.raises(SystemExit) as exc:

@@ -418,6 +418,9 @@ def test_scaling_preconditions(dp, es):
         fold_passage_offset("A", (1e-5, 1e-4), es, dp)  # one decade only
     with pytest.raises(DomainError):
         fold_passage_offset("Z", QUICK_EPS_A, es, dp)
+    for eps_list in ([0.0, 1e-6, 1e-4], [-1e-6, 1e-4], [math.nan, 1e-4], [1e-6, math.inf]):
+        with pytest.raises(DomainError, match="positive and finite"):
+            fold_passage_offset("A", eps_list, es, dp)
 
 
 # --- return map -------------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from scipy.integrate._ivp.common import norm as scipy_norm, select_initial_step
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
-from scipy.sparse.linalg import splu
 
 from phoscil import integrator
 from phoscil._fmt import fmt17, write_csv
@@ -38,16 +37,6 @@ def decay(t, y):
 
 def rotation(t, y):
     return np.array([-y[1], y[0]])
-
-
-class SparseRotation:
-    """``rotation`` with a constant sparse Jacobian."""
-
-    def __call__(self, t, y):
-        return rotation(t, y)
-
-    def jac(self, t, y):
-        return csc_matrix([[0.0, -1.0], [1.0, 0.0]])
 
 
 # --- config validation ---------------------------------------------------------
@@ -276,6 +265,16 @@ def test_a_field_domain_error_passes_through_unwrapped():
     assert info.value.__cause__ is None
 
 
+@pytest.mark.parametrize("J", [np.eye(3), csc_matrix(np.eye(2))], ids=["3x3", "csc"])
+def test_a_jacobian_that_is_not_a_dense_n_by_n_array_is_a_domain_error(J):
+    def field(t, y):
+        return rotation(t, y)
+
+    field.jac = lambda t, y: J
+    with pytest.raises(DomainError, match=r"shape \(2, 2\)"):
+        integrate(field, (1.0, 0.0), (0.0, 1.0))
+
+
 # --- stiff model runs ----------------------------------------------------------------
 
 def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
@@ -307,7 +306,7 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
     """integrate(*args) with scipy's own solver and event polish, then as shipped.
 
     The stock run builds scipy's ``Radau`` (its constructor, initial step,
-    ``step()``, ``lu_factor``/``lu_solve`` or ``splu`` closures and
+    ``step()``, ``lu_factor``/``lu_solve`` closures and
     ``RadauDenseOutput``) and polishes events with scipy's ``brentq``.
     scipy's step does not count rejections and Newton failures, so
     wrappers count them: one ``predict_factor`` call per rejection and per
@@ -326,7 +325,6 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
         m.setattr(integrator, "_Radau", _StockRadau)
         m.setattr(integrator, "_brentq", _scipy_brentq)
         m.setattr(scipy_radau, "lu_factor", counting("lu", lu_factor))
-        m.setattr(scipy_radau, "splu", counting("lu", splu))
         m.setattr(scipy_radau, "predict_factor", counting("predict", scipy_radau.predict_factor))
         m.setattr(scipy_radau, "solve_collocation_system",
                   counting("failed", scipy_radau.solve_collocation_system,
@@ -390,11 +388,6 @@ def test_owned_step_is_bit_identical_on_a_1d_field(monkeypatch):
     _assert_bit_identical(stock, direct)
 
 
-def test_owned_step_is_bit_identical_with_a_sparse_jacobian(monkeypatch):
-    stock, direct = _stock_and_direct(monkeypatch, SparseRotation(), (1.0, 0.0), (0.0, 7.0))
-    _assert_bit_identical(stock, direct)
-
-
 def test_owned_step_is_bit_identical_on_a_zero_field(monkeypatch):
     # every error estimate is exactly 0, so each step grows by MAX_FACTOR
     stock, direct = _stock_and_direct(monkeypatch, lambda t, y: np.zeros_like(y),
@@ -419,36 +412,6 @@ def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
     stock, direct = _stock_and_direct(monkeypatch, root_decay, (1.0,), (0.0, 1.99999))
     assert not all(checks) and direct.stats.newton_failures > 0
     _assert_bit_identical(stock, direct)
-
-
-def test_radau_never_reaches_scipys_step(monkeypatch, dp, es):
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy's Radau step machinery was called")
-
-    monkeypatch.setattr(scipy_radau, "solve_collocation_system", refuse)
-    monkeypatch.setattr(scipy_radau.Radau, "_step_impl", refuse)
-    monkeypatch.setattr(scipy_radau, "norm", refuse)
-    # the Newton predictor evaluates the last interpolant without calling it
-    monkeypatch.setattr(scipy_radau.RadauDenseOutput, "_call_impl", refuse)
-    traj = integrate(make_field(split_dimless(dp, es.at_eps(1e-3))), (0.5, 0.9), (0.0, 100.0))
-    assert traj.t[-1] == 100.0 and traj.stats.steps > 1
-
-
-def test_radau_never_reaches_scipys_lu_wrappers(monkeypatch, dp, es):
-    def refuse(*args, **kwargs):
-        raise AssertionError("scipy's lu_factor/lu_solve wrapper was called")
-
-    monkeypatch.setattr(scipy_radau, "lu_factor", refuse)
-    monkeypatch.setattr(scipy_radau, "lu_solve", refuse)
-    traj = integrate(make_field(split_dimless(dp, es.at_eps(1e-3))), (0.5, 0.9), (0.0, 100.0))
-    assert traj.t[-1] == 100.0 and traj.stats.nlu > 0
-    assert integrate(rotation, (1.0, 0.0), (0.0, 7.0)).stats.nlu > 0
-
-
-def test_sparse_jacobian_keeps_scipys_sparse_lu():
-    traj = integrate(SparseRotation(), (1.0, 0.0), (0.0, 7.0))
-    np.testing.assert_allclose(np.hypot(traj.states[:, 0], traj.states[:, 1]), 1.0, rtol=1e-8)
-    assert traj.stats.nlu > 0
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
