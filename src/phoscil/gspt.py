@@ -12,6 +12,7 @@ overshooting the fold by O(eps^(2/3)).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -154,7 +155,8 @@ class StabilityMap:
     """Grid of Jacobian data over (K_h/K_s, 1/alpha).
 
     ``hopf`` is the trace-zero boundary as (kh_over_ks, inv_alpha) points,
-    one bisection-refined root per sign change along each grid column.
+    one bisection-refined root per sign change along each grid column,
+    refined on first read: the CSV never reads it.
     """
 
     kh_over_ks: np.ndarray
@@ -164,7 +166,19 @@ class StabilityMap:
     admissible: np.ndarray   # bool
     oscillates: np.ndarray   # bool: trace>0, det>0 and admissible
     boundary: np.ndarray     # bool: cell adjacent to a trace sign change
-    hopf: tuple[tuple[float, float], ...]
+    _dp: DimlessParams = dataclasses.field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def hopf(self) -> tuple[tuple[float, float], ...]:
+        tr, ok = self.trace, self.admissible
+        flips = (tr[:, :-1] * tr[:, 1:] < 0.0) & ok[:, :-1] & ok[:, 1:]
+        hopf = []
+        for i, j in zip(*np.nonzero(flips)):
+            K_h = self.kh_over_ks[i] * self._dp.K_s
+            root, _ = _brentq(lambda y: float(_trace_det_grid(self._dp, K_h, 1.0 / y)[0]),
+                              self.inv_alpha[j], self.inv_alpha[j + 1], xtol=1e-6)
+            hopf.append((float(self.kh_over_ks[i]), root))
+        return tuple(hopf)
 
     def to_csv(self, path, provenance=()) -> None:
         """One row per cell, kh_over_ks-major, built column by column.
@@ -182,9 +196,9 @@ class StabilityMap:
                   rows, provenance=list(provenance))
 
     def to_json_dict(self) -> dict:
-        """Every field in declaration order, arrays as nested lists."""
-        return {f.name: np.asarray(getattr(self, f.name)).tolist()
-                for f in dataclasses.fields(self)}
+        """Every public field in declaration order, then ``hopf``; arrays as nested lists."""
+        return {name: np.asarray(getattr(self, name)).tolist() for name in
+                [f.name for f in dataclasses.fields(self) if f.name != "_dp"] + ["hopf"]}
 
 
 def stability_scan(dp: DimlessParams,
@@ -221,21 +235,9 @@ def stability_scan(dp: DimlessParams,
     boundary[:, :-1] |= sign_flip_y
     boundary[:, 1:] |= sign_flip_y
 
-    hopf: list[tuple[float, float]] = []
-    for i in range(nx):
-        K_h = xs[i] * dp.K_s
-
-        def trace_at(y: float) -> float:
-            t, _ = _trace_det_grid(dp, K_h, 1.0 / y)
-            return float(t)
-
-        for j in range(ny - 1):
-            if sign_flip_y[i, j]:
-                root, _ = _brentq(trace_at, ys[j], ys[j + 1], xtol=1e-6)
-                hopf.append((float(xs[i]), root))
     return StabilityMap(kh_over_ks=xs, inv_alpha=ys, trace=trace, det=det,
                         admissible=admissible, oscillates=oscillates,
-                        boundary=boundary, hopf=tuple(hopf))
+                        boundary=boundary, _dp=dp)
 
 
 # --- critical manifolds, layer problems, slow flows ---------------------------

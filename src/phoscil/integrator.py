@@ -1,43 +1,32 @@
 """Adaptive implicit integration for stiff planar fields with events.
 
-The production path is Radau IIA (order 5, L-stable) with adaptive step
-control; the wrapper adds a hard accepted-step budget, per-step dense
-output retention, and event localization by bracketing plus
-derivative-free root polishing on the dense output, so event timing does
-not degrade when steps grow large on slow manifolds.  A trajectory's
-dense output is its per-step interpolants, evaluated as scipy's
-``OdeSolution(alt_segment=True)`` does; a trajectory without them answers
+The solver is Radau IIA (order 5, L-stable) with adaptive step control;
+the wrapper adds a hard accepted-step budget, per-step dense output and
+event localization by bracketing plus Brent polishing on the dense output,
+so event timing does not degrade when steps grow large on slow manifolds.
+A trajectory's dense output is its per-step interpolants, evaluated as
+scipy's ``OdeSolution(alt_segment=True)`` does; without them it answers
 only at its recorded sample times.
 
-Fields are callables ``field(t, y) -> dy``; when a field exposes an
-analytic Jacobian as ``field.jac(t, y)`` (a dense n x n array) it is used
-for the implicit stages, otherwise scipy's ``num_jac`` differences the
-field itself.
-
-phoscil owns the solver (:class:`_Radau`), its dense output and the event
-polish (:func:`_brentq`).  They restate scipy 1.17's ``Radau``,
-``RadauDenseOutput``, ``OdeSolution`` and ``brentq`` (Hairer & Wanner,
-*Solving ODEs II*, Sec. IV.8; Brent's method) operation for operation, so
-results are bit-identical to scipy's, which the tests keep as the
-reference.  What goes is the per-call wrapping around each operation, and
-the import: a run loads ``scipy.linalg`` only.  Factorizations and solves
-go straight to LAPACK getrf/getrs with the arguments and checks of
-``scipy.linalg.lu_factor``/``lu_solve``.  The one path that no CLI
-subcommand takes, a field without ``.jac``, imports scipy's ``num_jac``
-lazily.
+Fields map (t, (y0, y1)) to two floats and carry an analytic Jacobian
+``field.jac(t, y)``, a 2 x 2 array.  :class:`_PlanarRadau` steps them on
+Python floats and restates scipy 1.17's ``Radau`` line for line (Hairer &
+Wanner, *Solving ODEs II*, Sec. IV.8), as :func:`_brentq` restates its
+``brentq``.  Each numpy or LAPACK operation of a step becomes the scalar
+expression with its bits: numpy's small dots and OpenBLAS's getrf/getrs
+kernels are sequential FMA chains, built here from an exact FMA.  scipy
+stays the reference in the tests; a run imports none of it.
 """
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import astuple, dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import LinAlgWarning
-from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 
 from ._fmt import fmt17, write_csv, write_json
 from .errors import BudgetError, DomainError, EventBracketError, PhoscilError, StiffnessError
@@ -55,34 +44,30 @@ __all__ = [
 ]
 
 _MACH_EPS = float(np.finfo(float).eps)
-#: LAPACK routines by dtype character; Radau factorizes real and complex
-#: double matrices and solves each with a right-hand side of its own type
-_GETRF = {"d": dgetrf, "D": zgetrf}
-_GETRS = {"d": dgetrs, "D": zgetrs}
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
-# Radau IIA tableau and step-size policy, as scipy 1.17 writes them
+# Radau IIA tableau and step-size policy, as scipy 1.17 writes them, by rows
 S6 = 6 ** 0.5
-C = np.array([(4 - S6) / 10, (4 + S6) / 10, 1])
-E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
+C = ((4 - S6) / 10, (4 + S6) / 10, 1.0)
+E = ((-13 - 7 * S6) / 3, (-13 + 7 * S6) / 3, -1 / 3)
 # A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T**-1
 MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
               - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
-T = np.array([
-    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
-    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
-    [1, 1, 0]])
-TI = np.array([
-    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
-    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
-    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
-TI_REAL = TI[0]
-TI_COMPLEX = TI[1] + 1j * TI[2]
+T = (
+    (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
+    (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
+    (1.0, 1.0, 0.0))
+#: TI's first row is scipy's TI_REAL; its other two rows are TI_COMPLEX's parts
+TI = (
+    (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
+    (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
+    (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
 #: interpolant coefficients: the collocation polynomial in powers of (t - t_old)/h
-P = np.array([
-    [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
-    [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
-    [1/3, -8/3, 10/3]])
+P = (
+    (13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6),
+    (13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6),
+    (1/3, -8/3, 10/3))
 NEWTON_MAXITER = 6
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
@@ -311,57 +296,203 @@ def _brentq(f, a: float, b: float, xtol: float, rtol: float = 4.0 * _MACH_EPS,
     raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
-def _finite(x: np.ndarray) -> bool:
-    """``np.isfinite(x).all()`` for the short arrays of a step, without a ufunc."""
-    return all(map(cmath.isfinite, x.ravel().tolist()))
+def _split(a: float) -> tuple[float, float, float]:
+    """(a, hi, lo): Veltkamp's split of a into halves of at most 26 bits."""
+    s = a * _SPLIT
+    hi = s - (s - a)
+    return a, hi, a - hi
 
 
-def _rms(x: np.ndarray) -> float:
-    """scipy's RMS ``norm``: the arithmetic of ``np.linalg.norm``'s fast path."""
-    x = x.ravel()
-    return math.sqrt(x.dot(x)) / x.size ** 0.5
+def _fma_exact(a: float, b: float, c: float) -> float:
+    """a*b + c rounded once, in exact rational arithmetic; zeros, inf and NaN as IEEE."""
+    if not (a and b and math.isfinite(a) and math.isfinite(b)):
+        return a * b + c  # the product is exact: a zero, inf or NaN
+    if not math.isfinite(c):
+        return c
+    exact = Fraction(a) * Fraction(b) + Fraction(c)
+    try:
+        return float(exact) if exact else 0.0  # an exact cancellation rounds to +0
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``scipy.linalg.lu_factor(a, overwrite_a=True)`` without its wrapping."""
-    if not _finite(a):
+def _fmak(k: tuple, x: float, c: float) -> float:
+    """a*x + c rounded once, as C's ``fma`` (Python 3.11 has no ``math.fma``), k = _split(a).
+
+    With x split too, the four partial products of a*x are exact and
+    ``math.fsum`` adds them to c with one rounding.  Where one might
+    underflow or overflow (|result| outside (1e-150, 1e150)) the exact
+    rational result is taken.
+    """
+    a, ah, al = k
+    s = x * _SPLIT
+    xh = s - (s - x)
+    xl = x - xh
+    try:
+        r = math.fsum((ah * xh, ah * xl, al * xh, al * xl, c))
+        if 1e-300 < r * r < 1e300:
+            return r
+    except (OverflowError, ValueError):  # an inf partial product
+        pass
+    return _fma_exact(a, x, c)
+
+
+def _fma(a: float, b: float, c: float) -> float:
+    return _fmak(_split(a), b, c)
+
+
+def _krow(a: Sequence[float]) -> tuple:
+    return (a[0], *_split(a[1]), *_split(a[2]))
+
+
+def _kdots(rows: Sequence[tuple], x0: float, x1: float, x2: float) -> list[float]:
+    """numpy's dots of rows a (as _krow(a)) with (x0, x1, x2): FMA chains from +0.
+
+    That is a matrix product's entry; a matrix-vector product's ends with
+    + 0.  :func:`_fmak` is inlined, with x1 and x2 split once for all rows.
+    """
+    s = x1 * _SPLIT
+    h1 = s - (s - x1)
+    l1 = x1 - h1
+    s = x2 * _SPLIT
+    h2 = s - (s - x2)
+    l2 = x2 - h2
+    out = []
+    try:
+        for a0, a1, p1, q1, a2, p2, q2 in rows:
+            acc = a0 * x0 + 0.0
+            if not acc:  # an underflowing product keeps its sign in an FMA
+                acc = _fma(a0, x0, 0.0)
+            r = math.fsum((p1 * h1, p1 * l1, q1 * h1, q1 * l1, acc))
+            acc = r if 1e-300 < r * r < 1e300 else _fma_exact(a1, x1, acc)
+            r = math.fsum((p2 * h2, p2 * l2, q2 * h2, q2 * l2, acc))
+            out.append(r if 1e-300 < r * r < 1e300 else _fma_exact(a2, x2, acc))
+    except (OverflowError, ValueError):
+        return [_fma(a2, x2, _fma(a1, x1, _fma(a0, x0, 0.0))) for a0, a1, _, _, a2, _, _ in rows]
+    return out
+
+
+def _norm(*x: float) -> float:
+    """scipy's RMS ``norm``: sqrt(x.x)/sqrt(n), numpy's x.x an FMA chain."""
+    acc = x[0] * x[0]
+    for v in x[1:]:
+        s = v * _SPLIT
+        vh = s - (s - v)
+        vl = v - vh
+        try:
+            r = math.fsum((vh * vh, 2.0 * vh * vl, vl * vl, acc))
+        except (OverflowError, ValueError):
+            r = math.nan
+        acc = r if 1e-300 < r * r < 1e300 else _fma_exact(v, v, acc)
+    return math.sqrt(acc) / len(x) ** 0.5
+
+
+def _singular(info: int) -> None:
+    warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
+                  RuntimeWarning, stacklevel=4)
+
+
+def _getrf(a11: float, a12: float, a21: float, a22: float) -> tuple:
+    """LAPACK ``dgetrf`` of [[a11, a12], [a21, a22]] as (swapped, u11, -u12, -l, u22).
+
+    Pivoting on |a|, l = a21 * (1/a11) (unscaled at a zero pivot) and
+    u22 = a22 - (l*a12 + 0), a GEMM update from +0; -u12 and -l come split.
+    """
+    swap = abs(a21) > abs(a11)
+    if swap:
+        a11, a12, a21, a22 = a21, a22, a11, a12
+    l = a21 * (1.0 / a11) if a11 else a21
+    u22 = a22 - (l * a12 + 0.0)
+    if not (a11 and u22):  # numpy scalars divide by zero into inf or NaN, as dgetrs does
+        _singular(2 if a11 else 1)
+        a11, u22 = np.float64(a11), np.float64(u22)
+    return swap, a11, _split(-a12), _split(-l), u22
+
+
+def _getrs(lu: tuple, b1: float, b2: float) -> tuple[float, float]:
+    """LAPACK ``dgetrs`` with the factors of :func:`_getrf`."""
+    swap, u11, nu12, nl, u22 = lu
+    if not (math.isfinite(b1) and math.isfinite(b2)):
         raise ValueError("array must not contain infs or NaNs")
-    lu, piv, info = _GETRF[a.dtype.char](a, overwrite_a=True)
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrf (lu_factor)")
-    if info > 0:
-        warnings.warn(f"Diagonal number {info} is exactly zero. Singular matrix.",
-                      LinAlgWarning, stacklevel=2)
-    return lu, piv
+    if swap:
+        b1, b2 = b2, b1
+    x2 = _fmak(nl, b1, b2) / u22
+    return _fmak(nu12, x2, b1) / u11, x2
 
 
-def _lu_solve(lu_piv: tuple[np.ndarray, np.ndarray], b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.lu_solve(lu_piv, b, overwrite_b=True)`` without its wrapping."""
-    lu, piv = lu_piv
-    if not _finite(b):
+def _recip(zr: float, zi: float) -> tuple[float, float]:
+    """1/z as OpenBLAS's complex LU kernels take it (Smith's ratio form); NaN at 0."""
+    if not (zr or zi):
+        return math.nan, math.nan
+    if abs(zr) >= abs(zi):
+        ratio = zi / zr
+        den = 1.0 / (zr * (1.0 + ratio * ratio))
+        return den, -ratio * den
+    ratio = zr / zi
+    den = 1.0 / (zi * (1.0 + ratio * ratio))
+    return ratio * den, -den
+
+
+def _zgetrf(a11: tuple, a12: tuple, a21: tuple, a22: tuple) -> tuple:
+    """LAPACK ``zgetrf`` of a 2x2 of (re, im) pairs, as :func:`_zgetrs` takes it.
+
+    Pivoting on |re| + |im|; l = a21/a11 as OpenBLAS's ``zscal`` scales (by
+    one part alone when the other is zero); u22 = a22 - a12*l as below.
+    It keeps the pivots' reciprocals and the parts of u12 and l, split.
+    """
+    if abs(a21[0]) + abs(a21[1]) > abs(a11[0]) + abs(a11[1]):
+        swap, a11, a12, a21, a22 = True, a21, a22, a11, a12
+    else:
+        swap = False
+    (ar, ai), (xr, xi) = a21, a12
+    r11 = rr, ri = _recip(*a11)
+    if a11[0] or a11[1]:  # else l stays a21
+        ar, ai = ((rr * ar, rr * ai) if not ri else (-ri * ai, ri * ar) if not rr
+                  else (rr * ar - ri * ai, rr * ai + ri * ar))
+    kl = _split(ar)
+    # zgemv's y += alpha*(l*u12 + 0) with alpha = -1 + 0i, contracted
+    pr, pi = 0.0 + _fmak(kl, xr, -(ai * xi)), 0.0 + _fmak(kl, xi, ai * xr)
+    u22 = a22[0] + (-pr + -(0.0 * pi)), a22[1] + (-pi + 0.0 * pr)
+    if not ((a11[0] or a11[1]) and (u22[0] or u22[1])):
+        _singular(2 if a11[0] or a11[1] else 1)
+    return swap, r11, _split(xr), _split(xi), kl, _split(ai), _recip(*u22)
+
+
+def _zgetrs(lu: tuple, b1r: float, b1i: float, b2r: float, b2i: float) -> tuple:
+    """LAPACK ``zgetrs`` with the factors of :func:`_zgetrf`: ((x1r, x1i), (x2r, x2i)).
+
+    Each update is zaxpy's y += (-x_j) * a, contracted; the products with
+    1/u22 and 1/u11 are plain.
+    """
+    swap, (r11r, r11i), ur, ui, lr, li, (r22r, r22i) = lu
+    if not (math.isfinite(b1r + b1i + b2r + b2i)
+            or all(map(math.isfinite, (b1r, b1i, b2r, b2i)))):
         raise ValueError("array must not contain infs or NaNs")
-    x, info = _GETRS[lu.dtype.char](lu, piv, b, trans=0, overwrite_b=True)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal getrs")
-    return x
+    if swap:
+        b1r, b1i, b2r, b2i = b2r, b2i, b1r, b1i
+    yr = b2r + _fmak(lr, -b1r, -(-b1i * li[0]))
+    yi = b2i + _fmak(li, -b1r, -b1i * lr[0])
+    x2r, x2i = yr * r22r - yi * r22i, yr * r22i + yi * r22r
+    yr = b1r + _fmak(ur, -x2r, -(-x2i * ui[0]))
+    yi = b1i + _fmak(ui, -x2r, -x2i * ur[0])
+    return (yr * r11r - yi * r11i, yr * r11i + yi * r11r), (x2r, x2i)
 
 
-def _select_initial_step(fun, t0, y0: np.ndarray, t_bound, f0: np.ndarray,
+def _select_initial_step(fun, t0: float, y0: tuple, t_bound: float, f0: tuple,
                          rtol: float, atol: float) -> float:
     """scipy's ``select_initial_step`` for Radau (error order 3), forward in time
     and without a step bound (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.4)."""
     interval_length = abs(t_bound - t0)
-    scale = atol + np.abs(y0) * rtol
-    d0 = _rms(y0 / scale)
-    d1 = _rms(f0 / scale)
+    s0, s1 = atol + abs(y0[0]) * rtol, atol + abs(y0[1]) * rtol
+    d0 = _norm(y0[0] / s0, y0[1] / s1)
+    d1 = _norm(f0[0] / s0, f0[1] / s1)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    y1 = y0 + h0 * f0
-    f1 = fun(t0 + h0, y1)
-    d2 = _rms((f1 - f0) / scale) / h0
+    f1 = fun(t0 + h0, (y0[0] + h0 * f0[0], y0[1] + h0 * f0[1]))
+    d2 = _norm((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1) / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -383,155 +514,145 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
+#: the tableau's factors in numpy's dots, as _kdots takes them
+_TI_ROWS = tuple(map(_krow, TI))
+_T_ROWS = tuple(map(_krow, T[:2]))
+_E_ROW = (_krow(E),)
+_P_COLS = tuple(map(_krow, zip(*P)))
+
+
 class _RadauDense:
     """One step's collocation polynomial: scipy's ``RadauDenseOutput``.
 
-    x, x*x, (x*x)*x are the powers that scipy's ``cumprod`` takes; scalar t
-    gives (n,), 1-D t gives (n, len(t)).
+    y(t) = y_old + Q (x, x*x, (x*x)*x) with x = (t - t_old)/h and ``Q`` by
+    rows, summed as numpy sums it: one time is a matrix-vector product,
+    fma(q2, x^3, fma(q0, x, fma(q1, x^2, 0))) + 0; several are a matrix
+    product, an FMA chain from +0.  A scalar t gives (2,), a 1-D t gives (2, len(t)).
     """
 
-    def __init__(self, t_old, t, y_old: np.ndarray, Q: np.ndarray):
-        self.t_old = t_old
-        self.h = t - t_old
-        self.Q = Q
-        self.y_old = y_old
+    def __init__(self, t_old: float, t: float, y_old: tuple, Q: tuple):
+        self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
+        self._rows = tuple(map(_krow, Q))
+
+    def at(self, t: float) -> tuple:
+        x = (t - self.t_old) / self.h
+        xx = x * x
+        return tuple((_fma(q2, xx * x, _fma(q0, x, _fma(q1, xx, 0.0))) + 0.0) + y
+                     for (q0, q1, q2), y in zip(self.Q, self.y_old))
+
+    def chain(self, t: float) -> tuple:
+        """The value at t as one of several times."""
+        x = (t - self.t_old) / self.h
+        xx = x * x
+        (q0, q1), (y0, y1) = _kdots(self._rows, x, xx, xx * x), self.y_old
+        return q0 + y0, q1 + y1
 
     def __call__(self, t) -> np.ndarray:
-        x = (np.asarray(t) - self.t_old) / self.h
-        xx = x * x
-        y = np.dot(self.Q, np.array([x, xx, xx * x]))
-        y += self.y_old if y.ndim == 1 else self.y_old[:, None]
-        return y
+        t = np.asarray(t, dtype=float)
+        if t.size == 1:
+            y = np.array(self.at(t.item()))
+            return y if t.ndim == 0 else y[:, None]
+        return np.array([self.chain(x) for x in t.tolist()]).reshape(-1, 2).T
 
 
-class _Radau:
-    """Radau IIA of order 5 with scipy 1.17's step-size and Newton policy.
+class _PlanarRadau:
+    """Radau IIA of order 5 for a planar field, on Python floats.
 
-    It restates scipy's ``OdeSolver``/``Radau`` constructor, ``step``,
-    ``solve_collocation_system`` and dense output operation for operation,
-    forward in time and without a maximum step (``integrate`` asks for
-    neither).  scipy's ``Radau`` is the reference in the tests.  Only the
-    per-call wrapping differs: the Newton loop calls the field directly and
-    counts ``nfev`` itself, and factorizations and solves go to the LAPACK
-    helpers above.  The Jacobian is always a dense float array: the
-    field's ``jac`` or, without one, ``num_jac``'s differences.
-    It also counts what only the step sees: error-test rejections
+    It restates scipy 1.17's ``OdeSolver``/``Radau`` constructor, ``step``,
+    ``solve_collocation_system`` and dense output line for line, forward
+    in time and without a maximum step (``integrate`` asks for neither).
+    The state is a pair, the stages Z and W are three rows of two and the
+    Jacobian is its entries by rows.  The helpers above restate each numpy
+    or LAPACK operation on them with the bits that numpy and OpenBLAS
+    give, so the results are those of scipy's ``Radau``, which the tests
+    keep as the reference.  It also counts error-test rejections
     (``rejected``) and unconverged collocation solves (``newton_failures``).
-    ``_collocate`` and ``step`` keep scipy's layout, so they diff line by
-    line against it.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, field, t0, y0, t_bound, rtol, atol, jac):
-        y0 = np.asarray(y0, dtype=float)
-        if y0.ndim != 1 or y0.size == 0:
-            raise DomainError(f"the state must be a non-empty 1-D array, got shape {y0.shape}")
-        if not _finite(y0):
-            raise DomainError(f"the initial state must be finite, got {y0.tolist()!r}")
-        self._field = field
-        self.t = t0
-        self.y = y0
-        self.t_bound = t_bound
-        n = y0.size
+    def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float):
+        self._field, self._jac = field, field.jac
+        self.t, self.y, self.t_bound = t0, y0, t_bound
         self.status = "running"
-        self.nfev = self.njev = self.nlu = 0
-        self.rejected = self.newton_failures = 0
-
+        self.nfev = self.njev = self.nlu = self.rejected = self.newton_failures = 0
         self.rtol, self.atol = rtol, atol
         self.f = self.fun(t0, y0)
         self.h_abs = _select_initial_step(self.fun, t0, y0, t_bound, self.f, rtol, atol)
-        self.h_abs_old = None
-        self.error_norm_old = None
-
+        self.h_abs_old = self.error_norm_old = self.sol = None
         self.newton_tol = max(10 * _MACH_EPS / rtol, min(0.03, rtol ** 0.5))
-        self.sol = None
-
-        if jac is None:
-            # the difference Jacobian is the one use of scipy.integrate
-            from scipy.integrate._ivp.common import num_jac
-            self.jac_factor = None
-
-            def jac_wrapped(t, y, f):
-                self.njev += 1
-                J, self.jac_factor = num_jac(self._fun_vectorized, t, y, f,
-                                             self.atol, self.jac_factor, None)
-                return J
-            J = jac_wrapped(t0, y0, self.f)
-        else:
-            J = jac(t0, y0)
-            self.njev = 1
-            # a matrix object numpy cannot read as an array has shape () here
-            if np.asarray(J).shape != (n, n):
-                raise DomainError(f"field.jac must return a dense array of shape {(n, n)},"
-                                  f" got {type(J).__name__} of shape {np.shape(J)}")
-            J = np.asarray(J, dtype=float)
-
-            def jac_wrapped(t, y, _=None):
-                self.njev += 1
-                return np.asarray(jac(t, y), dtype=float)
-        self.jac, self.J = jac_wrapped, J
-        self.I = np.identity(n)
-
+        self.J = self.jac(t0, y0)
         self.current_jac = True
-        self.LU_real = None
-        self.LU_complex = None
+        self.LU_real = self.LU_complex = None
 
-    def fun(self, t, y) -> np.ndarray:
+    def fun(self, t: float, y: tuple) -> tuple:
         self.nfev += 1
-        return np.asarray(self._field(t, y), dtype=float)
+        f0, f1 = self._field(t, y)
+        return f0, f1
 
-    def _fun_vectorized(self, t, y: np.ndarray) -> np.ndarray:
-        """The field on each column of y, uncounted (``num_jac``'s differences)."""
-        f = np.empty_like(y)
-        for i, yi in enumerate(y.T):
-            f[:, i] = self._field(t, yi)
-        return f
+    def jac(self, t: float, y: tuple) -> tuple:
+        self.njev += 1
+        J = self._jac(t, y)
+        # a matrix object numpy cannot read as an array has shape () here
+        if np.asarray(J).shape != (2, 2):
+            raise DomainError(f"field.jac must return a dense array of shape (2, 2),"
+                              f" got {type(J).__name__} of shape {np.shape(J)}")
+        return tuple(np.asarray(J, dtype=float).ravel().tolist())
 
-    def _factor(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        self.nlu += 1
-        return _lu_factor(a)
-
-    def dense_output(self) -> _RadauDense:
-        """The interpolant of the last accepted step."""
-        return self.sol
+    def _factor(self, h: float, J: tuple) -> tuple:
+        """LU of MU_REAL/h I - J and MU_COMPLEX/h I - J, entries as numpy forms them."""
+        j00, j01, j10, j11 = J
+        m, mr, mi = MU_REAL / h, MU_COMPLEX.real / h, MU_COMPLEX.imag / h
+        real = (m - j00, m * 0.0 - j01, m * 0.0 - j10, m - j11)
+        cplx = (mr - j00, mi, mr * 0.0 - j01, 0.0, mr * 0.0 - j10, 0.0, mr - j11, mi)
+        if not all(map(math.isfinite, real + cplx)):
+            raise ValueError("array must not contain infs or NaNs")
+        self.nlu += 2
+        return _getrf(*real), _zgetrf(cplx[:2], cplx[2:4], cplx[4:6], cplx[6:])
 
     def _collocate(self, t, y, h, Z0, scale, LU_real, LU_complex):
         """scipy's ``solve_collocation_system(self.fun, ...)``."""
-        field, solve, tol = self._field, _lu_solve, self.newton_tol
-        n = y.shape[0]
+        field, tol = self._field, self.newton_tol
+        (y0, y1), (s0, s1) = y, scale
         M_real = MU_REAL / h
-        M_complex = MU_COMPLEX / h
+        kr, mi = _split(MU_COMPLEX.real / h), MU_COMPLEX.imag / h
+        ti0 = _TI_ROWS[:1]
+        _, (b0, b1, b2), (c0, c1, c2) = TI
+        t0, t1, t2 = t + h * C[0], t + h * C[1], t + h * C[2]
 
-        W = TI.dot(Z0)
-        Z = Z0
+        (z00, z01), (z10, z11), (z20, z21) = Z0
+        # W = TI.dot(Z0)
+        (w00, w10, w20), (w01, w11, w21) = (_kdots(_TI_ROWS, z00, z10, z20),
+                                            _kdots(_TI_ROWS, z01, z11, z21))
 
-        F = np.empty((3, n))
-        ch = h * C
-
-        dW_norm_old = None
-        dW = np.empty_like(W)
-        converged = False
-        rate = None
+        dW_norm_old = rate = None
+        converged = False  # scipy's loop from here on
         for k in range(NEWTON_MAXITER):
-            for i in range(3):
-                F[i] = field(t + ch[i], y + Z[i])
+            f00, f01 = field(t0, (y0 + z00, y1 + z01))
+            f10, f11 = field(t1, (y0 + z10, y1 + z11))
+            f20, f21 = field(t2, (y0 + z20, y1 + z21))
             self.nfev += 3
-
-            if not _finite(F):
+            # a sum of finite values may overflow, so a non-finite sum is checked
+            if not (math.isfinite(f00 + f01 + f10 + f11 + f20 + f21)
+                    or all(map(math.isfinite, (f00, f01, f10, f11, f20, f21)))):
                 break
 
-            f_real = F.T.dot(TI_REAL) - M_real * W[0]
-            f_complex = F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2])
+            # F.T.dot(TI_REAL) - M_real * W[0]; a matrix-vector dot ends adding +0
+            fr0 = (_kdots(ti0, f00, f10, f20)[0] + 0.0) - M_real * w00
+            fr1 = (_kdots(ti0, f01, f11, f21)[0] + 0.0) - M_real * w01
+            # F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2]): the complex
+            # dot is a plain sum from +0, the complex product is contracted
+            wr, wi = w10 + 0.0 * w20, 0.0 + w20
+            fcr0 = ((0.0 + f00 * b0) + f10 * b1) + f20 * b2 - _fmak(kr, wr, -(wi * mi))
+            fci0 = ((0.0 + f00 * c0) + f10 * c1) + f20 * c2 - _fmak(kr, wi, wr * mi)
+            wr, wi = w11 + 0.0 * w21, 0.0 + w21
+            fcr1 = ((0.0 + f01 * b0) + f11 * b1) + f21 * b2 - _fmak(kr, wr, -(wi * mi))
+            fci1 = ((0.0 + f01 * c0) + f11 * c1) + f21 * c2 - _fmak(kr, wi, wr * mi)
 
-            dW_real = solve(LU_real, f_real)
-            dW_complex = solve(LU_complex, f_complex)
+            dr0, dr1 = _getrs(LU_real, fr0, fr1)
+            (dcr0, dci0), (dcr1, dci1) = _zgetrs(LU_complex, fcr0, fci0, fcr1, fci1)
 
-            dW[0] = dW_real
-            dW[1] = dW_complex.real
-            dW[2] = dW_complex.imag
-
-            dW_norm = _rms(dW / scale)
+            dW_norm = _norm(dr0 / s0, dr1 / s1, dcr0 / s0, dcr1 / s1, dci0 / s0, dci1 / s1)
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
 
@@ -539,8 +660,11 @@ class _Radau:
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
                 break
 
-            W += dW
-            Z = T.dot(W)
+            w00, w01, w10, w11 = w00 + dr0, w01 + dr1, w10 + dcr0, w11 + dcr1
+            w20, w21 = w20 + dci0, w21 + dci1
+            # Z = T.dot(W); T's last row is (1, 1, 0)
+            (z00, z10), (z01, z11) = _kdots(_T_ROWS, w00, w10, w20), _kdots(_T_ROWS, w01, w11, w21)
+            z20, z21 = (w00 + 0.0) + w10 + 0.0 * w20, (w01 + 0.0) + w11 + 0.0 * w21
 
             if (dW_norm == 0 or
                     rate is not None and rate / (1 - rate) * dW_norm < tol):
@@ -549,63 +673,44 @@ class _Radau:
 
             dW_norm_old = dW_norm
 
-        return converged, k + 1, Z, rate
+        return converged, k + 1, ((z00, z01), (z10, z11), (z20, z21)), rate
 
     def step(self):
         """One accepted step (``OdeSolver.step`` around ``Radau._step_impl``);
         returns scipy's failure message, or None."""
-        t = self.t
-        y = self.y
-        f = self.f
-
-        atol = self.atol
-        rtol = self.rtol
+        t, y, (f0, f1) = self.t, self.y, self.f
+        y0, y1 = y
+        atol, rtol = self.atol, self.rtol
 
         min_step = 10 * abs(math.nextafter(t, math.inf) - t)
         if self.h_abs < min_step:
-            h_abs = min_step
-            h_abs_old = None
-            error_norm_old = None
+            h_abs, h_abs_old, error_norm_old = min_step, None, None
         else:
-            h_abs = self.h_abs
-            h_abs_old = self.h_abs_old
-            error_norm_old = self.error_norm_old
+            h_abs, h_abs_old, error_norm_old = self.h_abs, self.h_abs_old, self.error_norm_old
 
-        J = self.J
-        LU_real = self.LU_real
-        LU_complex = self.LU_complex
-
+        J, LU_real, LU_complex = self.J, self.LU_real, self.LU_complex
         current_jac = self.current_jac
-        jac = self.jac
 
-        rejected = False
-        step_accepted = False
+        rejected = step_accepted = False
         while not step_accepted:
             if h_abs < min_step:
                 self.status = "failed"
                 return self.TOO_SMALL_STEP
 
-            h = h_abs
-            t_new = t + h
-
-            if t_new > self.t_bound:
-                t_new = self.t_bound
-
+            t_new = min(t + h_abs, self.t_bound)
             h = t_new - t
             h_abs = abs(h)
 
             if self.sol is None:
-                Z0 = np.zeros((3, y.shape[0]))
-            else:
-                Z0 = self.sol(t + h * C).T - y
-
-            scale = atol + np.abs(y) * rtol
+                Z0 = ((0.0, 0.0),) * 3
+            else:  # self.sol(t + h * C).T - y
+                Z0 = [(a - y0, b - y1) for a, b in (self.sol.chain(t + h * c) for c in C)]
+            scale = (atol + abs(y0) * rtol, atol + abs(y1) * rtol)
 
             converged = False
             while not converged:
                 if LU_real is None or LU_complex is None:
-                    LU_real = self._factor(MU_REAL / h * self.I - J)
-                    LU_complex = self._factor(MU_COMPLEX / h * self.I - J)
+                    LU_real, LU_complex = self._factor(h, J)
 
                 converged, n_iter, Z, rate = self._collocate(
                     t, y, h, Z0, scale, LU_real, LU_complex)
@@ -614,37 +719,35 @@ class _Radau:
                     self.newton_failures += 1
                     if current_jac:
                         break
-
-                    J = self.jac(t, y, f)
+                    J = self.jac(t, y)
                     current_jac = True
-                    LU_real = None
-                    LU_complex = None
+                    LU_real = LU_complex = None
 
             if not converged:
                 h_abs *= 0.5
-                LU_real = None
-                LU_complex = None
+                LU_real = LU_complex = None
                 continue
 
-            y_new = y + Z[-1]
-            ZE = Z.T.dot(E) / h
-            error = _lu_solve(LU_real, f + ZE)
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            error_norm = _rms(error / scale)
-            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER
-                                                       + n_iter)
+            (z00, z01), (z10, z11), (z20, z21) = Z
+            y_new = (y0 + z20, y1 + z21)
+            # ZE = Z.T.dot(E) / h
+            ze0 = (_kdots(_E_ROW, z00, z10, z20)[0] + 0.0) / h
+            ze1 = (_kdots(_E_ROW, z01, z11, z21)[0] + 0.0) / h
+            e0, e1 = _getrs(LU_real, f0 + ze0, f1 + ze1)
+            s0 = atol + max(abs(y0), abs(y_new[0])) * rtol
+            s1 = atol + max(abs(y1), abs(y_new[1])) * rtol
+            error_norm = _norm(e0 / s0, e1 / s1)
+            safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
             if rejected and error_norm > 1:
-                error = _lu_solve(LU_real, self.fun(t, y + error) + ZE)
-                error_norm = _rms(error / scale)
+                g0, g1 = self.fun(t, (y0 + e0, y1 + e1))
+                e0, e1 = _getrs(LU_real, g0 + ze0, g1 + ze1)
+                error_norm = _norm(e0 / s0, e1 / s1)
 
             if error_norm > 1:
-                factor = _predict_factor(h_abs, h_abs_old,
-                                         error_norm, error_norm_old)
+                factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
                 h_abs *= max(MIN_FACTOR, safety * factor)
-
-                LU_real = None
-                LU_complex = None
+                LU_real = LU_complex = None
                 rejected = True
                 self.rejected += 1
             else:
@@ -652,37 +755,26 @@ class _Radau:
 
         recompute_jac = n_iter > 2 and rate > 1e-3
 
-        factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
-        factor = min(MAX_FACTOR, safety * factor)
-
+        factor = min(MAX_FACTOR, safety * _predict_factor(h_abs, h_abs_old, error_norm,
+                                                          error_norm_old))
         if not recompute_jac and factor < 1.2:
             factor = 1
         else:
-            LU_real = None
-            LU_complex = None
+            LU_real = LU_complex = None
 
         f_new = self.fun(t_new, y_new)
         if recompute_jac:
-            J = jac(t_new, y_new, f_new)
-            current_jac = True
-        else:
-            current_jac = False
+            J = self.jac(t_new, y_new)
 
-        self.h_abs_old = self.h_abs
-        self.error_norm_old = error_norm
-
+        self.h_abs_old, self.error_norm_old = self.h_abs, error_norm
         self.h_abs = h_abs * factor
+        self.t, self.y, self.f = t_new, y_new, f_new
+        self.LU_real, self.LU_complex, self.J = LU_real, LU_complex, J
+        self.current_jac = recompute_jac
 
-        self.t = t_new
-        self.y = y_new
-        self.f = f_new
-
-        self.LU_real = LU_real
-        self.LU_complex = LU_complex
-        self.current_jac = current_jac
-        self.J = J
-
-        self.sol = _RadauDense(t, t_new, y, np.dot(Z.T, P))
+        # Q = Z.T.dot(P)
+        self.sol = _RadauDense(t, t_new, y, (_kdots(_P_COLS, z00, z10, z20),
+                                             _kdots(_P_COLS, z01, z11, z21)))
         if t_new >= self.t_bound:
             self.status = "finished"
         return None
@@ -690,25 +782,32 @@ class _Radau:
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
               events: Sequence[EventSpec] = (), keep_dense: bool = True) -> Trajectory:
-    """Integrate ``field`` over ``t_span`` and return the full Trajectory.
+    """Integrate the planar ``field`` from ``x0`` over ``t_span``; return the Trajectory.
 
-    Local error per step is bounded by atol + rtol*|state| (Radau IIA,
-    order 5).  Events are detected on accepted steps and polished on the
-    step's dense output to |dt| <= 1e-12 * t_scale; terminal events
-    truncate the trajectory at the hit.  ``keep_dense=False`` drops the
-    per-step interpolants after event processing to bound memory on very
-    long runs (the returned trajectory then answers only at its samples).
+    The field maps (t, (y0, y1)) to its two components and needs an
+    analytic Jacobian ``field.jac(t, y)``, a 2 x 2 array.  Local error per
+    step is bounded by atol + rtol*|state| (Radau IIA, order 5).  Events
+    are detected on accepted steps and polished on the step's dense
+    output to |dt| <= 1e-12 * t_scale; terminal events truncate the
+    trajectory at the hit.  ``keep_dense=False`` drops the per-step
+    interpolants after event processing to bound memory on very long runs
+    (the returned trajectory then answers only at its samples).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise DomainError(f"t_span must be finite with t1 > t0, got {(t0, t1)!r}")
     y0 = np.array(tuple(x0), dtype=float)
+    if y0.shape != (2,):
+        raise DomainError(f"the state must be planar, 2 values, got shape {y0.shape}")
+    if not np.isfinite(y0).all():
+        raise DomainError(f"the initial state must be finite, got {y0.tolist()!r}")
+    if not callable(getattr(field, "jac", None)):
+        raise DomainError("the field needs an analytic Jacobian, field.jac(t, y)")
     events = list(events)
     t_scale = max(1.0, abs(t0), abs(t1))
 
-    solver = _Radau(field, t0, y0, t1, rtol=cfg.rtol, atol=cfg.atol,
-                    jac=getattr(field, "jac", None))
+    solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol)
 
     ts = [t0]
     ys = [y0.copy()]
@@ -726,14 +825,14 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
             raise
         except ValueError as exc:
             # a non-finite Jacobian or stage (e.g. a field that is NaN past
-            # its domain) fails the finite check of _lu_factor/_lu_solve
+            # its domain) fails the finite check of the LU factor or solve
             raise DomainError(f"step failed at t = {solver.t}: {exc}") from exc
         n_steps += 1
         if solver.status == "failed":
             raise StiffnessError(f"step size underflow at t = {solver.t}: {message}")
-        dense = solver.dense_output()
+        dense = solver.sol
         t_new = float(solver.t)
-        y_new = solver.y.copy()
+        y_new = np.array(solver.y, dtype=float)
 
         terminal_t: float | None = None
         if events:

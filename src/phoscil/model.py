@@ -430,16 +430,23 @@ def from_log(x, phys: PhysicalParams) -> State:
 # The public evaluators above keep their strict domain contracts.
 
 
-def _rhs_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float]:
-    den = dp.beta * dp.eps1 + h + dp.beta * h * h / dp.eps1
+def _rhs_constants(dp: DimlessParams) -> tuple[float, ...]:
+    """The parameter products of :func:`_rhs_scalar`, in its order of evaluation."""
+    return (dp.beta * dp.eps1, dp.beta, dp.eps1, dp.alpha * dp.K / dp.eps2, dp.K / dp.eps2,
+            dp.K_h, dp.K_s)
+
+
+def _rhs_scalar(s: float, h: float, c: tuple[float, ...]) -> tuple[float, float]:
+    be, beta, eps1, v_hh, w_r, K_h, K_s = c
+    den = be + h + beta * h * h / eps1
     if den <= 0.0:
         raise DomainError(f"field evaluated beyond its rational pole, h = {h!r}")
     r = h / den
-    v = dp.alpha * dp.K / dp.eps2 * h * h - dp.K_h * (1.0 - h)
-    w = dp.K / dp.eps2 * (h * h * h / den) * s
+    inflow = K_h * (1.0 - h)
+    w = w_r * (h * h * h / den) * s
     if w < 0.0:
         w = 0.0
-    return (dp.K_s - r * s, dp.K_h * (1.0 - h) - _monic_root(v, w))
+    return K_s - r * s, inflow - _monic_root(v_hh * h * h - inflow, w)
 
 
 def _jac_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float, float, float]:
@@ -481,27 +488,45 @@ class _ScaledField:
         self._cs = cs
         self._ch = ch
         self._dp = dp
+        self._c = _rhs_constants(dp)
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        f, g = _rhs_scalar(float(y[0]) / self._cs, self._ch * float(y[1]), self._dp)
-        return np.array([self._eps * f, g])
+    def __call__(self, t: float, y) -> tuple[float, float]:
+        f, g = _rhs_scalar(float(y[0]) / self._cs, self._ch * float(y[1]), self._c)
+        return self._eps * f, g
 
-    def jac(self, t: float, y: np.ndarray) -> np.ndarray:
+    def jac(self, t: float, y) -> np.ndarray:
         e, cs, ch = self._eps, self._cs, self._ch
         f_s, f_h, g_s, g_h = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._dp)
         return np.array([[e / cs * f_s, e * ch * f_h], [g_s / cs, ch * g_h]])
 
 
 class _ReferenceField:
-    """Reference kinetics in (s, h); it has no ``jac``: the integrator differences it."""
+    """Reference kinetics in (s, h) with the Jacobian of :func:`rhs_reference`."""
 
     names = ("s", "h")
 
     def __init__(self, phys: PhysicalParams):
         self.phys = phys
 
-    def __call__(self, t: float, y: np.ndarray) -> np.ndarray:
-        return np.asarray(rhs_reference((y[0], y[1]), self.phys), dtype=float)
+    def __call__(self, t: float, y) -> tuple[float, float]:
+        return rhs_reference((y[0], y[1]), self.phys)
+
+    def jac(self, t: float, y) -> np.ndarray:
+        """d(ds/dt, dh/dt)/d(s, h); p's partials through :func:`_root_slopes`."""
+        ph, s, h = self.phys, float(y[0]), float(y[1])
+        rhs_reference((s, h), ph)  # its domain check
+        x = h * ph.H_ext
+        f_H = 1.0 / (1.0 + x / ph.k_E1 + ph.k_E2 / x)
+        k_cat = ph.v_max / (ph.k_M + s * ph.S_ext) * f_H
+        k_cat_s = -k_cat * ph.S_ext / (ph.k_M + s * ph.S_ext)
+        k_cat_h = -k_cat * f_H * ph.H_ext * (1.0 / ph.k_E1 - ph.k_E2 / (x * x))
+        g = 2.0 * ph.k_prime * ph.S_ext / ph.k  # c = g k_cat s
+        b = 1.0 + ph.k_prime * ph.H_ext * h + (1.0 - 1.0 / h) * ph.k_H / ph.k
+        p = _monic_root(b, g * k_cat * s)
+        p_s, p_h = _root_slopes(p, 2.0 * p + b, g * (k_cat + s * k_cat_s), g * s * k_cat_h,
+                                ph.k_prime * ph.H_ext + ph.k_H / (ph.k * h * h))
+        return np.array([[-(k_cat + s * k_cat_s) - ph.k_S, -s * k_cat_h],
+                         [-ph.k * h * p_s, -ph.k * (p + h * p_h) - ph.k_H]])
 
 
 def make_field(dp: DimlessParams) -> _ScaledField:
@@ -520,5 +545,5 @@ def make_field_chart_B(es: EpsSplit, dp: DimlessParams) -> _ScaledField:
 
 
 def make_field_reference(phys: PhysicalParams) -> _ReferenceField:
-    """Reference kinetics field; the integrator differences it for a Jacobian."""
+    """Reference kinetics field with analytic Jacobian."""
     return _ReferenceField(phys)

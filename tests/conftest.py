@@ -36,10 +36,10 @@ def cycle_1e3(dp, es):
 
 @pytest.fixture(scope="session")
 def reference_period(phys):
-    """Period of the full reference kinetics in seconds (7.8 s to measure).
+    """Period of the full reference kinetics in seconds (5.4 s to measure).
 
     Measured as the spacing of the last two substrate maxima of a 2e4 s
-    run from (0.9, 0.5).  All 17 spacings lie within 5.3e-12 relative of
+    run from (0.9, 0.5).  All 17 spacings lie within 7.8e-12 relative of
     the last, so transients are long gone.  Times are single runs on a
     2-core VM.
     """

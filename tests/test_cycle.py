@@ -170,10 +170,14 @@ def test_cycle_solver_stats_frozen(cycle_1e3):
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 
-def test_merged_period_sums_the_stats_of_its_halves():
-    def rotation(t, y):
-        return np.array([-y[1], y[0]])
+def rotation(t, y):
+    return -y[1], y[0]
 
+
+rotation.jac = lambda t, y: np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+def test_merged_period_sums_the_stats_of_its_halves():
     first = integrate_until_event(rotation, (1.0, 0.0),
                                   EventSpec(func=lambda t, y: y[1], direction="falling"),
                                   t_max=10.0)
@@ -282,8 +286,7 @@ def test_cycle_report_json_dict(cycle_1e3):
 # --- winding number -----------------------------------------------------------------
 
 def circle_trajectory(turns, t_points=2000):
-    traj = integrate(lambda t, y: np.array([-y[1], y[0]]), (1.0, 0.0),
-                     (0.0, turns * 2.0 * math.pi))
+    traj = integrate(rotation, (1.0, 0.0), (0.0, turns * 2.0 * math.pi))
     return traj
 
 
@@ -309,7 +312,7 @@ def test_winding_rejects_degenerate_orbits():
 
 
 def test_segment_times_need_exactly_one_hit_per_section():
-    traj = integrate(lambda t, y: np.array([-y[1], y[0]]), (1.0, 0.0), (0.0, 1.0))
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 1.0))
     with pytest.raises(MalformedCycleError):
         segment_times(traj)
 
@@ -335,7 +338,7 @@ def test_compare_isolates_failed_rows(dp, es):
     assert math.isclose(row.T_acid, 11.575499301287192, rel_tol=1e-6)
 
 
-def test_compare_is_worker_invariant_and_deterministic(dp, es, tmp_path):
+def test_compare_is_deterministic(dp, es, tmp_path):
     es_list = [es.at_eps(1e-3), es.at_eps(2e-3)]
     one = compare(dp, es_list)
     two = compare(dp, es_list)

@@ -305,12 +305,12 @@ def test_scan_boundary_cells_bracket_the_hopf_curve(dp):
 def test_hopf_points_and_region_root_match_scipys_brentq(monkeypatch, dp):
     from scipy.optimize import brentq
 
-    own_scan = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30))
+    own_hopf = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30)).hopf  # refined on read
     own_region = invariant_region_check(dp)
     monkeypatch.setattr(gspt, "_brentq", lambda f, a, b, xtol, rtol=4 * np.finfo(float).eps:
                         (brentq(f, a, b, xtol=xtol, rtol=rtol), None))
     stock_scan = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30))
-    assert len(own_scan.hopf) > 10 and own_scan.hopf == stock_scan.hopf
+    assert len(own_hopf) > 10 and own_hopf == stock_scan.hopf
     assert own_region.h_nul == invariant_region_check(dp).h_nul
 
 
@@ -428,3 +428,31 @@ def test_scaling_preconditions(dp, es):
 def test_return_map_contracts_strongly(dp, es):
     ratio = return_map_contraction(dp, es)
     assert 0.0 <= ratio < 1e-6
+
+
+def test_scan_refines_the_hopf_curve_only_when_it_is_read(monkeypatch, dp, tmp_path):
+    calls = []
+    real = gspt._brentq
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gspt, "_brentq", counting)
+    sm = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (40, 30))
+    sm.to_csv(tmp_path / "scan.csv", provenance=["probe"])
+    assert calls == []
+    payload = sm.to_json_dict()
+    assert list(payload) == ["kh_over_ks", "inv_alpha", "trace", "det", "admissible",
+                             "oscillates", "boundary", "hopf"]
+    # the eager refinement it replaces: every column's sign changes, in grid order
+    eager = []
+    for i, x in enumerate(sm.kh_over_ks.tolist()):
+        for j in range(sm.inv_alpha.size - 1):
+            t0, t1 = sm.trace[i, j], sm.trace[i, j + 1]
+            if t0 * t1 < 0.0 and sm.admissible[i, j] and sm.admissible[i, j + 1]:
+                def trace_at(y, K_h=sm.kh_over_ks[i] * dp.K_s):
+                    return float(gspt._trace_det_grid(dp, K_h, 1.0 / y)[0])
+                eager.append([x, real(trace_at, sm.inv_alpha[j], sm.inv_alpha[j + 1], xtol=1e-6)[0]])
+    assert len(calls) == len(eager) > 10 and payload["hopf"] == eager
+    assert sm.to_json_dict()["hopf"] == eager and len(calls) == len(eager)  # refined once

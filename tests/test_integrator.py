@@ -1,7 +1,11 @@
-"""Solver correctness against closed-form problems, plus event machinery."""
+"""Solver correctness against closed-form problems, event machinery, and the
+scalar Radau step against scipy's Radau and the numpy/LAPACK operations it restates."""
+import ctypes
+import ctypes.util
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, strategies as st
 from scipy.integrate import OdeSolution
 from scipy.integrate._ivp.common import norm as scipy_norm, select_initial_step
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+from scipy.linalg.lapack import dgetrf, dgetrs, zgetrf, zgetrs
 from scipy.optimize import brentq
 from scipy.sparse import csc_matrix
 
@@ -31,12 +36,53 @@ from phoscil.model import make_field, make_field_chart_B, make_field_reference
 from phoscil.params import split_dimless
 
 
+def _with_jac(J):
+    """Decorator: give a field the constant Jacobian J (or J(t, y) if callable)."""
+    def attach(field):
+        field.jac = J if callable(J) else (lambda t, y: np.array(J, dtype=float))
+        return field
+    return attach
+
+
+@_with_jac([[-1.0, 0.0], [0.0, -2.0]])
 def decay(t, y):
-    return -y
+    return -y[0], -2.0 * y[1]
 
 
+@_with_jac([[0.0, -1.0], [1.0, 0.0]])
 def rotation(t, y):
-    return np.array([-y[1], y[0]])
+    return -y[1], y[0]
+
+
+def linear(A, b=(0.0, 0.0)):
+    """y' = A y + b with its Jacobian."""
+    @_with_jac(A)
+    def field(t, y):
+        return A[0][0] * y[0] + A[0][1] * y[1] + b[0], A[1][0] * y[0] + A[1][1] * y[1] + b[1]
+    return field
+
+
+def _same(a, b) -> bool:
+    """Equal shapes and bits, the sign of zero included; any NaN equals any NaN."""
+    a, b = (np.atleast_1d(np.asarray(v, dtype=complex)).view(float) if np.iscomplexobj(v)
+            else np.asarray(v, dtype=float) for v in (a, b))
+    return (a.shape == b.shape and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a) | np.isnan(a), np.signbit(b) | np.isnan(b)))
+
+
+def _rand(rng, *shape, zeros=0.1):
+    """Random floats over six decades, with a share of +0 and -0."""
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    mask = rng.random(shape) < zeros
+    x[mask] = rng.choice([0.0, -0.0], int(mask.sum()))
+    return x
+
+
+def _crand(rng, *shape, zeros=0.1):
+    """Complex :func:`_rand`, with signed zeros in either part."""
+    z = np.empty(shape, dtype=complex)
+    z.real, z.imag = _rand(rng, *shape, zeros=zeros), _rand(rng, *shape, zeros=zeros)
+    return z
 
 
 # --- config validation ---------------------------------------------------------
@@ -59,19 +105,21 @@ def test_config_rejects_bad_values(kwargs):
 # --- accuracy oracles -----------------------------------------------------------
 
 def test_exponential_decay_matches_closed_form():
-    traj = integrate(decay, (1.0,), (0.0, 5.0))
+    traj = integrate(decay, (1.0, 1.0), (0.0, 5.0))
     t = np.linspace(0.0, 5.0, 37)
-    np.testing.assert_allclose(traj(t)[:, 0], np.exp(-t), rtol=1e-8, atol=1e-12)
+    np.testing.assert_allclose(traj(t), np.exp(np.outer(t, [-1.0, -2.0])), rtol=1e-8, atol=1e-12)
     # endpoint sample as recorded, not just via dense output
     assert math.isclose(traj.states[-1, 0], math.exp(-5.0), rel_tol=1e-8)
+    assert math.isclose(traj.states[-1, 1], math.exp(-10.0), rel_tol=1e-8)
 
 
 @given(rate=st.floats(min_value=-2.0, max_value=0.5),
        t_end=st.floats(min_value=0.1, max_value=3.0))
 def test_linear_problem_family(rate, t_end):
-    traj = integrate(lambda t, y: rate * y, (1.0,), (0.0, t_end))
-    assert math.isclose(traj.states[-1, 0], math.exp(rate * t_end), rel_tol=1e-7,
-                        abs_tol=1e-12)
+    traj = integrate(linear([[rate, 0.0], [0.0, rate]]), (1.0, -2.0), (0.0, t_end))
+    expect = math.exp(rate * t_end)
+    assert math.isclose(traj.states[-1, 0], expect, rel_tol=1e-7, abs_tol=1e-12)
+    assert math.isclose(traj.states[-1, 1], -2.0 * expect, rel_tol=1e-7, abs_tol=1e-12)
 
 
 def test_rotation_preserves_radius():
@@ -134,7 +182,7 @@ def test_until_event_returns_first_hit():
 
 def test_until_event_no_hit_is_a_result_not_an_error():
     ev = EventSpec(func=lambda t, y: y[0], direction="rising")  # y0 stays positive
-    res = integrate_until_event(decay, (1.0,), ev, t_max=1.0)
+    res = integrate_until_event(decay, (1.0, 1.0), ev, t_max=1.0)
     assert not res.hit and res.t_hit is None and res.state_hit is None
     assert math.isclose(res.trajectory.t[-1], 1.0, rel_tol=1e-12)
 
@@ -142,7 +190,7 @@ def test_until_event_no_hit_is_a_result_not_an_error():
 def test_until_event_requires_finite_horizon():
     ev = EventSpec(func=lambda t, y: y[0], direction="rising")
     with pytest.raises(DomainError):
-        integrate_until_event(decay, (1.0,), ev, t_max=math.inf)
+        integrate_until_event(decay, (1.0, 1.0), ev, t_max=math.inf)
 
 
 def test_event_spec_rejects_unknown_direction():
@@ -153,7 +201,7 @@ def test_event_spec_rejects_unknown_direction():
 # --- trajectory container ----------------------------------------------------------
 
 def test_dense_output_is_bounded_by_span():
-    traj = integrate(decay, (1.0,), (0.0, 2.0))
+    traj = integrate(decay, (1.0, 1.0), (0.0, 2.0))
     with pytest.raises(DomainError):
         traj(-0.1)
     with pytest.raises(DomainError):
@@ -232,11 +280,11 @@ def test_stats_add_fieldwise():
 
 def test_t_span_must_increase():
     with pytest.raises(DomainError):
-        integrate(decay, (1.0,), (1.0, 1.0))
+        integrate(decay, (1.0, 1.0), (1.0, 1.0))
     with pytest.raises(DomainError):
-        integrate(decay, (1.0,), (2.0, 1.0))
+        integrate(decay, (1.0, 1.0), (2.0, 1.0))
     with pytest.raises(DomainError):
-        integrate(decay, (1.0,), (0.0, math.nan))
+        integrate(decay, (1.0, 1.0), (0.0, math.nan))
 
 
 def test_step_budget_is_enforced():
@@ -245,34 +293,46 @@ def test_step_budget_is_enforced():
                   IntegratorConfig(max_steps=5))
 
 
+@_with_jac(lambda t, y: np.array([[-0.5 / np.sqrt(y[0]), 0.0], [0.0, -1.0]]))
+def root_decay(t, y):
+    """y0' = -sqrt(y0) reaches 0 at t = 2 and is NaN below it."""
+    return -np.sqrt(y[0]), -y[1]
+
+
 def test_a_field_that_turns_nan_raises_a_domain_error():
-    # y' = -sqrt(y) reaches 0 at t = 2 and is NaN below it: the Jacobian
-    # turns non-finite and LAPACK's finite check fails inside the step
-    with np.errstate(invalid="ignore"), pytest.raises(DomainError, match="at t = ") as info:
-        integrate(lambda t, y: -np.sqrt(y), (1.0,), (0.0, 2.5))
+    # the Jacobian turns non-finite and the LU factor's finite check fails
+    with np.errstate(invalid="ignore", divide="ignore"), \
+            pytest.raises(DomainError, match="at t = ") as info:
+        integrate(root_decay, (1.0, 1.0), (0.0, 2.5))
     assert isinstance(info.value.__cause__, ValueError)
     assert not isinstance(info.value.__cause__, DomainError)
 
 
 def test_a_field_domain_error_passes_through_unwrapped():
+    @_with_jac(decay.jac)
     def guarded(t, y):
         if y[0] < 0.5:
             raise DomainError("guarded field left its domain")
-        return -y
+        return decay(t, y)
 
     with pytest.raises(DomainError, match="guarded field") as info:
-        integrate(guarded, (1.0,), (0.0, 2.0))
+        integrate(guarded, (1.0, 1.0), (0.0, 2.0))
     assert info.value.__cause__ is None
 
 
 @pytest.mark.parametrize("J", [np.eye(3), csc_matrix(np.eye(2))], ids=["3x3", "csc"])
 def test_a_jacobian_that_is_not_a_dense_n_by_n_array_is_a_domain_error(J):
+    @_with_jac(lambda t, y: J)
     def field(t, y):
         return rotation(t, y)
 
-    field.jac = lambda t, y: J
     with pytest.raises(DomainError, match=r"shape \(2, 2\)"):
         integrate(field, (1.0, 0.0), (0.0, 1.0))
+
+
+def test_a_field_without_a_jacobian_is_a_domain_error():
+    with pytest.raises(DomainError, match="analytic Jacobian"):
+        integrate(lambda t, y: (-y[0], -y[1]), (1.0, 0.0), (0.0, 1.0))
 
 
 # --- stiff model runs ----------------------------------------------------------------
@@ -287,13 +347,13 @@ def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
     assert traj.states[:, 1].max() > 0.5 and traj.states[:, 1].min() < 0.01
 
 
-# --- the owned Radau step against scipy's ---------------------------------------------
+# --- the scalar Radau step against scipy's ---------------------------------------------
 
 class _StockRadau(scipy_radau.Radau):
     """scipy's own Radau, built the way ``integrate`` builds its solver."""
 
-    def __init__(self, field, t0, y0, t_bound, rtol, atol, jac):
-        super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=jac)
+    def __init__(self, field, t0, y0, t_bound, rtol, atol):
+        super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=field.jac)
         self.rejected = self.newton_failures = 0
 
 
@@ -322,7 +382,7 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
         return wrapper
 
     with monkeypatch.context() as m:
-        m.setattr(integrator, "_Radau", _StockRadau)
+        m.setattr(integrator, "_PlanarRadau", _StockRadau)
         m.setattr(integrator, "_brentq", _scipy_brentq)
         m.setattr(scipy_radau, "lu_factor", counting("lu", lu_factor))
         m.setattr(scipy_radau, "predict_factor", counting("predict", scipy_radau.predict_factor))
@@ -371,138 +431,264 @@ def test_direct_lapack_is_bit_identical_on_a_chart_B_passage(monkeypatch, dp, es
     _assert_bit_identical(stock, direct)
 
 
-def test_direct_lapack_is_bit_identical_on_the_difference_jacobian_path(monkeypatch, phys):
+def test_owned_step_is_bit_identical_on_the_reference_field(monkeypatch, phys):
     field = make_field_reference(phys)
-    assert getattr(field, "jac", None) is None
     s_rate = EventSpec(func=lambda t, y: field(t, y)[0], direction="falling")
     stock, direct = _stock_and_direct(monkeypatch, field, (0.9, 0.5), (0.0, 2000.0),
                                       events=[s_rate])
-    assert len(direct.events) == 1 and direct.stats.njev > 0
+    assert len(direct.events) == 1 and direct.stats.njev > 1
     _assert_bit_identical(stock, direct)
 
 
-def test_owned_step_is_bit_identical_on_a_1d_field(monkeypatch):
+def test_owned_step_is_bit_identical_on_a_planar_decay(monkeypatch):
     half = EventSpec(func=lambda t, y: y[0] - 0.5, direction="falling")
-    stock, direct = _stock_and_direct(monkeypatch, decay, (1.0,), (0.0, 5.0), events=[half])
-    assert len(direct.events) == 1 and direct.states.shape[1] == 1
+    stock, direct = _stock_and_direct(monkeypatch, decay, (1.0, -3.0), (0.0, 5.0), events=[half])
+    assert len(direct.events) == 1
     _assert_bit_identical(stock, direct)
 
 
 def test_owned_step_is_bit_identical_on_a_zero_field(monkeypatch):
     # every error estimate is exactly 0, so each step grows by MAX_FACTOR
-    stock, direct = _stock_and_direct(monkeypatch, lambda t, y: np.zeros_like(y),
+    stock, direct = _stock_and_direct(monkeypatch, linear([[0.0, 0.0], [0.0, 0.0]]),
                                       (1.0, 2.0), (0.0, 10.0))
     assert np.array_equal(direct.states, np.tile([1.0, 2.0], (len(direct.t), 1)))
     _assert_bit_identical(stock, direct)
 
 
 def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
-    # y' = -sqrt(y) reaches 0 at t = 2; Newton iterates below 0 give NaN
-    def root_decay(t, y):
-        return np.where(y > 0.0, -np.sqrt(np.abs(y)), np.nan)
+    nans = []
 
-    checks = []
-    finite = integrator._finite
+    # y0' = -sqrt(y0) reaches 0 at t = 2; Newton iterates below 0 give NaN
+    @_with_jac(lambda t, y: np.array([[-0.5 / np.sqrt(y[0]), 0.0], [0.0, 0.0]]))
+    def recording(t, y):
+        nans.append(not y[0] > 0.0)
+        return (-math.sqrt(y[0]) if y[0] > 0.0 else math.nan), 0.0
 
-    def recording_finite(x):
-        checks.append(finite(x))
-        return checks[-1]
-
-    monkeypatch.setattr(integrator, "_finite", recording_finite)
-    stock, direct = _stock_and_direct(monkeypatch, root_decay, (1.0,), (0.0, 1.99999))
-    assert not all(checks) and direct.stats.newton_failures > 0
+    with np.errstate(invalid="ignore"):
+        stock, direct = _stock_and_direct(monkeypatch, recording, (1.0, 1.0), (0.0, 1.99999))
+    assert any(nans) and direct.stats.newton_failures > 0
     _assert_bit_identical(stock, direct)
+
+
+# --- each restated operation against numpy and LAPACK -------------------------------
+
+def _libm_fma():
+    name = ctypes.util.find_library("m")
+    if name is None:
+        pytest.skip("no C math library to compare with")
+    fma = ctypes.CDLL(name).fma
+    fma.argtypes = (ctypes.c_double,) * 3
+    fma.restype = ctypes.c_double
+    return fma
+
+
+def test_fma_matches_the_c_library_fma():
+    """Random operands, then the range guard's edges: products near 1e-150 and
+    1e150 and beyond, splits above 1e300, subnormal results, signed zeros,
+    inf and NaN."""
+    fma = _libm_fma()
+    rng = np.random.default_rng(31)
+    cases = [tuple(v) for v in _rand(rng, 20000, 3).tolist()]
+    scales = 10.0 ** rng.uniform(-160, 160, (4000, 2))
+    cases += [(a * sa, b * sb, c) for (a, b, c), (sa, sb) in zip(_rand(rng, 4000, 3).tolist(),
+                                                                 scales.tolist())]
+    cases += [(a * 1e-160, b * 1e-160, c * 1e-320) for a, b, c in _rand(rng, 500, 3).tolist()]
+    cases += [(a * 1e305, b * 1e-10, c * 1e295) for a, b, c in _rand(rng, 500, 3).tolist()]
+    cases += [(a * 1e200, b * 1e108, -a * b * 1e308) for a, b in rng.uniform(1, 1.7, (500, 2)).tolist()]
+    special = [0.0, -0.0, 1.5, -2.5, 1e-310, math.inf, -math.inf, math.nan, 1.7e308]
+    cases += [(a, b, c) for a in special for b in special for c in special]
+    cases += [(0.1, 10.0, -1.0), (1.0 + 2.0 ** -30, 1.0 - 2.0 ** -30, -1.0)]
+    for a, b, c in cases:
+        assert _same(integrator._fma(a, b, c), fma(a, b, c)), (a, b, c)
+
+
+def test_dots_match_numpy_bit_for_bit():
+    """TI.dot(Z0), T.dot(W), F.T.dot(TI_REAL), Z.T.dot(E) and np.dot(Z.T, P)."""
+    rng = np.random.default_rng(37)
+    T, TI, E, P = (np.array(integrator.T), np.array(integrator.TI),
+                   np.array(integrator.E), np.array(integrator.P))
+    tiny = [5e-324, -5e-324, 1e-323, -1e-323, 0.0, -0.0]
+    for i in range(2600):
+        # then products that underflow, to zero too, and splits that overflow
+        X = _rand(rng, 3, 2) * (1.0 if i < 2000 else 1e-321 if i < 2200 else 1e303)
+        if i >= 2400:
+            X = rng.choice(tiny, (3, 2))
+        cols = [X[:, j].tolist() for j in range(2)]
+        W = [integrator._kdots(integrator._TI_ROWS, *c) for c in cols]
+        assert _same(np.array(W).T, TI.dot(X))
+        Z = [integrator._kdots(integrator._T_ROWS, *c) for c in cols]
+        assert _same(np.array(Z).T, T.dot(X)[:2])
+        # matrix-vector products end adding +0
+        assert _same([integrator._kdots(integrator._TI_ROWS[:1], *c)[0] + 0.0 for c in cols],
+                     X.T.dot(TI[0]))
+        assert _same([integrator._kdots(integrator._E_ROW, *c)[0] + 0.0 for c in cols],
+                     X.T.dot(E))
+        assert _same([integrator._kdots(integrator._P_COLS, *c) for c in cols], np.dot(X.T, P))
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_lu_helpers_match_scipy_bit_for_bit(dtype):
+    """dgetrf/dgetrs or zgetrf/zgetrs on random 2x2 systems with signed zeros,
+    and on exactly singular ones, where LAPACK divides on into inf and NaN."""
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        a = rng.standard_normal((2, 2)).astype(dtype)
-        b = rng.standard_normal(2).astype(dtype)
-        if dtype is complex:
-            a += 1j * rng.standard_normal((2, 2))
-            b += 1j * rng.standard_normal(2)
-        expect = lu_factor(a.copy(), overwrite_a=True)
-        got = integrator._lu_factor(a.copy())
-        assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
-        assert np.array_equal(integrator._lu_solve(got, b.copy()),
-                              lu_solve(expect, b.copy(), overwrite_b=True))
+    singular = [np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[0.0, 1.0], [0.0, 2.0]]),
+                np.array([[0.0, 0.0], [0.0, 3.0]]), np.zeros((2, 2))]
+    cases = [_rand(rng, 2, 2, zeros=0.2) for _ in range(5000)] + singular
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for a in cases:
+            b = _rand(rng, 2)
+            if dtype is float:
+                lu, piv, _ = dgetrf(a.copy())
+                swap, u11, nu12, nl, u22 = own = integrator._getrf(*a.ravel().tolist())
+                assert swap == (piv[0] == 1)
+                assert _same([[u11, -nu12[0]], [-nl[0], u22]], lu)
+                assert _same(integrator._getrs(own, *b.tolist()), dgetrs(lu, piv, b.copy())[0])
+                continue
+            c = _crand(rng, 2, 2, zeros=0.2)
+            if rng.random() < 0.1:  # real pivots, where zscal scales by one part
+                c.imag[:, 0] = 0.0
+            bc = _crand(rng, 2)
+            lu, piv, _ = zgetrf(c.copy())
+            own = integrator._zgetrf(*[(v.real, v.imag) for v in c.ravel().tolist()])
+            assert own[0] == (piv[0] == 1)
+            assert _same([complex(own[2][0], own[3][0]), complex(own[4][0], own[5][0])],
+                         [lu[0, 1], lu[1, 0]])
+            assert _same(complex(*own[6]), complex(*integrator._recip(lu[1, 1].real, lu[1, 1].imag)))
+            (x1r, x1i), (x2r, x2i) = integrator._zgetrs(
+                own, *[p for v in bc.tolist() for p in (v.real, v.imag)])
+            assert _same([complex(x1r, x1i), complex(x2r, x2i)], zgetrs(lu, piv, bc.copy())[0])
 
 
 def test_lu_helpers_reject_non_finite_input_like_scipy():
-    a = np.array([[1.0, np.nan], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        lu_factor(a.copy())
+        lu_factor(np.array([[1.0, np.nan], [0.0, 1.0]]))
+    solver = type("Stub", (), {"nlu": 0})()
     with pytest.raises(ValueError, match="infs or NaNs"):
-        integrator._lu_factor(a.copy())
-    lu_piv = lu_factor(np.eye(2))
-    b = np.array([np.inf, 0.0])
+        integrator._PlanarRadau._factor(solver, 0.1, (1.0, math.nan, 0.0, 1.0))
+    lu, lu_c = integrator._PlanarRadau._factor(solver, 0.1, (1.0, 0.0, 0.0, 1.0))
     with pytest.raises(ValueError):
-        lu_solve(lu_piv, b.copy())
+        lu_solve(lu_factor(np.eye(2)), np.array([np.inf, 0.0]))
     with pytest.raises(ValueError, match="infs or NaNs"):
-        integrator._lu_solve(lu_piv, b.copy())
+        integrator._getrs(lu, math.inf, 0.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        integrator._zgetrs(lu_c, 0.0, math.nan, 1.0, 1.0)
 
 
 def test_lu_factor_warns_on_an_exactly_singular_matrix_like_scipy():
     a = np.array([[1.0, 2.0], [2.0, 4.0]])
     with pytest.warns(LinAlgWarning, match="Diagonal number 2 is exactly zero"):
         expect = lu_factor(a.copy(), overwrite_a=True)
-    with pytest.warns(LinAlgWarning, match="Diagonal number 2 is exactly zero"):
-        got = integrator._lu_factor(a.copy())
-    assert np.array_equal(got[0], expect[0]) and np.array_equal(got[1], expect[1])
+    with pytest.warns(RuntimeWarning, match="Diagonal number 2 is exactly zero"):
+        swap, u11, nu12, nl, u22 = integrator._getrf(*a.ravel().tolist())
+    assert _same([[u11, -nu12[0]], [-nl[0], u22]], expect[0])
+    with pytest.warns(RuntimeWarning, match="Diagonal number 1 is exactly zero"):
+        integrator._zgetrf((0.0, 0.0), (1.0, 0.0), (0.0, 0.0), (2.0, 1.0))
 
 
-def _random_interpolants(rng, n):
-    """The same random step as scipy's and as phoscil's interpolant."""
-    t_old, t = sorted(rng.uniform(-10.0, 10.0, 2))
-    y_old, Q = rng.standard_normal(n), rng.standard_normal((n, 3))
-    return (scipy_radau.RadauDenseOutput(t_old, t, y_old, Q),
-            integrator._RadauDense(t_old, t, y_old.copy(), Q.copy()))
+def test_iteration_matrices_match_numpy():
+    """MU_REAL/h I - J and MU_COMPLEX/h I - J as numpy forms them, through their
+    LU solves, against scipy's lu_factor/lu_solve."""
+    rng = np.random.default_rng(41)
+    solver = type("Stub", (), {"nlu": 0})()
+    for _ in range(2000):
+        J, h = _rand(rng, 2, 2, zeros=0.2), 10.0 ** rng.uniform(-8, 2)
+        b = _crand(rng, 2)
+        lu, lu_c = integrator._PlanarRadau._factor(solver, h, tuple(J.ravel().tolist()))
+        expect = lu_solve(lu_factor(integrator.MU_REAL / h * np.identity(2) - J), b.real)
+        assert _same(integrator._getrs(lu, *b.real.tolist()), expect)
+        expect = lu_solve(lu_factor(integrator.MU_COMPLEX / h * np.identity(2) - J), b)
+        (x1r, x1i), (x2r, x2i) = integrator._zgetrs(lu_c, b[0].real, b[0].imag,
+                                                    b[1].real, b[1].imag)
+        assert _same([complex(x1r, x1i), complex(x2r, x2i)], expect)
+
+
+def test_collocation_matches_scipys_solve_collocation_system():
+    """The Newton iteration (F.T.dot(TI_REAL), the complex dot and product,
+    both solves, the norm and T.dot(W)) on random affine fields and stages,
+    zero stages included, against scipy's ``solve_collocation_system``."""
+    rng = np.random.default_rng(43)
+    for i in range(900):
+        # the last third has subnormal field values
+        tiny = 1e-320 if i >= 600 else 1.0
+        A, bias = (_rand(rng, 2, 2) * tiny).tolist(), (_rand(rng, 2) * tiny).tolist()
+        field = linear(A, bias)
+        y, h = _rand(rng, 2, zeros=0.0), 10.0 ** rng.uniform(-6, 0)
+        Z0 = np.zeros((3, 2)) if i % 5 == 0 else _rand(rng, 3, 2) * 1e-3
+        scale = 1e-12 + np.abs(y) * 1e-10 * rng.uniform(1, 1e6)
+        J = np.array(A)
+        lu_r = lu_factor(integrator.MU_REAL / h * np.identity(2) - J)
+        lu_c = lu_factor(integrator.MU_COMPLEX / h * np.identity(2) - J)
+        solver = type("Stub", (), {"nlu": 0, "nfev": 0})()
+        solver._field, solver.newton_tol = field, 10.0 ** rng.uniform(-5, -1)
+        stock = scipy_radau.solve_collocation_system(
+            lambda t, y: np.asarray(field(t, y)), 0.5, y, h, Z0, scale, solver.newton_tol,
+            lu_r, lu_c, lu_solve)
+        own_lu = integrator._PlanarRadau._factor(solver, h, tuple(J.ravel().tolist()))
+        own = integrator._PlanarRadau._collocate(
+            solver, 0.5, tuple(y.tolist()), h, tuple(map(tuple, Z0.tolist())),
+            tuple(scale.tolist()), *own_lu)
+        assert own[:2] == stock[:2] and own[3] == stock[3]
+        assert _same(own[2], stock[2])
 
 
 def test_predictor_matches_the_interpolant_bit_for_bit():
     rng = np.random.default_rng(5)
-    for n in (1, 2, 3):
-        for _ in range(200):
-            stock, own = _random_interpolants(rng, n)
-            h = rng.uniform(0.1, 2.0) * (stock.t - stock.t_old)
-            y = rng.standard_normal(n)
-            assert np.array_equal(own(stock.t + h * integrator.C).T - y,
-                                  stock(stock.t + h * scipy_radau.C).T - y)
+    for i in range(1500):
+        stock, own = _random_interpolants(rng, tiny=i >= 1000)
+        h = rng.uniform(0.1, 2.0) * (stock.t - stock.t_old)
+        y = _rand(rng, 2)
+        times = stock.t + h * np.array(integrator.C)
+        expect = stock(times).T - y
+        assert _same([np.subtract(own.chain(t), y) for t in times.tolist()], expect)
+
+
+def _random_interpolants(rng, tiny=False):
+    """The same random step as scipy's and as phoscil's interpolant."""
+    t_old, t = sorted(rng.uniform(-10.0, 10.0, 2))
+    y_old, Q = _rand(rng, 2), _rand(rng, 2, 3)
+    if tiny:  # coefficients whose products underflow, to zero too
+        y_old, Q = y_old * 0.0, rng.choice([5e-324, -5e-324, 1e-323, -1e-323, 0.0, -0.0], (2, 3))
+    return (scipy_radau.RadauDenseOutput(t_old, t, y_old, Q),
+            integrator._RadauDense(t_old, t, tuple(y_old.tolist()), tuple(map(tuple, Q.tolist()))))
 
 
 def test_interpolant_matches_scipys_on_scalar_and_array_times():
     rng = np.random.default_rng(17)
-    for n in (1, 2, 3):
-        for _ in range(200):
-            stock, own = _random_interpolants(rng, n)
-            times = rng.uniform(stock.t_old, stock.t, rng.integers(1, 9))
-            assert np.array_equal(own(times), stock(times)) and own(times).shape == (n, times.size)
-            for t in (times[0], float(times[0]), np.asarray(times[0]), stock.t_old, stock.t):
-                assert np.array_equal(own(t), stock(t)) and own(t).shape == (n,)
+    for i in range(1500):
+        stock, own = _random_interpolants(rng, tiny=i >= 1000)
+        times = rng.uniform(stock.t_old, stock.t, rng.integers(1, 9))
+        assert _same(own(times), stock(times)) and own(times).shape == (2, times.size)
+        for t in (times[0], float(times[0]), np.asarray(times[0]), stock.t_old, stock.t):
+            assert _same(own(t), stock(t)) and own(t).shape == (2,)
 
 
 def test_tableau_constants_match_scipys_bitwise():
-    for name in ("C", "E", "T", "TI", "TI_REAL", "TI_COMPLEX", "P"):
-        own, stock = getattr(integrator, name), getattr(scipy_radau, name)
-        assert own.dtype == stock.dtype and np.array_equal(own, stock), name
+    for name in ("C", "E", "T", "TI", "P"):
+        assert _same(getattr(integrator, name), getattr(scipy_radau, name)), name
+    assert _same(integrator.TI[0], scipy_radau.TI_REAL)
+    assert _same(np.array(integrator.TI[1]) + 1j * np.array(integrator.TI[2]),
+                 scipy_radau.TI_COMPLEX)
     for name in ("MU_REAL", "MU_COMPLEX", "NEWTON_MAXITER", "MIN_FACTOR", "MAX_FACTOR"):
         assert getattr(integrator, name) == getattr(scipy_radau, name), name
 
 
 def test_initial_step_matches_scipys():
     rng = np.random.default_rng(3)
-    fields = [decay, rotation, lambda t, y: np.zeros_like(y), lambda t, y: -1e6 * y + np.sin(t)]
-    for field in fields:
+    stiff = linear([[-1e6, 0.0], [3.0, -1e6]], (1.0, -2.0))
+    for field in (decay, rotation, linear([[0.0, 0.0], [0.0, 0.0]]), stiff):
         for _ in range(50):
             y0 = rng.standard_normal(2) * 10.0 ** rng.uniform(-14, 3)
             t0 = rng.uniform(-5.0, 5.0)
             t_bound = t0 + 10.0 ** rng.uniform(-9, 4)
             rtol, atol = 10.0 ** rng.uniform(-13, -3), 10.0 ** rng.uniform(-14, -3)
             f0 = np.asarray(field(t0, y0), dtype=float)
-            own = integrator._select_initial_step(field, t0, y0, t_bound, f0, rtol, atol)
-            stock = select_initial_step(field, t0, y0, t_bound, np.inf, f0, 1, 3, rtol, atol)
+            own = integrator._select_initial_step(field, t0, tuple(y0.tolist()), t_bound,
+                                                  tuple(f0.tolist()), rtol, atol)
+
+            def fun(t, y):
+                return np.asarray(field(t, y), dtype=float)
+            stock = select_initial_step(fun, t0, y0, t_bound, np.inf, f0, 1, 3, rtol, atol)
             assert own == stock
 
 
@@ -619,7 +805,8 @@ def test_empty_and_2d_times_answer_alike_for_both_kinds(keep_dense):
         traj(np.array([[traj.t[1], traj.t[2]], [traj.t[3], traj.t[4]]]))
 
 
-@pytest.mark.parametrize("x0", [(), ((1.0, 2.0),), (math.nan, 1.0)], ids=["empty", "2d", "nan"])
+@pytest.mark.parametrize("x0", [(), ((1.0, 2.0),), (math.nan, 1.0), (1.0,), (1.0, 2.0, 3.0)],
+                         ids=["empty", "2d", "nan", "1-entry", "3-entry"])
 def test_a_bad_initial_state_is_a_domain_error(x0):
     with pytest.raises(DomainError):
         integrate(rotation, x0, (0.0, 1.0))
@@ -635,14 +822,25 @@ def test_event_polish_counts_its_brackets_and_calls():
 
 
 def test_rms_and_finite_helpers_match_numpy():
+    """The RMS norm against scipy's ``norm`` at the step's lengths, signed zeros
+    and magnitudes past the range guard included; non-finite right-hand sides
+    fail the solves' finite checks as ``np.isfinite`` says."""
     rng = np.random.default_rng(11)
-    for shape in [(1,), (2,), (3, 1), (3, 2), (3, 5)]:
-        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-12, 3)
-        assert integrator._rms(x) == scipy_norm(x)
-    for x in [np.array([1.0, -2.0]), np.array([np.inf, 0.0]), np.array([[0.0, np.nan]]),
-              np.array([1.0 + 2.0j, 3.0j]), np.array([complex(0.0, np.inf), 1.0]),
-              np.array([[1e308, 1e308], [1e308, 1e308]])]:
-        assert integrator._finite(x) == np.isfinite(x).all()
+    for n in (2, 6):
+        for _ in range(3000):
+            x = _rand(rng, n, zeros=0.2) * 10.0 ** rng.choice([-160, -3, 0, 3, 160])
+            with np.errstate(over="ignore"):  # numpy's x.x overflows to inf as the chain does
+                assert _same(integrator._norm(*x.tolist()), scipy_norm(x))
+    lu, lu_c = integrator._PlanarRadau._factor(type("Stub", (), {"nlu": 0})(), 0.1,
+                                               (1.0, 0.0, 0.0, 1.0))
+    for b in [(1.0, -2.0), (math.inf, 0.0), (0.0, math.nan), (1e308, 1e308), (-math.inf, 1.0)]:
+        finite = bool(np.isfinite(b).all())
+        for solve, args in ((integrator._getrs, (lu, *b)), (integrator._zgetrs, (lu_c, *b, *b))):
+            if finite:
+                solve(*args)
+            else:
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    solve(*args)
 
 
 # --- exports -------------------------------------------------------------------------
@@ -665,7 +863,7 @@ def test_export_writes_header_samples_and_events(tmp_path):
 
 
 def test_export_transform_changes_coordinates(tmp_path):
-    traj = integrate(decay, (1.0,), (0.0, 1.0))
+    traj = integrate(decay, (1.0, 1.0), (0.0, 1.0))
     csv = tmp_path / "log.csv"
     export_trajectory(traj, csv, names=("logy",),
                       transform=lambda y: (math.log(y[0]),))
@@ -693,10 +891,10 @@ def test_export_bytes_match_the_per_row_writer(tmp_path, transform):
 
 
 def test_export_floats_roundtrip_exactly(tmp_path):
-    traj = integrate(decay, (1.0,), (0.0, 1.0))
+    traj = integrate(decay, (1.0, 1.0), (0.0, 1.0))
     csv = tmp_path / "run.csv"
     export_trajectory(traj, csv)
     rows = [line for line in csv.read_text().splitlines()][1:]
     values = np.array([[float(v) for v in row.split(",")] for row in rows])
     np.testing.assert_array_equal(values[:, 0], traj.t)
-    np.testing.assert_array_equal(values[:, 1], traj.states[:, 0])
+    np.testing.assert_array_equal(values[:, 1:], traj.states)

@@ -215,7 +215,7 @@ def test_chart_field_objects_match_evaluators_and_jacobian(dp, es, eps):
             for j in range(2):
                 step = np.zeros(2)
                 step[j] = 1e-6 * y[j]
-                fd[:, j] = (field(0.0, y + step) - field(0.0, y - step)) / (2.0 * step[j])
+                fd[:, j] = np.subtract(field(0.0, y + step), field(0.0, y - step)) / (2.0 * step[j])
             # entrywise, so the eps-scaled off-diagonal entries are checked too
             np.testing.assert_allclose(J, fd, rtol=1e-5, atol=1e-12 * np.max(np.abs(J)))
 
@@ -330,3 +330,25 @@ def test_reference_field_object_wraps_kinetics(phys):
     y = np.array([0.5, 0.5])
     np.testing.assert_allclose(field(0.0, y), rhs_reference((0.5, 0.5), phys),
                                rtol=1e-15)
+
+
+def test_reference_jacobian_matches_sympy(phys):
+    """The reference field's analytic Jacobian against sympy's derivatives of
+    rhs_reference, evaluated at 30 digits, over the state domain."""
+    sp = pytest.importorskip("sympy")
+    s, h = sp.symbols("s h", positive=True)
+    c = {name: sp.Float(getattr(phys, name), 30) for name in
+         ("S_ext", "H_ext", "v_max", "k_M", "k_E1", "k_E2", "k_prime", "k_H", "k_S", "k")}
+    x = h * c["H_ext"]
+    k_cat = c["v_max"] / (c["k_M"] + s * c["S_ext"]) / (1 + x / c["k_E1"] + c["k_E2"] / x)
+    b = 1 + c["k_prime"] * c["H_ext"] * h + (1 - 1 / h) * c["k_H"] / c["k"]
+    p = (sp.sqrt(b * b + 8 * k_cat * c["k_prime"] * c["S_ext"] * s / c["k"]) - b) / 2
+    rhs = sp.Matrix([-k_cat * s + c["k_S"] * (1 - s), -c["k"] * p * h + c["k_H"] * (1 - h)])
+    jac = sp.lambdify((s, h), rhs.jacobian([s, h]), modules="mpmath")
+    field = make_field_reference(phys)
+    for point in [(0.9, 0.5), (0.5, 0.02), (0.05, 0.9), (1.0, 1.0), (0.3, 1e-4), (0.0, 0.3)]:
+        expect = np.array(jac(*point).tolist(), dtype=float)
+        np.testing.assert_allclose(field.jac(0.0, point), expect, rtol=1e-9,
+                                   atol=1e-12 * np.max(np.abs(expect)))
+    with pytest.raises(DomainError):
+        field.jac(0.0, (0.5, 0.0))
