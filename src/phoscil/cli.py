@@ -345,9 +345,10 @@ def _span(text: str) -> tuple[float, float]:
 
 
 def _interval(text: str) -> tuple[float, float]:
+    """a0:a1 with 0 < a0 < a1: a scan range of K_h/K_s or 1/alpha."""
     lo, hi = _span(text)
-    if hi <= lo:
-        raise argparse.ArgumentTypeError(f"need a1 > a0, got {text!r}")
+    if not 0.0 < lo < hi:
+        raise argparse.ArgumentTypeError(f"need 0 < a0 < a1, got {text!r}")
     return lo, hi
 
 

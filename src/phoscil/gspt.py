@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -181,24 +182,31 @@ class StabilityMap:
         return tuple(hopf)
 
     def to_csv(self, path, provenance=()) -> None:
-        """One row per cell, kh_over_ks-major, built column by column.
+        """One row per cell, kh_over_ks-major, streamed one kh row at a time.
 
         Each coordinate is formatted once and repeated, so an nx x ny grid
         costs nx + ny + 2*nx*ny ``fmt17`` calls.
         """
-        xs = [fmt17(x) for x in self.kh_over_ks.tolist()]
         ys = [fmt17(y) for y in self.inv_alpha.tolist()]
-        rows = zip([x for x in xs for _ in ys], ys * len(xs),
-                   map(fmt17, self.trace.ravel().tolist()),
-                   map(fmt17, self.det.ravel().tolist()),
-                   ["1" if o else "0" for o in self.oscillates.ravel().tolist()])
+
+        def rows():
+            for x, tr, det, osc in zip(self.kh_over_ks.tolist(), self.trace,
+                                       self.det, self.oscillates):
+                yield from zip(itertools.repeat(fmt17(x)), ys,
+                               map(fmt17, tr.tolist()), map(fmt17, det.tolist()),
+                               ["1" if o else "0" for o in osc.tolist()])
+
         write_csv(path, ["kh_over_ks", "inv_alpha", "trace", "det", "oscillates"],
-                  rows, provenance=list(provenance))
+                  rows(), provenance=list(provenance))
 
     def to_json_dict(self) -> dict:
         """Every public field in declaration order, then ``hopf``; arrays as nested lists."""
         return {name: np.asarray(getattr(self, name)).tolist() for name in
                 [f.name for f in dataclasses.fields(self) if f.name != "_dp"] + ["hopf"]}
+
+
+#: cells per ``_trace_det_grid`` call in ``stability_scan``
+_SCAN_BLOCK = 4096
 
 
 def stability_scan(dp: DimlessParams,
@@ -209,8 +217,10 @@ def stability_scan(dp: DimlessParams,
 
     Each cell keeps the base parameters except K_h = x*K_s and
     alpha = 1/y.  Cells with x <= y have no positive equilibrium and are
-    marked inadmissible rather than errored.  The whole grid is evaluated
-    in closed form by one vectorized call.
+    marked inadmissible rather than errored.  The grid is evaluated in
+    closed form, in blocks of about ``_SCAN_BLOCK`` cells, so the kernel's
+    temporaries stay block-sized; it is elementwise, so blocking does not
+    change a bit.
     """
     nx, ny = shape
     if nx < 2 or ny < 2:
@@ -221,7 +231,11 @@ def stability_scan(dp: DimlessParams,
         raise DomainError("scan ranges must be strictly positive")
 
     admissible = xs[:, None] > ys[None, :]
-    trace, det = _trace_det_grid(dp, (xs * dp.K_s)[:, None], (1.0 / ys)[None, :])
+    K_h, alpha = (xs * dp.K_s)[:, None], (1.0 / ys)[None, :]
+    trace, det = np.empty((nx, ny)), np.empty((nx, ny))
+    step = max(1, _SCAN_BLOCK // ny)
+    for i in range(0, nx, step):
+        trace[i:i + step], det[i:i + step] = _trace_det_grid(dp, K_h[i:i + step], alpha)
     trace[~admissible] = np.nan
     det[~admissible] = np.nan
     oscillates = admissible & (trace > 0.0) & (det > 0.0)

@@ -903,10 +903,9 @@ def export_trajectory(traj: Trajectory, csv_path: str | Path,
     """
     names = tuple(names) if names is not None else traj.names
     if transform is None:
-        states = traj.states.T.tolist()
+        rows = zip(*(map(fmt17, col) for col in (traj.t.tolist(), *traj.states.T.tolist())))
     else:
-        states = zip(*map(transform, traj.states))
-    rows = zip(*(map(fmt17, col) for col in (traj.t.tolist(), *states)))
+        rows = ([fmt17(t), *map(fmt17, transform(y))] for t, y in zip(traj.t.tolist(), traj.states))
     write_csv(csv_path, ["t", *names], rows, provenance=list(provenance))
     if events_path is not None:
         payload = {

@@ -230,6 +230,19 @@ def test_malformed_grid_is_a_usage_error(tmp_path):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--kh-over-ks", "0:5"), ("--kh-over-ks", "-2:5"), ("--inv-alpha", "0:5"),
+    ("--inv-alpha", "-1:-0.5"),
+])
+def test_a_non_positive_scan_range_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["scan", f"{flag}={value}", "--grid", "4x4", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "need 0 < a0 < a1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("x0", ["0,0.5", "0.5,0"])
 def test_a_start_off_the_log_chart_is_a_usage_error(tmp_path, x0):
     # simulate exports log coordinates, which need s > 0 and h > 0
@@ -281,17 +294,27 @@ def test_numeric_failure_maps_to_its_own_code(tmp_path, capsys):
     assert "NoPositiveEquilibriumError" in capsys.readouterr().err
 
 
-def _fresh_python(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a new interpreter that imports this checkout's phoscil."""
+def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
+    """Run ``python *argv`` in a new interpreter that imports this checkout's phoscil."""
     src = str(Path(phoscil.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, *argv], env=env,
                           capture_output=True, text=True, timeout=300)
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    done = _fresh_python("-m", "phoscil", "fixed-point", "--out", str(tmp_path))
+    assert done.returncode == EXIT_OK, done.stderr
+    assert "repelling node" in done.stdout
+    assert [p.name for p in tmp_path.iterdir()] == ["fixed_point.csv"]
+    done = _fresh_python("-m", "phoscil", "scan", "--grid", "8", "--out", str(tmp_path))
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines()[0].startswith("usage: phoscil scan")
 
 
 def test_rtol_below_100_eps_is_a_numeric_error_without_a_scipy_warning(tmp_path):
     # scipy would clamp it to 100 eps with a UserWarning and run on
-    done = _fresh_python("import sys; from phoscil.cli import main; sys.exit(main(sys.argv[1:]))",
+    done = _fresh_python("-c", "import sys; from phoscil.cli import main; sys.exit(main(sys.argv[1:]))",
                          "simulate", "--t-span", "0:10", "--rtol", "1e-20", "--out", str(tmp_path))
     assert done.returncode == EXIT_NUMERIC
     assert done.stderr.startswith("phoscil: DomainError: rtol must lie in [2.220446049250313e-14")
@@ -310,7 +333,7 @@ for argv in (["fixed-point"], ["scan", "--grid", "9x7"], ["fold-check", "--chart
     assert main(argv + ["--out", out]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
-    done = _fresh_python(code, str(tmp_path))
+    done = _fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
     assert {"fixed_point.csv", "scan.csv", "fold_report_a.csv", "simulate_state.csv",

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -321,6 +322,33 @@ def test_scan_reference_cell_oscillates(dp):
     i = int(np.argmin(np.abs(sm.kh_over_ks - x0)))
     j = int(np.argmin(np.abs(sm.inv_alpha - y0)))
     assert sm.oscillates[i, j]
+
+
+@pytest.mark.parametrize("block_rows", [None, 4], ids=["default-block", "4-row-block"])
+@pytest.mark.parametrize("shape", [(3, 2), (37, 23), (200, 200)])
+def test_blocked_scan_matches_one_full_grid_call(dp, monkeypatch, shape, block_rows):
+    if block_rows is not None:
+        monkeypatch.setattr(gspt, "_SCAN_BLOCK", block_rows * shape[1])
+    nx, ny = shape
+    sm = stability_scan(dp, (1.0, 20.0), (1.0, 12.0), shape)
+    xs, ys = np.linspace(1.0, 20.0, nx), np.linspace(1.0, 12.0, ny)
+    trace, det = gspt._trace_det_grid(dp, (xs * dp.K_s)[:, None], (1.0 / ys)[None, :])
+    trace[~sm.admissible] = np.nan
+    det[~sm.admissible] = np.nan
+    assert np.array_equal(sm.trace, trace, equal_nan=True)
+    assert np.array_equal(sm.det, det, equal_nan=True)
+
+
+def test_scan_and_its_csv_run_in_bounded_memory(dp, tmp_path):
+    # the 200x200 grid's own arrays take 0.8 MB; one full-grid kernel call
+    # and a CSV built in one string peak near 5.5 and 12.6 MB
+    tracemalloc.start()
+    try:
+        stability_scan(dp, (1.0, 20.0), (1.0, 12.0), (200, 200)).to_csv(tmp_path / "scan.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_scan_rejects_degenerate_grids(dp):
