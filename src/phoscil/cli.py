@@ -159,7 +159,7 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
         traj = Trajectory.single(t_span[0], list(x0), names=("s", "h"))
     else:
         traj = integrate(make_field(dpe), x0, t_span, cfg,
-                         events=_event_pair(dpe))
+                         events=_event_pair(dpe), keep_dense=False)
     prov = run.provenance(
         "simulate",
         f"t_span = {fmt17(t_span[0])} .. {fmt17(t_span[1])}",

@@ -45,7 +45,7 @@ __all__ = [
     "winding_number",
 ]
 
-#: successive s-maximum returns closer than this in (sigma, h) end the transient
+#: successive section returns closer than this (in (sigma, h) for the model) end the transient
 TRANSIENT_TOL = 1e-8
 
 #: s-amplitude below which a "cycle" is reclassified as equilibrium convergence
@@ -205,72 +205,50 @@ def _merge_halves(first: Trajectory, second: Trajectory) -> Trajectory:
                       first.names, first.stats + second.stats)
 
 
-def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
-                     x0: tuple[float, float] | None = None,
-                     cfg: IntegratorConfig | None = None) -> CycleReport:
-    """Relax onto the cycle of the eps-split system and measure one period.
+def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
+                     leg_budget: float, scale: float, cfg: IntegratorConfig | None = None):
+    """Relax a planar flow onto a cycle through two sections; record one period.
 
-    Starting from ``x0`` (default (s_*, 2 h_*) of the split system), the
-    transient is discarded period by period on the s-maximum section
-    until two successive returns agree to TRANSIENT_TOL in chart-A
-    coordinates (sigma, h) = (eps*s, h); one further period is then
-    recorded.  Each period runs as two half-legs (s-maximum to s-minimum,
-    then back), so a run never starts with its own section detector armed
-    on the section; the two hit times give the segment times.  Orbits that
-    stop returning onto the sections, or whose recorded s-amplitude
-    falls below EQUILIBRIUM_AMPLITUDE, yield an equilibrium report;
-    exceeding TRANSIENT_BUDGET periods yields a non-converged report.
-    Neither outcome raises.  Parameters without a positive equilibrium
-    raise NoPositiveEquilibriumError.  The analytic companions are NaN
-    where their formulas do not hold (h_* >= 1/2).
+    ``events`` is the (out, back) pair of sections.  From ``start`` the
+    orbit first runs to the back section; each period is then two
+    half-legs, out and back again, so a run never starts with its own
+    section detector armed on the section.  Every half-leg may take
+    ``leg_budget`` time units.  The transient ends when two successive
+    back-section returns agree to TRANSIENT_TOL in (scale*y0, y1); one
+    further period is then recorded with dense output kept.  Returns
+    (terminus, n_transient_periods, recorded): for "limit_cycle",
+    recorded = (tau_out, tau_back, out_leg, back_leg) with the two
+    half-leg times and results; None for "equilibrium" (the orbit stops
+    returning at rest, or the recorded y0-amplitude falls below
+    EQUILIBRIUM_AMPLITUDE) and for "no_convergence" (any other lost
+    return, or TRANSIENT_BUDGET periods without agreement).
     """
-    cfg = cfg if cfg is not None else IntegratorConfig()
-    dp_eps = split_dimless(dp, es)
-    start = _start_point(dp_eps)
-    analytic = _analytic_or_nan(dp, es)
-    field = make_field(dp_eps)
-    s_max_ev, s_min_ev = _event_pair(dp_eps)
-    if math.isnan(analytic.T_total):
-        # beta/(eps C) (1 + 1/(4 h_*)) bounds T_total wherever it exists
-        # (w(h_*) < 1) and stays finite for every h_* > 0
-        leg_budget = 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
-    else:
-        leg_budget = 6.0 * analytic.T_total
+    out_ev, back_ev = events
 
-    def no_cycle(n_seen: int, last_state=None) -> CycleReport:
-        # "equilibrium" when the orbit stopped at rest, else "no_convergence"
+    def no_cycle(n_seen: int, last_state=None):
         settled = (last_state is not None and
                    math.hypot(*field(0.0, np.asarray(last_state, dtype=float))) < 1e-8)
-        return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
-                           tau_A_to_B=math.nan, turning_points=None,
-                           analytic=analytic, converged=False,
-                           n_transient_periods=n_seen,
-                           terminus="equilibrium" if settled else "no_convergence",
-                           trajectory=None)
+        return ("equilibrium" if settled else "no_convergence"), n_seen, None
 
     def half_leg(x, t_start: float, event: EventSpec, keep_dense: bool):
-        return integrate_until_event(field, x, event, cfg,
+        return integrate_until_event(field, np.asarray(x, dtype=float), event, cfg,
                                      t_max=t_start + leg_budget, t0=t_start,
                                      keep_dense=keep_dense)
 
-    # reach the s-maximum section once (x0 is generically off-section)
-    res = half_leg(np.asarray(tuple(start if x0 is None else x0), dtype=float),
-                   0.0, s_max_ev, False)
+    res = half_leg(start, 0.0, back_ev, False)
     if not res.hit:
         return no_cycle(0, res.trajectory.states[-1])
     x = np.asarray(res.state_hit, dtype=float)
     t_now = float(res.t_hit)
-    prev_return = np.array([es.eps * x[0], x[1]])
+    prev_return = np.array([scale * x[0], x[1]])
 
-    # transient periods, then one recorded period with dense output kept
     n_periods = 0
     recording = False
     while True:
-        mid = half_leg(x, t_now, s_min_ev, recording)
-        if not mid.hit:
-            return no_cycle(n_periods, mid.trajectory.states[-1])
-        back = half_leg(np.asarray(mid.state_hit, dtype=float), float(mid.t_hit),
-                        s_max_ev, recording)
+        out = half_leg(x, t_now, out_ev, recording)
+        if not out.hit:
+            return no_cycle(n_periods, out.trajectory.states[-1])
+        back = half_leg(out.state_hit, float(out.t_hit), back_ev, recording)
         if not back.hit:
             return no_cycle(n_periods, back.trajectory.states[-1])
         if recording:
@@ -278,21 +256,55 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
         x = np.asarray(back.state_hit, dtype=float)
         t_now = float(back.t_hit)
         n_periods += 1
-        this_return = np.array([es.eps * x[0], x[1]])
+        this_return = np.array([scale * x[0], x[1]])
         recording = bool(np.max(np.abs(this_return - prev_return)) < TRANSIENT_TOL)
         if not recording and n_periods >= TRANSIENT_BUDGET:
             return no_cycle(n_periods)
         prev_return = this_return
 
-    tau_A_to_B = mid.t_hit - t_now
-    tau_B_to_A = back.t_hit - mid.t_hit
-    smax_state, smin_state = back.state_hit, mid.state_hit
-    if abs(float(smax_state[0]) - float(smin_state[0])) < EQUILIBRIUM_AMPLITUDE:
-        return no_cycle(n_periods, smax_state)
+    if abs(float(back.state_hit[0]) - float(out.state_hit[0])) < EQUILIBRIUM_AMPLITUDE:
+        return no_cycle(n_periods, back.state_hit)
+    return ("limit_cycle", n_periods,
+            (out.t_hit - t_now, back.t_hit - out.t_hit, out, back))
+
+
+def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
+                     cfg: IntegratorConfig | None = None) -> CycleReport:
+    """Relax onto the cycle of the eps-split system and measure one period.
+
+    The section-return loop starts at (s_*, 2 h_*) of the split system,
+    returns on the s-maximum section and goes out to the s-minimum, so
+    the transient ends when two returns agree in chart-A coordinates
+    (sigma, h) = (eps*s, h), and the out and back half-legs of the
+    recorded period are tau_A_to_B and tau_B_to_A.  Equilibrium and
+    non-converged outcomes yield reports, never raise.  Parameters
+    without a positive equilibrium raise NoPositiveEquilibriumError.  The
+    analytic companions are NaN where their formulas do not hold
+    (h_* >= 1/2).
+    """
+    dp_eps = split_dimless(dp, es)
+    start = _start_point(dp_eps)
+    analytic = _analytic_or_nan(dp, es)
+    s_max_ev, s_min_ev = _event_pair(dp_eps)
+    if math.isnan(analytic.T_total):
+        # beta/(eps C) (1 + 1/(4 h_*)) bounds T_total wherever it exists
+        # (w(h_*) < 1) and stays finite for every h_* > 0
+        leg_budget = 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
+    else:
+        leg_budget = 6.0 * analytic.T_total
+    terminus, n_periods, recorded = _section_returns(
+        make_field(dp_eps), start, (s_min_ev, s_max_ev), leg_budget, es.eps, cfg)
+    if recorded is None:
+        return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
+                           tau_A_to_B=math.nan, turning_points=None,
+                           analytic=analytic, converged=False,
+                           n_transient_periods=n_periods, terminus=terminus,
+                           trajectory=None)
+    tau_A_to_B, tau_B_to_A, mid, back = recorded
     return CycleReport(eps=es.eps, period=tau_B_to_A + tau_A_to_B,
                        tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
-                       turning_points=(tuple(float(v) for v in smax_state),
-                                       tuple(float(v) for v in smin_state)),
+                       turning_points=(tuple(float(v) for v in back.state_hit),
+                                       tuple(float(v) for v in mid.state_hit)),
                        analytic=analytic, converged=True,
                        n_transient_periods=n_periods, terminus="limit_cycle",
                        trajectory=_merge_halves(mid.trajectory, back.trajectory))
@@ -327,8 +339,7 @@ def segment_times(traj: Trajectory) -> tuple[float, float]:
     return tau_B_to_A, tau_A_to_B
 
 
-def winding_number(traj: Trajectory, center: tuple[float, float],
-                   n_samples: int = 4096) -> int:
+def winding_number(traj: Trajectory, center: tuple[float, float]) -> int:
     """Number of revolutions a closed-orbit trajectory makes around ``center``.
 
     Coordinates are normalized by their observed spans before the angle
@@ -339,7 +350,7 @@ def winding_number(traj: Trajectory, center: tuple[float, float],
     at the substrate maximum) and carries no extra information, so a cycle
     that encloses ``center`` exactly once reports 1.
     """
-    t = np.linspace(traj.t[0], traj.t[-1], n_samples)
+    t = np.linspace(traj.t[0], traj.t[-1], 4096)
     pts = traj(t)
     span = pts.max(axis=0) - pts.min(axis=0)
     if np.any(span <= 0.0):

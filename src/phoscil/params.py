@@ -173,18 +173,16 @@ def derive_dimensionless(phys: PhysicalParams, *, rounded: bool = False) -> Diml
     return dp
 
 
-def derive_eps_split(dp: DimlessParams, eps_ref: float = 1e-3) -> EpsSplit:
-    """Fix C = eps1/eps_ref and A = eps_ref^2/eps2 at a reference eps."""
-    if not (eps_ref > 0.0 and math.isfinite(eps_ref)):
-        raise DomainError(f"eps_ref must be positive, got {eps_ref!r}")
-    return EpsSplit(eps=eps_ref, C=dp.eps1 / eps_ref, A=eps_ref * eps_ref / dp.eps2)
+def derive_eps_split(dp: DimlessParams) -> EpsSplit:
+    """Fix C = eps1/eps and A = eps^2/eps2 at the reference eps = 1e-3."""
+    return EpsSplit(eps=1e-3, C=dp.eps1 / 1e-3, A=1e-3 * 1e-3 / dp.eps2)
 
 
 def split_dimless(dp: DimlessParams, es: EpsSplit) -> DimlessParams:
     """Dimensionless parameters with eps1, eps2 replaced by the split values.
 
     The result drives the same vector field as ``dp`` when ``es.eps``
-    equals the reference eps used in :func:`derive_eps_split`, and the
+    equals the reference eps 1e-3 of :func:`derive_eps_split`, and the
     eps-perturbed family otherwise.
     """
     return dataclasses.replace(dp, eps1=es.eps1, eps2=es.eps2)

@@ -29,31 +29,37 @@ def es(dp):
 
 @pytest.fixture(scope="session")
 def cycle_1e3(dp, es):
-    """The converged eps = 1e-3 limit-cycle report (reused, 1.3 s to build)."""
+    """The converged eps = 1e-3 limit-cycle report (reused, 0.6 s to build).
+
+    ``find_limit_cycle`` relaxes on the s-maximum section until two
+    returns agree (2 transient periods), then records one period.  Times
+    are single runs on a 2-core VM.
+    """
     from phoscil.cycle import find_limit_cycle
     return find_limit_cycle(dp, es.at_eps(1e-3))
 
 
 @pytest.fixture(scope="session")
 def reference_period(phys):
-    """Period of the full reference kinetics in seconds (5.4 s to measure).
+    """Period of the full reference kinetics in seconds (0.9-1.0 s to measure).
 
-    Measured as the spacing of the last two substrate maxima of a 2e4 s
-    run from (0.9, 0.5).  All 17 spacings lie within 7.8e-12 relative of
-    the last, so transients are long gone.  Times are single runs on a
-    2-core VM.
+    Measured by the section-return loop of ``find_limit_cycle`` on the
+    reference field: from (0.9, 0.5), returns on the substrate maxima
+    (ds/dt = 0 falling) and out to the minima (rising), half-legs of at
+    most 2e4 s, and the return test on unscaled (s, h); it needs 1
+    transient period.  Times are single runs on a 2-core VM.
     """
-    import numpy as np
-    from phoscil.integrator import EventSpec, IntegratorConfig, integrate
+    from phoscil.cycle import _section_returns
+    from phoscil.integrator import EventSpec
     from phoscil.model import make_field_reference, rhs_reference
 
-    field = make_field_reference(phys)
-    s_rate = EventSpec(func=lambda t, y: rhs_reference((y[0], y[1]), phys)[0],
-                       direction="falling")
-    traj = integrate(field, (0.9, 0.5), (0.0, 2.0e4), IntegratorConfig(),
-                     events=[s_rate], keep_dense=False)
-    hits = np.array([h.t for h in traj.events])
-    assert hits.size >= 4, "reference run produced too few substrate maxima"
-    gaps = np.diff(hits)
-    assert abs(gaps[-1] - gaps[-2]) < 1e-6 * gaps[-1], "reference run not converged"
-    return float(gaps[-1])
+    def s_rate(t, y):
+        return rhs_reference((y[0], y[1]), phys)[0]
+
+    terminus, _, recorded = _section_returns(
+        make_field_reference(phys), (0.9, 0.5),
+        (EventSpec(func=s_rate, direction="rising"), EventSpec(func=s_rate, direction="falling")),
+        2.0e4, 1.0)
+    assert terminus == "limit_cycle", f"reference run ended in {terminus}"
+    tau_out, tau_back, _, _ = recorded
+    return tau_back + tau_out

@@ -106,6 +106,18 @@ def test_simulate_turning_points_space_one_period(tmp_path):
     assert math.isclose(maxima[-1] - maxima[-2], 90.23818925684358, rel_tol=1e-10)
 
 
+
+def test_simulate_keeps_no_dense_output(tmp_path, monkeypatch):
+    # simulate writes samples and events only, so it must not hold the
+    # per-step interpolants of the whole run in memory
+    import phoscil.cli as cli
+    exported = []
+    monkeypatch.setattr(cli, "export_trajectory",
+                        lambda traj, *args, **kwargs: exported.append(traj))
+    assert main(["simulate", "--t", "0:10", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(exported) == 3
+    assert all(len(traj.t) > 2 and not traj.segments for traj in exported)
+
 def test_simulate_zero_length_span_exports_initial_sample(tmp_path):
     assert main(["simulate", "--t", "5:5", "--x0", "0.3,0.4",
                  "--out", str(tmp_path)]) == EXIT_OK

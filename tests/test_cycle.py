@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from phoscil.cycle import (
+    TRANSIENT_BUDGET,
     CompareRow,
     CompareTable,
     _event_pair,
     _merge_halves,
+    _section_returns,
     analytic_timescales,
     compare,
     find_limit_cycle,
@@ -188,6 +190,42 @@ def test_merged_period_sums_the_stats_of_its_halves():
     assert merged.stats == first.trajectory.stats + second.trajectory.stats
     assert merged.stats.steps == len(merged.t) - 1
 
+
+
+# the section-return loop on planar fields other than the model: sections
+# at y1 = 0, out through the falling crossing and back through the rising one
+Y1_SECTIONS = (EventSpec(func=lambda t, y: y[1], direction="falling"),
+               EventSpec(func=lambda t, y: y[1], direction="rising"))
+
+
+def damped_spiral(damping):
+    """y' = (-d y0 - y1, y0 - d y1): a focus that contracts by exp(-2 pi d) per turn."""
+    def field(t, y):
+        return -damping * y[0] - y[1], y[0] - damping * y[1]
+    field.jac = lambda t, y: np.array([[-damping, -1.0], [1.0, -damping]])
+    return field
+
+
+def test_section_loop_times_the_period_of_a_rotation():
+    terminus, n_periods, recorded = _section_returns(rotation, (0.0, 1.0), Y1_SECTIONS,
+                                                     10.0, 1.0)
+    assert terminus == "limit_cycle"
+    assert n_periods == 1
+    tau_out, tau_back, out, back = recorded
+    assert abs(tau_out + tau_back - 2.0 * math.pi) < 1e-9
+    assert abs(tau_out - math.pi) < 1e-9 and abs(tau_back - math.pi) < 1e-9
+    np.testing.assert_allclose(out.state_hit, [-1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(back.state_hit, [1.0, 0.0], atol=1e-9)
+
+
+def test_section_loop_classifies_a_strongly_damped_spiral_as_equilibrium():
+    assert _section_returns(damped_spiral(1.0), (0.0, 1.0), Y1_SECTIONS,
+                            10.0, 1.0) == ("equilibrium", 4, None)
+
+
+def test_section_loop_gives_up_on_a_weakly_damped_spiral():
+    assert _section_returns(damped_spiral(0.1), (0.0, 1.0), Y1_SECTIONS,
+                            10.0, 1.0) == ("no_convergence", TRANSIENT_BUDGET, None)
 
 def test_cycle_turning_points_frozen(cycle_1e3):
     (s_max, h_at_max), (s_min, h_at_min) = cycle_1e3.turning_points
