@@ -29,7 +29,8 @@ from .errors import (
     PreconditionError,
     SectionNoHitError,
 )
-from .integrator import EventSpec, IntegratorConfig, _brentq, integrate, integrate_until_event
+from .integrator import (EventSpec, IntegratorConfig, SolverStats, _brentq, integrate,
+                         integrate_until_event)
 from .model import (
     _monic_root,
     _q_hat,
@@ -486,6 +487,7 @@ class FoldScaling:
     chart: str
     entries: tuple[tuple[float, float], ...]  # (eps, offset)
     slope: float
+    stats: tuple[SolverStats, ...] = ()  # each passage's work, in the order of entries
 
 
 #: five log-spaced eps per chart, two decades each, inside the scaling regime
@@ -519,7 +521,8 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     only weakly attracting (the layer rate is ~1e-4 for these
     parameters), so its asymptotic range starts around eps <= 1e-5.
     DEFAULT_EPS_A and DEFAULT_EPS_B hold ranges measured to sit inside
-    the scaling regime.
+    the scaling regime.  ``stats`` holds each passage's work counts; no
+    output file carries them.
     """
     eps_arr = sorted(float(e) for e in eps_list)
     if not all(0.0 < e < math.inf for e in eps_arr):
@@ -531,7 +534,7 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
         raise PreconditionError(f"eps_list must span >= 1.5 decades, got {span:.3f}")
     cfg = cfg if cfg is not None else IntegratorConfig()
 
-    entries = []
+    entries, stats = [], []
     for eps in eps_arr:
         es_i = es.at_eps(eps)
         if chart == "A":
@@ -558,10 +561,11 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")
         offset = abs(float(res.state_hit[coord_index]) - fold_coord)
         entries.append((eps, offset))
+        stats.append(res.trajectory.stats)
 
     logs = np.log(np.asarray(entries))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-    return FoldScaling(chart=chart, entries=tuple(entries), slope=slope)
+    return FoldScaling(chart=chart, entries=tuple(entries), slope=slope, stats=tuple(stats))
 
 
 # --- invariant region -----------------------------------------------------------

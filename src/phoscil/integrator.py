@@ -12,10 +12,13 @@ Fields map (t, (y0, y1)) to two floats and carry an analytic Jacobian
 ``field.jac(t, y)``, a 2 x 2 array.  :class:`_PlanarRadau` steps them on
 Python floats and restates scipy 1.17's ``Radau`` line for line (Hairer &
 Wanner, *Solving ODEs II*, Sec. IV.8), as :func:`_brentq` restates its
-``brentq``.  Each numpy or LAPACK operation of a step becomes the scalar
-expression with its bits: numpy's small dots and OpenBLAS's getrf/getrs
-kernels are sequential FMA chains, built here from an exact FMA.  scipy
-stays the reference in the tests; a run imports none of it.
+``brentq``.  Each matrix product of a step is the numpy call scipy makes,
+on arrays of the same shape and layout, so its bits are numpy's; the
+elementwise arithmetic runs on floats, which round as numpy's do.  The
+2x2 LAPACK getrf/getrs and zgetrf/zgetrs are restated with OpenBLAS's
+bits, and the Newton right-hand side's complex product with numpy's, as
+FMA chains built from an exact FMA, so that a run imports no scipy.
+scipy stays the reference in the tests.
 """
 from __future__ import annotations
 
@@ -46,28 +49,30 @@ __all__ = [
 _MACH_EPS = float(np.finfo(float).eps)
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
 
-# Radau IIA tableau and step-size policy, as scipy 1.17 writes them, by rows
+# Radau IIA tableau and step-size policy, as scipy 1.17 writes them
 S6 = 6 ** 0.5
 C = ((4 - S6) / 10, (4 + S6) / 10, 1.0)
-E = ((-13 - 7 * S6) / 3, (-13 + 7 * S6) / 3, -1 / 3)
+E = np.array([-13 - 7 * S6, -13 + 7 * S6, -1]) / 3
 # A = T diag(MU_REAL, MU_COMPLEX, conj(MU_COMPLEX)) T**-1
 MU_REAL = 3 + 3 ** (2 / 3) - 3 ** (1 / 3)
 MU_COMPLEX = (3 + 0.5 * (3 ** (1 / 3) - 3 ** (2 / 3))
               - 0.5j * (3 ** (5 / 6) + 3 ** (7 / 6)))
-T = (
-    (0.09443876248897524, -0.14125529502095421, 0.03002919410514742),
-    (0.25021312296533332, 0.20412935229379994, -0.38294211275726192),
-    (1.0, 1.0, 0.0))
-#: TI's first row is scipy's TI_REAL; its other two rows are TI_COMPLEX's parts
-TI = (
-    (4.17871859155190428, 0.32768282076106237, 0.52337644549944951),
-    (-4.17871859155190428, -0.32768282076106237, 0.47662355450055044),
-    (0.50287263494578682, -2.57192694985560522, 0.59603920482822492))
+T = np.array([
+    [0.09443876248897524, -0.14125529502095421, 0.03002919410514742],
+    [0.25021312296533332, 0.20412935229379994, -0.38294211275726192],
+    [1, 1, 0]])
+TI = np.array([
+    [4.17871859155190428, 0.32768282076106237, 0.52337644549944951],
+    [-4.17871859155190428, -0.32768282076106237, 0.47662355450055044],
+    [0.50287263494578682, -2.57192694985560522, 0.59603920482822492]])
+TI_REAL = TI[0]
+#: TI_COMPLEX = TI[1] + 1j * TI[2], by parts
+_TI_COMPLEX = TI[1:].tolist()
 #: interpolant coefficients: the collocation polynomial in powers of (t - t_old)/h
-P = (
-    (13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6),
-    (13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6),
-    (1/3, -8/3, 10/3))
+P = np.array([
+    [13/3 + 7*S6/3, -23/3 - 22*S6/3, 10/3 + 5 * S6],
+    [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
+    [1/3, -8/3, 10/3]])
 NEWTON_MAXITER = 6
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
@@ -337,54 +342,10 @@ def _fmak(k: tuple, x: float, c: float) -> float:
     return _fma_exact(a, x, c)
 
 
-def _fma(a: float, b: float, c: float) -> float:
-    return _fmak(_split(a), b, c)
-
-
-def _krow(a: Sequence[float]) -> tuple:
-    return (a[0], *_split(a[1]), *_split(a[2]))
-
-
-def _kdots(rows: Sequence[tuple], x0: float, x1: float, x2: float) -> list[float]:
-    """numpy's dots of rows a (as _krow(a)) with (x0, x1, x2): FMA chains from +0.
-
-    That is a matrix product's entry; a matrix-vector product's ends with
-    + 0.  :func:`_fmak` is inlined, with x1 and x2 split once for all rows.
-    """
-    s = x1 * _SPLIT
-    h1 = s - (s - x1)
-    l1 = x1 - h1
-    s = x2 * _SPLIT
-    h2 = s - (s - x2)
-    l2 = x2 - h2
-    out = []
-    try:
-        for a0, a1, p1, q1, a2, p2, q2 in rows:
-            acc = a0 * x0 + 0.0
-            if not acc:  # an underflowing product keeps its sign in an FMA
-                acc = _fma(a0, x0, 0.0)
-            r = math.fsum((p1 * h1, p1 * l1, q1 * h1, q1 * l1, acc))
-            acc = r if 1e-300 < r * r < 1e300 else _fma_exact(a1, x1, acc)
-            r = math.fsum((p2 * h2, p2 * l2, q2 * h2, q2 * l2, acc))
-            out.append(r if 1e-300 < r * r < 1e300 else _fma_exact(a2, x2, acc))
-    except (OverflowError, ValueError):
-        return [_fma(a2, x2, _fma(a1, x1, _fma(a0, x0, 0.0))) for a0, a1, _, _, a2, _, _ in rows]
-    return out
-
-
-def _norm(*x: float) -> float:
-    """scipy's RMS ``norm``: sqrt(x.x)/sqrt(n), numpy's x.x an FMA chain."""
-    acc = x[0] * x[0]
-    for v in x[1:]:
-        s = v * _SPLIT
-        vh = s - (s - v)
-        vl = v - vh
-        try:
-            r = math.fsum((vh * vh, 2.0 * vh * vl, vl * vl, acc))
-        except (OverflowError, ValueError):
-            r = math.nan
-        acc = r if 1e-300 < r * r < 1e300 else _fma_exact(v, v, acc)
-    return math.sqrt(acc) / len(x) ** 0.5
+def _rms(*x: float) -> float:
+    """scipy's RMS ``norm``: sqrt(x.dot(x)) / sqrt(n), the dot numpy's own."""
+    v = np.array(x)
+    return math.sqrt(v.dot(v)) / len(x) ** 0.5
 
 
 def _singular(info: int) -> None:
@@ -484,15 +445,15 @@ def _select_initial_step(fun, t0: float, y0: tuple, t_bound: float, f0: tuple,
     and without a step bound (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.4)."""
     interval_length = abs(t_bound - t0)
     s0, s1 = atol + abs(y0[0]) * rtol, atol + abs(y0[1]) * rtol
-    d0 = _norm(y0[0] / s0, y0[1] / s1)
-    d1 = _norm(f0[0] / s0, f0[1] / s1)
+    d0 = _rms(y0[0] / s0, y0[1] / s1)
+    d1 = _rms(f0[0] / s0, f0[1] / s1)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, (y0[0] + h0 * f0[0], y0[1] + h0 * f0[1]))
-    d2 = _norm((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1) / h0
+    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1) / h0
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -514,45 +475,33 @@ def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
     return min(1, multiplier) * error_norm ** -0.25
 
 
-#: the tableau's factors in numpy's dots, as _kdots takes them
-_TI_ROWS = tuple(map(_krow, TI))
-_T_ROWS = tuple(map(_krow, T[:2]))
-_E_ROW = (_krow(E),)
-_P_COLS = tuple(map(_krow, zip(*P)))
-
-
 class _RadauDense:
     """One step's collocation polynomial: scipy's ``RadauDenseOutput``.
 
-    y(t) = y_old + Q (x, x*x, (x*x)*x) with x = (t - t_old)/h and ``Q`` by
-    rows, summed as numpy sums it: one time is a matrix-vector product,
-    fma(q2, x^3, fma(q0, x, fma(q1, x^2, 0))) + 0; several are a matrix
-    product, an FMA chain from +0.  A scalar t gives (2,), a 1-D t gives (2, len(t)).
+    y(t) = y_old + Q.dot(p) with x = (t - t_old)/h and p = (x, x*x, (x*x)*x)
+    by rows, ``Q`` a (2, 3) array.  A scalar t gives (2,) from a
+    matrix-vector product; a 1-D t gives (2, len(t)) from a matrix product,
+    or from a matrix-vector one when it holds a single time.
     """
 
-    def __init__(self, t_old: float, t: float, y_old: tuple, Q: tuple):
+    def __init__(self, t_old: float, t: float, y_old: tuple, Q: np.ndarray):
         self.t_old, self.h, self.y_old, self.Q = t_old, t - t_old, y_old, Q
-        self._rows = tuple(map(_krow, Q))
-
-    def at(self, t: float) -> tuple:
-        x = (t - self.t_old) / self.h
-        xx = x * x
-        return tuple((_fma(q2, xx * x, _fma(q0, x, _fma(q1, xx, 0.0))) + 0.0) + y
-                     for (q0, q1, q2), y in zip(self.Q, self.y_old))
-
-    def chain(self, t: float) -> tuple:
-        """The value at t as one of several times."""
-        x = (t - self.t_old) / self.h
-        xx = x * x
-        (q0, q1), (y0, y1) = _kdots(self._rows, x, xx, xx * x), self.y_old
-        return q0 + y0, q1 + y1
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if t.size == 1:
-            y = np.array(self.at(t.item()))
-            return y if t.ndim == 0 else y[:, None]
-        return np.array([self.chain(x) for x in t.tolist()]).reshape(-1, 2).T
+        x = (np.asarray(t, dtype=float) - self.t_old) / self.h
+        xx = x * x
+        y = self.Q.dot(np.array((x, xx, xx * x)))
+        y += np.reshape(self.y_old, (2,) + (1,) * x.ndim)
+        return y
+
+    def guess(self, t: float, h: float, y: tuple) -> np.ndarray:
+        """The next step's stages ``self(t + h * C).T - y``, laid out as scipy's."""
+        x = [(t + h * c - self.t_old) / self.h for c in C]
+        p = np.array((x, [v * v for v in x], [v * v * v for v in x]))
+        (a0, a1, a2), (b0, b1, b2) = self.Q.dot(p).tolist()
+        (u0, u1), (v0, v1) = self.y_old, y
+        return np.array((((a0 + u0) - v0, (a1 + u0) - v0, (a2 + u0) - v0),
+                         ((b0 + u1) - v1, (b1 + u1) - v1, (b2 + u1) - v1))).T
 
 
 class _PlanarRadau:
@@ -561,12 +510,14 @@ class _PlanarRadau:
     It restates scipy 1.17's ``OdeSolver``/``Radau`` constructor, ``step``,
     ``solve_collocation_system`` and dense output line for line, forward
     in time and without a maximum step (``integrate`` asks for neither).
-    The state is a pair, the stages Z and W are three rows of two and the
-    Jacobian is its entries by rows.  The helpers above restate each numpy
-    or LAPACK operation on them with the bits that numpy and OpenBLAS
-    give, so the results are those of scipy's ``Radau``, which the tests
-    keep as the reference.  It also counts error-test rejections
-    (``rejected``) and unconverged collocation solves (``newton_failures``).
+    The state is a pair of floats and the Jacobian its entries by rows.
+    The stages are floats too, and (3, 2) arrays with scipy's layout where
+    a matrix product takes them: Z0 as the predictor lays it out, and F
+    and W C-contiguous, rewritten in place.  The LU helpers above restate
+    LAPACK with OpenBLAS's bits, so the results are those of scipy's
+    ``Radau``, which the tests keep as the reference.  It also counts
+    error-test rejections (``rejected``) and unconverged collocation solves
+    (``newton_failures``).
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
@@ -584,6 +535,10 @@ class _PlanarRadau:
         self.J = self.jac(t0, y0)
         self.current_jac = True
         self.LU_real = self.LU_complex = None
+        # scipy's F and W and the scaled Newton update dW / scale, C-contiguous
+        # arrays that the Newton iteration rewrites through flat views
+        self._arrays = np.empty((3, 2)), np.empty((3, 2)), np.empty(6)
+        self._views = tuple(memoryview(a).cast("B").cast("d") for a in self._arrays)
 
     def fun(self, t: float, y: tuple) -> tuple:
         self.nfev += 1
@@ -611,19 +566,18 @@ class _PlanarRadau:
         return _getrf(*real), _zgetrf(cplx[:2], cplx[2:4], cplx[4:6], cplx[6:])
 
     def _collocate(self, t, y, h, Z0, scale, LU_real, LU_complex):
-        """scipy's ``solve_collocation_system(self.fun, ...)``."""
+        """scipy's ``solve_collocation_system(self.fun, ...)``; Z0 and Z are (3, 2) arrays."""
         field, tol = self._field, self.newton_tol
         (y0, y1), (s0, s1) = y, scale
         M_real = MU_REAL / h
         kr, mi = _split(MU_COMPLEX.real / h), MU_COMPLEX.imag / h
-        ti0 = _TI_ROWS[:1]
-        _, (b0, b1, b2), (c0, c1, c2) = TI
+        (b0, b1, b2), (c0, c1, c2) = _TI_COMPLEX
         t0, t1, t2 = t + h * C[0], t + h * C[1], t + h * C[2]
 
-        (z00, z01), (z10, z11), (z20, z21) = Z0
-        # W = TI.dot(Z0)
-        (w00, w10, w20), (w01, w11, w21) = (_kdots(_TI_ROWS, z00, z10, z20),
-                                            _kdots(_TI_ROWS, z01, z11, z21))
+        (F, W, X), (f, w, x) = self._arrays, self._views
+        Z = Z0
+        (z00, z01), (z10, z11), (z20, z21) = Z0.tolist()
+        (w00, w01), (w10, w11), (w20, w21) = TI.dot(Z0).tolist()
 
         dW_norm_old = rate = None
         converged = False  # scipy's loop from here on
@@ -637,9 +591,9 @@ class _PlanarRadau:
                     or all(map(math.isfinite, (f00, f01, f10, f11, f20, f21)))):
                 break
 
-            # F.T.dot(TI_REAL) - M_real * W[0]; a matrix-vector dot ends adding +0
-            fr0 = (_kdots(ti0, f00, f10, f20)[0] + 0.0) - M_real * w00
-            fr1 = (_kdots(ti0, f01, f11, f21)[0] + 0.0) - M_real * w01
+            f[0], f[1], f[2], f[3], f[4], f[5] = f00, f01, f10, f11, f20, f21
+            fr0, fr1 = F.T.dot(TI_REAL).tolist()
+            fr0, fr1 = fr0 - M_real * w00, fr1 - M_real * w01
             # F.T.dot(TI_COMPLEX) - M_complex * (W[1] + 1j * W[2]): the complex
             # dot is a plain sum from +0, the complex product is contracted
             wr, wi = w10 + 0.0 * w20, 0.0 + w20
@@ -652,7 +606,9 @@ class _PlanarRadau:
             dr0, dr1 = _getrs(LU_real, fr0, fr1)
             (dcr0, dci0), (dcr1, dci1) = _zgetrs(LU_complex, fcr0, fci0, fcr1, fci1)
 
-            dW_norm = _norm(dr0 / s0, dr1 / s1, dcr0 / s0, dcr1 / s1, dci0 / s0, dci1 / s1)
+            x[0], x[1], x[2], x[3], x[4], x[5] = (dr0 / s0, dr1 / s1, dcr0 / s0, dcr1 / s1,
+                                                  dci0 / s0, dci1 / s1)
+            dW_norm = math.sqrt(X.dot(X)) / 6 ** 0.5
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
 
@@ -662,9 +618,9 @@ class _PlanarRadau:
 
             w00, w01, w10, w11 = w00 + dr0, w01 + dr1, w10 + dcr0, w11 + dcr1
             w20, w21 = w20 + dci0, w21 + dci1
-            # Z = T.dot(W); T's last row is (1, 1, 0)
-            (z00, z10), (z01, z11) = _kdots(_T_ROWS, w00, w10, w20), _kdots(_T_ROWS, w01, w11, w21)
-            z20, z21 = (w00 + 0.0) + w10 + 0.0 * w20, (w01 + 0.0) + w11 + 0.0 * w21
+            w[0], w[1], w[2], w[3], w[4], w[5] = w00, w01, w10, w11, w20, w21
+            Z = T.dot(W)
+            (z00, z01), (z10, z11), (z20, z21) = Z.tolist()
 
             if (dW_norm == 0 or
                     rate is not None and rate / (1 - rate) * dW_norm < tol):
@@ -673,7 +629,7 @@ class _PlanarRadau:
 
             dW_norm_old = dW_norm
 
-        return converged, k + 1, ((z00, z01), (z10, z11), (z20, z21)), rate
+        return converged, k + 1, Z, rate
 
     def step(self):
         """One accepted step (``OdeSolver.step`` around ``Radau._step_impl``);
@@ -701,10 +657,7 @@ class _PlanarRadau:
             h = t_new - t
             h_abs = abs(h)
 
-            if self.sol is None:
-                Z0 = ((0.0, 0.0),) * 3
-            else:  # self.sol(t + h * C).T - y
-                Z0 = [(a - y0, b - y1) for a, b in (self.sol.chain(t + h * c) for c in C)]
+            Z0 = np.zeros((3, 2)) if self.sol is None else self.sol.guess(t, h, y)
             scale = (atol + abs(y0) * rtol, atol + abs(y1) * rtol)
 
             converged = False
@@ -728,21 +681,20 @@ class _PlanarRadau:
                 LU_real = LU_complex = None
                 continue
 
-            (z00, z01), (z10, z11), (z20, z21) = Z
+            z20, z21 = Z[2].tolist()
             y_new = (y0 + z20, y1 + z21)
-            # ZE = Z.T.dot(E) / h
-            ze0 = (_kdots(_E_ROW, z00, z10, z20)[0] + 0.0) / h
-            ze1 = (_kdots(_E_ROW, z01, z11, z21)[0] + 0.0) / h
+            ze0, ze1 = Z.T.dot(E).tolist()
+            ze0, ze1 = ze0 / h, ze1 / h
             e0, e1 = _getrs(LU_real, f0 + ze0, f1 + ze1)
             s0 = atol + max(abs(y0), abs(y_new[0])) * rtol
             s1 = atol + max(abs(y1), abs(y_new[1])) * rtol
-            error_norm = _norm(e0 / s0, e1 / s1)
+            error_norm = _rms(e0 / s0, e1 / s1)
             safety = 0.9 * (2 * NEWTON_MAXITER + 1) / (2 * NEWTON_MAXITER + n_iter)
 
             if rejected and error_norm > 1:
                 g0, g1 = self.fun(t, (y0 + e0, y1 + e1))
                 e0, e1 = _getrs(LU_real, g0 + ze0, g1 + ze1)
-                error_norm = _norm(e0 / s0, e1 / s1)
+                error_norm = _rms(e0 / s0, e1 / s1)
 
             if error_norm > 1:
                 factor = _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old)
@@ -772,9 +724,7 @@ class _PlanarRadau:
         self.LU_real, self.LU_complex, self.J = LU_real, LU_complex, J
         self.current_jac = recompute_jac
 
-        # Q = Z.T.dot(P)
-        self.sol = _RadauDense(t, t_new, y, (_kdots(_P_COLS, z00, z10, z20),
-                                             _kdots(_P_COLS, z01, z11, z21)))
+        self.sol = _RadauDense(t, t_new, y, Z.T.dot(P))
         if t_new >= self.t_bound:
             self.status = "finished"
         return None

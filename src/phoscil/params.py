@@ -83,7 +83,8 @@ class DimlessParams:
         # stored as plain floats (same bits), so numpy scalars cannot leak into messages
         for name, value in dataclasses.asdict(self).items():
             if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"dimensionless parameter {name} must be positive, got {value!r}")
+                raise DomainError(
+                    f"dimensionless parameter {name} must be positive and finite, got {value!r}")
             object.__setattr__(self, name, float(value))
 
     @property
@@ -183,8 +184,13 @@ def split_dimless(dp: DimlessParams, es: EpsSplit) -> DimlessParams:
 
     The result drives the same vector field as ``dp`` when ``es.eps``
     equals the reference eps 1e-3 of :func:`derive_eps_split`, and the
-    eps-perturbed family otherwise.
+    eps-perturbed family otherwise.  An eps that takes eps1 or eps2 out of
+    (0, inf) in floating point is a DomainError that names it.
     """
+    for name, value, law in (("eps1", es.eps1, "C*eps"), ("eps2", es.eps2, "eps^2/A")):
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"eps = {es.eps!r} gives {name} = {law} = {value!r},"
+                              f" outside (0, inf) in floating point")
     return dataclasses.replace(dp, eps1=es.eps1, eps2=es.eps2)
 
 

@@ -29,7 +29,7 @@ def es(dp):
 
 @pytest.fixture(scope="session")
 def cycle_1e3(dp, es):
-    """The converged eps = 1e-3 limit-cycle report (reused, 0.6 s to build).
+    """The converged eps = 1e-3 limit-cycle report (reused, 0.6-0.7 s to build).
 
     ``find_limit_cycle`` relaxes on the s-maximum section until two
     returns agree (2 transient periods), then records one period.  Times
@@ -41,7 +41,7 @@ def cycle_1e3(dp, es):
 
 @pytest.fixture(scope="session")
 def reference_period(phys):
-    """Period of the full reference kinetics in seconds (0.9-1.0 s to measure).
+    """Period of the full reference kinetics in seconds (0.7-0.8 s to measure).
 
     Measured by the section-return loop of ``find_limit_cycle`` on the
     reference field: from (0.9, 0.5), returns on the substrate maxima
@@ -63,3 +63,14 @@ def reference_period(phys):
     assert terminus == "limit_cycle", f"reference run ended in {terminus}"
     tau_out, tau_back, _, _ = recorded
     return tau_back + tau_out
+
+
+@pytest.fixture(scope="session")
+def fold_scaling_b(dp, es):
+    """The default chart-B fold-passage scaling, DEFAULT_EPS_B (5.7-6.4 s to build).
+
+    Acceptance 5 and the counter pin in ``test_gspt`` share it.  Times are
+    single runs on a 2-core VM.
+    """
+    from phoscil.gspt import DEFAULT_EPS_B, fold_passage_offset
+    return fold_passage_offset("B", DEFAULT_EPS_B, es, dp)

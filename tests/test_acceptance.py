@@ -14,7 +14,6 @@ import pytest
 from phoscil.cycle import analytic_timescales, find_limit_cycle, winding_number
 from phoscil.gspt import (
     DEFAULT_EPS_A,
-    DEFAULT_EPS_B,
     fixed_point,
     fold_location_A,
     fold_location_B,
@@ -121,9 +120,9 @@ def test_acceptance_4_fold_genericity(dp, es):
              f"B: f0={rep_b.f0_value:.6g}; fd-agreement={fd}")
 
 
-def test_acceptance_5_fold_scaling(dp, es):
+def test_acceptance_5_fold_scaling(dp, es, fold_scaling_b):
     fs_a = fold_passage_offset("A", DEFAULT_EPS_A, es, dp)
-    fs_b = fold_passage_offset("B", DEFAULT_EPS_B, es, dp)
+    fs_b = fold_scaling_b
     ok = 0.57 <= fs_a.slope <= 0.77 and 0.57 <= fs_b.slope <= 0.77
     _verdict(5, "fold-scaling", ok,
              f"slope A={fs_a.slope:.4f}, B={fs_b.slope:.4f}, band [0.57, 0.77]")

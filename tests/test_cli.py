@@ -306,6 +306,15 @@ def test_numeric_failure_maps_to_its_own_code(tmp_path, capsys):
     assert "NoPositiveEquilibriumError" in capsys.readouterr().err
 
 
+def test_an_eps_out_of_float_range_is_named(tmp_path, capsys):
+    # eps2 = eps^2/A underflows to 0 or overflows to inf
+    assert main(["cycle", "--eps", "1e-300", "--out", str(tmp_path)]) == EXIT_NUMERIC
+    assert "DomainError: eps = 1e-300 gives eps2 = eps^2/A = 0.0," in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    assert main(["timescales", "--eps-list", "1e300", "--out", str(tmp_path)]) == EXIT_OK
+    assert "! DomainError: eps = 1e+300 gives eps2 = eps^2/A = inf," in capsys.readouterr().out
+
+
 def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
     """Run ``python *argv`` in a new interpreter that imports this checkout's phoscil."""
     src = str(Path(phoscil.__file__).resolve().parents[1])

@@ -37,6 +37,7 @@ from phoscil.gspt import (
     stability_scan,
     verify_generic_fold,
 )
+from phoscil.integrator import SolverStats
 from phoscil.model import rate_r, rhs, rhs_chart_B, to_log
 from phoscil.params import derive_dimensionless
 
@@ -437,6 +438,19 @@ def test_quick_chart_a_scaling_frozen(dp, es):
     # offsets grow with eps
     offsets = [o for _, o in fs.entries]
     assert offsets == sorted(offsets)
+
+
+def test_fold_b_passages_count_their_work(fold_scaling_b):
+    """The seed-0 ``fold-B`` benchmark job's counters, one SolverStats per eps."""
+    stats = fold_scaling_b.stats
+    assert len(stats) == len(fold_scaling_b.entries) == 5
+    assert fold_scaling_b.entries[0][0] == DEFAULT_EPS_B[0] == pytest.approx(1e-7)
+    assert stats[0] == SolverStats(steps=19_413, nfev=392_552, njev=12_931, nlu=87_688,
+                                   rejected=8, newton_failures=28_979,
+                                   event_polishes=1, polish_evals=5)
+    total = sum(stats, SolverStats())
+    assert (total.steps, total.nfev, total.njev) == (29_669, 556_932, 17_763)
+    assert all(s.event_polishes == 1 for s in stats)
 
 
 def test_scaling_preconditions(dp, es):

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -137,6 +138,19 @@ def test_physical_params_reject_nonfinite():
     bad["k_M"] = math.inf
     with pytest.raises(DomainError):
         PhysicalParams(**bad)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+def test_dimless_params_say_positive_and_finite(dp, bad):
+    with pytest.raises(DomainError, match="eps2 must be positive and finite"):
+        dataclasses.replace(dp, eps2=bad)
+
+
+@pytest.mark.parametrize("eps, law", [(0.0, "eps1 = C*eps = 0.0"), (1e-300, "eps2 = eps^2/A = 0.0"),
+                                      (1e300, "eps2 = eps^2/A = inf")])
+def test_an_eps_that_leaves_float_range_is_named_in_the_split(dp, eps, law):
+    with pytest.raises(DomainError, match=re.escape(f"eps = {eps!r} gives {law},")):
+        split_dimless(dp, derive_eps_split(dp).at_eps(eps))
 
 
 def test_eps_split_rejects_bad_constants():
