@@ -535,9 +535,9 @@ class _PlanarRadau:
         self.J = self.jac(t0, y0)
         self.current_jac = True
         self.LU_real = self.LU_complex = None
-        # scipy's F and W and the scaled Newton update dW / scale, C-contiguous
-        # arrays that the Newton iteration rewrites through flat views
-        self._arrays = np.empty((3, 2)), np.empty((3, 2)), np.empty(6)
+        # scipy's F and W: C-contiguous arrays that the Newton iteration rewrites
+        # through flat views, at about half the cost of a new array each time
+        self._arrays = np.empty((3, 2)), np.empty((3, 2))
         self._views = tuple(memoryview(a).cast("B").cast("d") for a in self._arrays)
 
     def fun(self, t: float, y: tuple) -> tuple:
@@ -574,7 +574,7 @@ class _PlanarRadau:
         (b0, b1, b2), (c0, c1, c2) = _TI_COMPLEX
         t0, t1, t2 = t + h * C[0], t + h * C[1], t + h * C[2]
 
-        (F, W, X), (f, w, x) = self._arrays, self._views
+        (F, W), (f, w) = self._arrays, self._views
         Z = Z0
         (z00, z01), (z10, z11), (z20, z21) = Z0.tolist()
         (w00, w01), (w10, w11), (w20, w21) = TI.dot(Z0).tolist()
@@ -606,9 +606,7 @@ class _PlanarRadau:
             dr0, dr1 = _getrs(LU_real, fr0, fr1)
             (dcr0, dci0), (dcr1, dci1) = _zgetrs(LU_complex, fcr0, fci0, fcr1, fci1)
 
-            x[0], x[1], x[2], x[3], x[4], x[5] = (dr0 / s0, dr1 / s1, dcr0 / s0, dcr1 / s1,
-                                                  dci0 / s0, dci1 / s1)
-            dW_norm = math.sqrt(X.dot(X)) / 6 ** 0.5
+            dW_norm = _rms(dr0 / s0, dr1 / s1, dcr0 / s0, dcr1 / s1, dci0 / s0, dci1 / s1)
             if dW_norm_old is not None:
                 rate = dW_norm / dW_norm_old
 
