@@ -7,6 +7,13 @@ settings, echoed as ``#`` comment lines or a ``"provenance"`` key), so
 identical invocations produce byte-identical files: there is no clock
 and no randomness in any output.
 
+Each subparser carries its handler, called as ``handler(run, args)``.
+The parser is the only input check; the library checks eps, rtol and
+atol once more in ``EpsSplit`` and ``IntegratorConfig``.  Every report
+file goes through ``_write_report``, which names it ``<stem>.<fmt>`` and
+picks the CSV or the JSON writer; a JSON report is
+``{"provenance": [...], **payload}``.
+
 Exit codes:
 
 ====  =========================================================
@@ -24,22 +31,17 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from ._fmt import fmt17, write_csv, write_json
-from .errors import (
-    DomainError,
-    NoPositiveEquilibriumError,
-    ParameterFileError,
-    PhoscilError,
-)
+from .errors import NoPositiveEquilibriumError, ParameterFileError, PhoscilError
 from .gspt import (
     DEFAULT_EPS_A,
     DEFAULT_EPS_B,
-    export_fold_report,
     fixed_point,
     fold_passage_offset,
     stability_scan,
@@ -56,17 +58,7 @@ from .params import (
 )
 from .cycle import _event_pair, _start_point, compare, find_limit_cycle
 
-__all__ = [
-    "RunConfig",
-    "cmd_simulate",
-    "cmd_scan",
-    "cmd_fold_check",
-    "cmd_cycle",
-    "cmd_timescales",
-    "cmd_fold_scaling",
-    "cmd_fixed_point",
-    "main",
-]
+__all__ = ["RunConfig", "main"]
 
 #: exit codes, in one place so tests and docs cannot drift
 EXIT_OK = 0
@@ -81,7 +73,9 @@ class RunConfig:
 
     ``params_path is None`` selects the built-in urease-vesicle set.
     ``rtol``/``atol`` of ``None`` keep the integrator defaults.  Runs are
-    seed-free: nothing here (or downstream) consumes randomness.
+    seed-free: nothing here (or downstream) consumes randomness.  The
+    values are checked where they are used: by the parser, and again by
+    ``EpsSplit`` and ``IntegratorConfig``.
     """
 
     params_path: Path | None
@@ -91,54 +85,59 @@ class RunConfig:
     out_dir: Path
     fmt: str
 
-    def __post_init__(self) -> None:
-        if not (self.eps > 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps override must be positive, got {self.eps!r}")
-        for name in ("rtol", "atol"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"{name} override must be positive, got {value!r}")
-        if self.fmt not in ("csv", "json"):
-            raise DomainError(f"format must be csv or json, got {self.fmt!r}")
+    @functools.cached_property
+    def _cfg(self) -> IntegratorConfig:
+        return IntegratorConfig(**{k: v for k, v in (("rtol", self.rtol), ("atol", self.atol))
+                                   if v is not None})
 
     def resolve(self):
         """(phys, dp, es, cfg): load parameters and apply every override."""
         phys = UREASE_VESICLE if self.params_path is None else load_physical(self.params_path)
         dp = derive_dimensionless(phys)
-        es = derive_eps_split(dp).at_eps(self.eps)
-        cfg = IntegratorConfig()
-        overrides = {k: v for k, v in (("rtol", self.rtol), ("atol", self.atol)) if v is not None}
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        return phys, dp, es, cfg
+        return phys, dp, derive_eps_split(dp).at_eps(self.eps), self._cfg
 
     def out(self, name: str) -> Path:
         return self.out_dir / name
 
     def provenance(self, subcommand: str, *extra: str) -> list[str]:
         """Deterministic header lines echoed into every output file."""
-        cfg_default = IntegratorConfig()
-        lines = [
+        return [
             f"phoscil {subcommand}",
             "params = " + ("builtin urease-vesicle set" if self.params_path is None
                            else str(self.params_path)),
             f"eps = {fmt17(self.eps)}",
-            f"rtol = {fmt17(self.rtol if self.rtol is not None else cfg_default.rtol)}",
-            f"atol = {fmt17(self.atol if self.atol is not None else cfg_default.atol)}",
+            f"rtol = {fmt17(self._cfg.rtol)}",
+            f"atol = {fmt17(self._cfg.atol)}",
+            *extra,
         ]
-        lines.extend(extra)
-        return lines
 
 
-def _key_value_csv(path: Path, pairs, provenance) -> None:
-    rows = [[key, value if isinstance(value, str) else fmt17(value)] for key, value in pairs]
-    write_csv(path, ["quantity", "value"], rows, provenance=provenance)
+def _write_report(run: RunConfig, stem: str, prov: list[str], to_csv, to_json) -> Path:
+    """Write the report ``<stem>.<fmt>`` as ``to_csv(path, prov)`` or ``to_json(path, prov)``."""
+    path = run.out(f"{stem}.{run.fmt}")
+    (to_csv if run.fmt == "csv" else to_json)(path, prov)
+    return path
 
 
-# --- subcommand bodies --------------------------------------------------------
+def _json(payload):
+    """JSON report writer: ``{"provenance": prov, **payload()}``, built only when written."""
+    return lambda path, prov: write_json(path, {"provenance": prov, **payload()})
 
-def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
-                 x0: tuple[float, float] | None) -> int:
+
+def _csv(header: list[str], rows):
+    """CSV report writer of pre-formatted rows."""
+    return lambda path, prov: write_csv(path, header, rows, provenance=prov)
+
+
+def _key_values(pairs):
+    """``quantity,value`` CSV report writer: strings verbatim, numbers as fmt17."""
+    return _csv(["quantity", "value"],
+                [[key, value if isinstance(value, str) else fmt17(value)] for key, value in pairs])
+
+
+# --- subcommand handlers: (run, parsed arguments) -----------------------------
+
+def _simulate(run: RunConfig, args) -> None:
     """Integrate the eps-split system and export the trajectory.
 
     Writes the same samples in all three coordinate systems --
@@ -150,6 +149,7 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
     """
     phys, dp, es, cfg = run.resolve()
     dpe = split_dimless(dp, es)
+    t_span, x0 = args.t_span, args.x0
     if x0 is None:
         try:
             x0 = _start_point(dpe)
@@ -161,13 +161,13 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
         traj = integrate(make_field(dpe), x0, t_span, cfg,
                          events=_event_pair(dpe), keep_dense=False)
     prov = run.provenance(
-        "simulate",
+        args.subcommand,
         f"t_span = {fmt17(t_span[0])} .. {fmt17(t_span[1])}",
         f"x0 = ({fmt17(x0[0])}, {fmt17(x0[1])})",
         "event 0 = s-maximum, event 1 = s-minimum (zeros of ds/dt)",
     )
     export_trajectory(traj, run.out("simulate_state.csv"), run.out("simulate_events.json"),
-                      names=("s", "h"), provenance=prov)
+                      provenance=prov)
     export_trajectory(traj, run.out("simulate_chart_a.csv"),
                       names=("sigma", "h"), transform=lambda y: tuple(to_chart_A(y, es)),
                       provenance=prov)
@@ -176,134 +176,93 @@ def cmd_simulate(run: RunConfig, t_span: tuple[float, float],
                       provenance=prov)
     print(f"simulate: {len(traj.t)} samples, {len(traj.events)} turning points "
           f"-> {run.out('simulate_state.csv')}")
-    return EXIT_OK
 
 
-def cmd_scan(run: RunConfig, kh_over_ks: tuple[float, float],
-             inv_alpha: tuple[float, float], grid: tuple[int, int]) -> int:
+def _scan(run: RunConfig, args) -> None:
     """Stability scan over the (K_h/K_s, 1/alpha) rectangle."""
     _, dp, _, _ = run.resolve()
-    smap = stability_scan(dp, kh_over_ks, inv_alpha, grid)
-    prov = run.provenance(
-        "scan",
-        f"kh_over_ks = {fmt17(kh_over_ks[0])} .. {fmt17(kh_over_ks[1])}",
-        f"inv_alpha = {fmt17(inv_alpha[0])} .. {fmt17(inv_alpha[1])}",
-        f"grid = {grid[0]}x{grid[1]}",
-    )
-    if run.fmt == "csv":
-        smap.to_csv(run.out("scan.csv"), provenance=prov)
-    else:
-        write_json(run.out("scan.json"), {"provenance": prov, **smap.to_json_dict()})
-    n_osc = int(smap.oscillates.sum())
-    print(f"scan: {grid[0]}x{grid[1]} cells, {n_osc} oscillatory "
-          f"-> {run.out('scan.' + run.fmt)}")
-    return EXIT_OK
+    kh, ia, (nx, ny) = args.kh_over_ks, args.inv_alpha, args.grid
+    smap = stability_scan(dp, kh, ia, (nx, ny))
+    prov = run.provenance(args.subcommand, f"kh_over_ks = {fmt17(kh[0])} .. {fmt17(kh[1])}",
+                          f"inv_alpha = {fmt17(ia[0])} .. {fmt17(ia[1])}", f"grid = {nx}x{ny}")
+    path = _write_report(run, "scan", prov, smap.to_csv, _json(smap.to_json_dict))
+    print(f"scan: {nx}x{ny} cells, {int(smap.oscillates.sum())} oscillatory -> {path}")
 
 
-def cmd_fold_check(run: RunConfig, chart: str) -> int:
+def _fold_check(run: RunConfig, args) -> None:
     """Generic-fold verification report for chart A or B."""
     _, dp, es, _ = run.resolve()
-    report = verify_generic_fold(chart, es, dp)
-    prov = run.provenance("fold-check", f"chart = {chart}")
-    name = f"fold_report_{chart.lower()}.{run.fmt}"
-    if run.fmt == "json":
-        export_fold_report(report, run.out(name), provenance=prov)
-    else:
-        _key_value_csv(run.out(name), [
-            ("chart", report.chart),
-            ("fold_slow", report.fold_location[0]),
-            ("fold_fast", report.fold_location[1]),
-            ("g0_value", report.g0_value),
-            ("dg0_fast", report.dg0_fast),
-            ("d2g0_fast", report.d2g0_fast),
-            ("dg0_slow", report.dg0_slow),
-            ("f0_value", report.f0_value),
-            ("is_generic", str(report.is_generic)),
-        ], prov)
-    print(f"fold-check chart {chart}: is_generic={report.is_generic} -> {run.out(name)}")
-    return EXIT_OK
+    report = verify_generic_fold(args.chart, es, dp)
+    prov = run.provenance(args.subcommand, f"chart = {args.chart}")
+    path = _write_report(run, f"fold_report_{args.chart.lower()}", prov, _key_values([
+        ("chart", report.chart),
+        ("fold_slow", report.fold_location[0]),
+        ("fold_fast", report.fold_location[1]),
+        ("g0_value", report.g0_value),
+        ("dg0_fast", report.dg0_fast),
+        ("d2g0_fast", report.d2g0_fast),
+        ("dg0_slow", report.dg0_slow),
+        ("f0_value", report.f0_value),
+        ("is_generic", str(report.is_generic)),
+    ]), _json(report.to_json_dict))
+    print(f"fold-check chart {args.chart}: is_generic={report.is_generic} -> {path}")
 
 
-def cmd_cycle(run: RunConfig) -> int:
+def _cycle(run: RunConfig, args) -> None:
     """Detect the limit cycle at the configured eps and export its record."""
     _, dp, es, cfg = run.resolve()
     report = find_limit_cycle(dp, es, cfg=cfg)
-    prov = run.provenance("cycle")
-    payload = report.to_json_dict()
-    name = f"cycle_report.{run.fmt}"
-    if run.fmt == "json":
-        write_json(run.out(name), {"provenance": prov, **payload})
-    else:
-        tp = payload.pop("turning_points")
-        pairs = list(payload.items())
-        if tp is not None:
-            pairs += [("s_max_s", tp["s_max"][0]), ("s_max_h", tp["s_max"][1]),
-                      ("s_min_s", tp["s_min"][0]), ("s_min_h", tp["s_min"][1])]
-        pairs = [(k, v) for k, v in pairs if not isinstance(v, dict)]
-        pairs += [(f"analytic_{k}", v) for k, v in payload["analytic"].items()]
-        _key_value_csv(run.out(name), [(k, str(v) if isinstance(v, bool) else v)
-                                       for k, v in pairs], prov)
+    prov = run.provenance(args.subcommand)
+    pairs = [("eps", report.eps), ("terminus", report.terminus),
+             ("converged", str(report.converged)), ("period", report.period),
+             ("tau_B_to_A", report.tau_B_to_A), ("tau_A_to_B", report.tau_A_to_B),
+             ("n_transient_periods", report.n_transient_periods)]
+    if report.turning_points is not None:
+        (s_max_s, s_max_h), (s_min_s, s_min_h) = report.turning_points
+        pairs += [("s_max_s", s_max_s), ("s_max_h", s_max_h),
+                  ("s_min_s", s_min_s), ("s_min_h", s_min_h)]
+    pairs += [(f"analytic_{k}", v) for k, v in dataclasses.asdict(report.analytic).items()]
+    path = _write_report(run, "cycle_report", prov, _key_values(pairs),
+                         _json(report.to_json_dict))
     if report.trajectory is not None:
         export_trajectory(report.trajectory, run.out("cycle_trajectory.csv"),
-                          run.out("cycle_events.json"), names=("s", "h"), provenance=prov)
-    print(f"cycle: terminus={report.terminus} period={fmt17(report.period)} "
-          f"-> {run.out(name)}")
-    return EXIT_OK
+                          run.out("cycle_events.json"), provenance=prov)
+    print(f"cycle: terminus={report.terminus} period={fmt17(report.period)} -> {path}")
 
 
-def cmd_timescales(run: RunConfig, eps_list: tuple[float, ...]) -> int:
+def _timescales(run: RunConfig, args) -> None:
     """Analytic vs measured timescale table over a list of eps values."""
     _, dp, es0, cfg = run.resolve()
-    table = compare(dp, [es0.at_eps(e) for e in eps_list], cfg=cfg)
-    prov = run.provenance("timescales",
-                          "eps_list = " + ",".join(fmt17(e) for e in eps_list))
-    name = f"timescales.{run.fmt}"
-    if run.fmt == "csv":
-        table.to_csv(run.out(name), provenance=prov)
-    else:
-        table.to_json(run.out(name), provenance=prov)
+    table = compare(dp, [es0.at_eps(e) for e in args.eps_list], cfg=cfg)
+    prov = run.provenance(args.subcommand,
+                          "eps_list = " + ",".join(fmt17(e) for e in args.eps_list))
+    _write_report(run, "timescales", prov, table.to_csv, table.to_json)
     print(table.format_text())
-    return EXIT_OK
 
 
-def cmd_fold_scaling(run: RunConfig, chart: str,
-                     eps_list: tuple[float, ...] | None) -> int:
+def _fold_scaling(run: RunConfig, args) -> None:
     """Fold-passage offsets and the fitted log-log slope for one chart."""
     _, dp, es, cfg = run.resolve()
-    if eps_list is None:
-        eps_list = DEFAULT_EPS_A if chart == "A" else DEFAULT_EPS_B
-    scaling = fold_passage_offset(chart, eps_list, es, dp, cfg=cfg)
-    prov = run.provenance("fold-scaling", f"chart = {chart}",
+    eps_list = args.eps_list or (DEFAULT_EPS_A if args.chart == "A" else DEFAULT_EPS_B)
+    scaling = fold_passage_offset(args.chart, eps_list, es, dp, cfg=cfg)
+    prov = run.provenance(args.subcommand, f"chart = {args.chart}",
                           f"slope = {fmt17(scaling.slope)}")
-    name = f"fold_scaling_{chart.lower()}.{run.fmt}"
-    if run.fmt == "csv":
-        write_csv(run.out(name), ["eps", "offset"],
-                  [[fmt17(e), fmt17(o)] for e, o in scaling.entries], provenance=prov)
-    else:
-        write_json(run.out(name), {
-            "provenance": prov,
-            "chart": scaling.chart,
-            "slope": scaling.slope,
-            "entries": [[e, o] for e, o in scaling.entries],
-        })
-    print(f"fold-scaling chart {chart}: slope={scaling.slope:.4f} -> {run.out(name)}")
-    return EXIT_OK
+    path = _write_report(
+        run, f"fold_scaling_{args.chart.lower()}", prov,
+        _csv(["eps", "offset"], [[fmt17(e), fmt17(o)] for e, o in scaling.entries]),
+        _json(lambda: {"chart": scaling.chart, "slope": scaling.slope,
+                       "entries": [[e, o] for e, o in scaling.entries]}))
+    print(f"fold-scaling chart {args.chart}: slope={scaling.slope:.4f} -> {path}")
 
 
-def cmd_fixed_point(run: RunConfig) -> int:
+def _fixed_point(run: RunConfig, args) -> None:
     """Locate and classify the positive fixed point."""
     _, dp, _, _ = run.resolve()
     fp = fixed_point(dp)
-    prov = run.provenance("fixed-point")
-    name = f"fixed_point.{run.fmt}"
-    pairs = [("s_star", fp.s_star), ("h_star", fp.h_star), ("trace", fp.trace),
-             ("det", fp.det), ("classification", fp.classification)]
-    if run.fmt == "json":
-        write_json(run.out(name), {"provenance": prov, **dict(pairs)})
-    else:
-        _key_value_csv(run.out(name), pairs, prov)
+    payload = dataclasses.asdict(fp)
+    _write_report(run, "fixed_point", run.provenance(args.subcommand),
+                  _key_values(payload.items()), _json(lambda: payload))
     print(f"fixed point (s_*, h_*) = ({fp.s_star:.4f}, {fp.h_star:.4f})  {fp.classification}")
-    return EXIT_OK
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -379,9 +338,12 @@ def _state(text: str) -> tuple[float, float]:
     return s, h
 
 
+#: one eps bound for --eps and every --eps-list entry
+_eps = _positive("eps", upper=1.0)
+
+
 def _eps_list(text: str) -> tuple[float, ...]:
-    parse_one = _positive("eps")
-    values = tuple(parse_one(part) for part in text.split(",") if part)
+    values = tuple(_eps(part) for part in text.split(",") if part)
     if not values:
         raise argparse.ArgumentTypeError("eps list must not be empty")
     return values
@@ -393,7 +355,7 @@ def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--params", type=Path, default=None, metavar="FILE",
                         help="parameter file (.txt key=value or .json); default: built-in set")
-    common.add_argument("--eps", type=_positive("eps", upper=1.0), default=1e-3,
+    common.add_argument("--eps", type=_eps, default=1e-3,
                         help="timescale-separation parameter (default 1e-3)")
     common.add_argument("--rtol", type=_positive("rtol", upper=1e-3), default=None,
                         help="integrator relative tolerance (default 1e-10)")
@@ -405,65 +367,51 @@ def _build_parser() -> _Parser:
                         help="serialization for report-style outputs (default csv)")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="integrate and export the trajectory in three coordinate systems")
+    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("simulate", _simulate,
+                "integrate and export the trajectory in three coordinate systems")
     p.add_argument("--t-span", type=_span, default=(0.0, 300.0), metavar="T0:T1",
                    help="integration window (default 0:300); T0:T0 exports one sample")
     p.add_argument("--x0", type=_state, default=None, metavar="S,H",
                    help="initial state, s > 0 and h > 0 "
                         "(default: near the fixed point, displaced in h)")
 
-    p = sub.add_parser("scan", parents=[common],
-                       help="trace/det stability scan over (K_h/K_s, 1/alpha)")
+    p = command("scan", _scan, "trace/det stability scan over (K_h/K_s, 1/alpha)")
     p.add_argument("--kh-over-ks", type=_interval, default=(1.0, 20.0), metavar="A:B")
     p.add_argument("--inv-alpha", type=_interval, default=(1.0, 12.0), metavar="A:B")
     p.add_argument("--grid", type=_grid, default=(200, 200), metavar="NxM")
 
-    p = sub.add_parser("fold-check", parents=[common],
-                       help="verify the generic-fold conditions in one chart")
+    p = command("fold-check", _fold_check, "verify the generic-fold conditions in one chart")
     p.add_argument("--chart", choices=("A", "B"), required=True)
 
-    sub.add_parser("cycle", parents=[common],
-                   help="detect the limit cycle and export period, segments, trajectory")
+    command("cycle", _cycle, "detect the limit cycle and export period, segments, trajectory")
 
-    p = sub.add_parser("timescales", parents=[common],
-                       help="analytic vs measured timescale table over several eps")
+    p = command("timescales", _timescales,
+                "analytic vs measured timescale table over several eps")
     p.add_argument("--eps-list", type=_eps_list, default=(1e-3, 1e-4, 1e-5),
                    metavar="E1,E2,...")
 
-    p = sub.add_parser("fold-scaling", parents=[common],
-                       help="fold-passage offset vs eps and its log-log slope")
+    p = command("fold-scaling", _fold_scaling,
+                "fold-passage offset vs eps and its log-log slope")
     p.add_argument("--chart", choices=("A", "B"), required=True)
     p.add_argument("--eps-list", type=_eps_list, default=None, metavar="E1,E2,...",
                    help="default: five log-spaced eps in the chart's scaling regime")
 
-    sub.add_parser("fixed-point", parents=[common],
-                   help="locate and classify the positive fixed point")
+    command("fixed-point", _fixed_point, "locate and classify the positive fixed point")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     run = RunConfig(params_path=args.params, eps=args.eps, rtol=args.rtol,
                     atol=args.atol, out_dir=args.out, fmt=args.format)
     try:
         run.out_dir.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "simulate":
-            return cmd_simulate(run, args.t_span, args.x0)
-        if args.subcommand == "scan":
-            return cmd_scan(run, args.kh_over_ks, args.inv_alpha, args.grid)
-        if args.subcommand == "fold-check":
-            return cmd_fold_check(run, args.chart)
-        if args.subcommand == "cycle":
-            return cmd_cycle(run)
-        if args.subcommand == "timescales":
-            return cmd_timescales(run, args.eps_list)
-        if args.subcommand == "fold-scaling":
-            return cmd_fold_scaling(run, args.chart, args.eps_list)
-        if args.subcommand == "fixed-point":
-            return cmd_fixed_point(run)
-        parser.error(f"unknown subcommand {args.subcommand!r}")
+        args.handler(run, args)
     except ParameterFileError as exc:
         print(f"phoscil: parameter file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -473,7 +421,7 @@ def main(argv=None) -> int:
     except PhoscilError as exc:
         print(f"phoscil: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    raise AssertionError("unreachable")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import fmt17, write_csv, write_json
+from ._fmt import fmt17, write_csv
 from .cycle import analytic_timescales
 from .errors import (
     DerivativeConsistencyError,
@@ -68,7 +68,6 @@ __all__ = [
     "slow_flow_A",
     "slow_flow_B",
     "verify_generic_fold",
-    "export_fold_report",
     "fold_passage_offset",
     "invariant_region_check",
     "return_map_contraction",
@@ -474,12 +473,6 @@ def verify_generic_fold(chart: str, es: EpsSplit, dp: DimlessParams) -> FoldRepo
                       dg0_slow=float(dg_slow), f0_value=float(f0), is_generic=is_generic)
 
 
-def export_fold_report(report: FoldReport, path, provenance=()) -> None:
-    payload = {"provenance": list(provenance)}
-    payload.update(report.to_json_dict())
-    write_json(path, payload)
-
-
 # --- fold passage scaling -------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -544,7 +537,7 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
             field = make_field_chart_A(es_i, dp)
             event = EventSpec(func=lambda t, y: y[1] - 0.5 * h_A, direction="falling")
             t_max = 0.05 / eps + 50.0
-            fold_coord, coord_index = sigma_A, 0
+            fold_slow = sigma_A
         elif chart == "B":
             s_B, eta_B = fold_location_B(es_i, dp)
             eta_start = _eta_start_B(es_i, dp)
@@ -552,14 +545,14 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
             field = make_field_chart_B(es_i, dp)
             event = EventSpec(func=lambda t, y: y[1] - 2.0 * eta_B, direction="rising")
             t_max = 50.0 / eps + 1000.0
-            fold_coord, coord_index = s_B, 0
+            fold_slow = s_B
         else:
             raise DomainError(f"chart must be 'A' or 'B', got {chart!r}")
         res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
         if not res.hit:
             raise SectionNoHitError(
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")
-        offset = abs(float(res.state_hit[coord_index]) - fold_coord)
+        offset = abs(float(res.state_hit[0]) - fold_slow)
         entries.append((eps, offset))
         stats.append(res.trajectory.stats)
 

@@ -12,6 +12,7 @@ import pytest
 
 import phoscil
 from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from phoscil.gspt import verify_generic_fold
 
 PARAM_KEYS = ("S_ext", "H_ext", "v_max", "k_M", "k_E1", "k_E2",
               "k2", "k2r", "k_H", "k_S", "k", "k_plus")
@@ -65,14 +66,17 @@ def test_outputs_are_byte_deterministic(tmp_path, argv):
 
 # --- fold-check --------------------------------------------------------------------
 
-def test_fold_check_json(tmp_path):
+def test_fold_check_json(tmp_path, dp, es):
     assert main(["fold-check", "--chart", "A", "--out", str(tmp_path),
                  "--format", "json"]) == EXIT_OK
     payload = json.loads((tmp_path / "fold_report_a.json").read_text())
+    assert next(iter(payload)) == "provenance"
+    assert payload["provenance"][0] == "phoscil fold-check"
     body = payload.get("report", payload)
     assert body["chart"] == "A"
     assert body["is_generic"] is True
     assert math.isclose(body["d2g0_fast"], -0.58378378378378382, rel_tol=1e-12)
+    assert body["d2g0_fast"] == verify_generic_fold("A", es.at_eps(1e-3), dp).d2g0_fast
 
 
 def test_fold_check_csv_keeps_the_location(tmp_path):
@@ -135,12 +139,40 @@ def test_simulate_honours_explicit_tolerances(tmp_path):
 
 # --- cycle -------------------------------------------------------------------------
 
+#: the quantity column of cycle_report.csv for a limit cycle, in order
+CYCLE_QUANTITIES = ["eps", "terminus", "converged", "period", "tau_B_to_A", "tau_A_to_B",
+                    "n_transient_periods", "s_max_s", "s_max_h", "s_min_s", "s_min_h",
+                    "analytic_T_acid", "analytic_T_basic", "analytic_T_total",
+                    "analytic_ratio"]
+
+
+def cycle_report_pairs(out):
+    """(quantity, value) rows of cycle_report.csv, each checked against cycle_report.json."""
+    _, header, rows = read_csv_rows(out / "cycle_report.csv")
+    assert header == ["quantity", "value"]
+    payload = json.loads((out / "cycle_report.json").read_text())
+    for quantity, text in rows:
+        if quantity.startswith("analytic_"):
+            value = payload["analytic"][quantity[len("analytic_"):]]
+        elif quantity.startswith(("s_max_", "s_min_")):
+            value = payload["turning_points"][quantity[:5]]["sh".index(quantity[-1])]
+        else:
+            value = payload[quantity]
+        if isinstance(value, (str, bool)):
+            assert text == str(value), quantity
+        else:
+            assert float(text) == value or (math.isnan(value) and text == "nan"), quantity
+    return rows
+
+
 def test_cycle_writes_report_and_trajectory(tmp_path):
     assert main(["cycle", "--out", str(tmp_path), "--format", "json"]) == EXIT_OK
     payload = json.loads((tmp_path / "cycle_report.json").read_text())
     body = payload.get("report", payload)
     assert body["terminus"] == "limit_cycle"
     assert math.isclose(body["period"], 90.238189256981258, rel_tol=1e-10)
+    assert main(["cycle", "--out", str(tmp_path)]) == EXIT_OK
+    assert [q for q, _ in cycle_report_pairs(tmp_path)] == CYCLE_QUANTITIES
     _, header, rows = read_csv_rows(tmp_path / "cycle_trajectory.csv")
     assert header == ["t", "s", "h"] and len(rows) > 50
     events = json.loads((tmp_path / "cycle_events.json").read_text())
@@ -221,6 +253,11 @@ def test_cycle_and_timescales_classify_h_star_above_one_half(tmp_path):
     report = json.loads((out / "cycle_report.json").read_text())
     assert report["terminus"] == "equilibrium"
     assert math.isnan(report["analytic"]["T_total"])
+    # the CSV form has no turning-point rows when there is no cycle
+    assert main(["cycle", *common[:-2]]) == EXIT_OK
+    rows = cycle_report_pairs(out)
+    assert [q for q, _ in rows] == [q for q in CYCLE_QUANTITIES if not q.startswith("s_")]
+    assert ["converged", "False"] in rows and ["period", "nan"] in rows
     assert main(["timescales", "--eps-list", "1e-3", *common]) == EXIT_OK
     row = json.loads((out / "timescales.json").read_text())["rows"][0]
     assert row["error"] == "no limit cycle: equilibrium"
@@ -311,8 +348,28 @@ def test_an_eps_out_of_float_range_is_named(tmp_path, capsys):
     assert main(["cycle", "--eps", "1e-300", "--out", str(tmp_path)]) == EXIT_NUMERIC
     assert "DomainError: eps = 1e-300 gives eps2 = eps^2/A = 0.0," in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
-    assert main(["timescales", "--eps-list", "1e300", "--out", str(tmp_path)]) == EXIT_OK
-    assert "! DomainError: eps = 1e+300 gives eps2 = eps^2/A = inf," in capsys.readouterr().out
+    assert main(["timescales", "--eps-list", "1e-300", "--out", str(tmp_path)]) == EXIT_OK
+    assert "! DomainError: eps = 1e-300 gives eps2 = eps^2/A = 0.0," in capsys.readouterr().out
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["timescales", "--eps-list", "1e300", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "eps must be <= 1, got '1e300'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["timescales", "--eps-list", "5"],
+    ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,5"],
+], ids=["timescales", "fold-scaling"])
+def test_an_eps_list_entry_above_one_is_a_usage_error(tmp_path, capsys, argv):
+    # the same bound as --eps: eps <= 1
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "eps must be <= 1, got '5'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _fresh_python(*argv: str) -> subprocess.CompletedProcess:
@@ -350,7 +407,8 @@ import json, sys
 from phoscil.cli import main
 out = sys.argv[1]
 for argv in (["fixed-point"], ["scan", "--grid", "9x7"], ["fold-check", "--chart", "A"],
-             ["simulate", "--t-span", "0:50"], ["cycle"]):
+             ["simulate", "--t-span", "0:50"], ["cycle"], ["timescales", "--eps-list", "1e-3"],
+             ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,1e-5,1e-4"]):
     assert main(argv + ["--out", out]) == 0, argv
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
 """
@@ -358,7 +416,8 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
     assert {"fixed_point.csv", "scan.csv", "fold_report_a.csv", "simulate_state.csv",
-            "cycle_report.csv"} <= {p.name for p in tmp_path.iterdir()}
+            "cycle_report.csv", "timescales.csv",
+            "fold_scaling_a.csv"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_exit_code_constants():

@@ -1,6 +1,5 @@
 """Fixed point, slow-manifold geometry, fold verification and parameter scans."""
 import dataclasses
-import json
 import math
 import tracemalloc
 
@@ -18,7 +17,6 @@ from phoscil.errors import (
 from phoscil.gspt import (
     DEFAULT_EPS_A,
     DEFAULT_EPS_B,
-    export_fold_report,
     fixed_point,
     fold_location_A,
     fold_location_B,
@@ -246,18 +244,6 @@ def test_degenerate_fold_is_flagged(dp, es):
     rep = verify_generic_fold("A", es, degenerate)
     assert rep.f0_value == 0.0
     assert not rep.is_generic
-
-
-def test_fold_report_export_roundtrip(dp, es, tmp_path):
-    rep = verify_generic_fold("A", es, dp)
-    path = tmp_path / "fold.json"
-    export_fold_report(rep, path, provenance=["probe"])
-    payload = json.loads(path.read_text())
-    assert payload["provenance"] == ["probe"]
-    body = payload["report"] if "report" in payload else payload
-    assert body["chart"] == "A"
-    assert body["is_generic"] is True
-    assert math.isclose(body["d2g0_fast"], rep.d2g0_fast, rel_tol=0.0)
 
 
 # --- stability scan ----------------------------------------------------------------
