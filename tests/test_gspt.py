@@ -1,5 +1,6 @@
 """Fixed point, slow-manifold geometry, fold verification and parameter scans."""
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from phoscil import gspt
-from phoscil._fmt import fmt17, write_csv
+from phoscil._fmt import fmt17, write_csv, write_json
 from phoscil.errors import (
     DomainError,
     FoldSingularityError,
@@ -230,6 +231,20 @@ def test_fold_report_locations_match(dp, es):
     assert rep_a.fold_location == fold_location_A(es, dp)
     rep_b = verify_generic_fold("B", es, dp)
     assert rep_b.fold_location == fold_location_B(es, dp)
+
+
+def test_fold_report_export_roundtrip(dp, es, tmp_path):
+    # the fold-check JSON envelope: provenance first, then the report fields
+    rep = verify_generic_fold("A", es, dp)
+    path = tmp_path / "fold.json"
+    write_json(path, {"provenance": ["probe"], **rep.to_json_dict()})
+    payload = json.loads(path.read_text())
+    assert next(iter(payload)) == "provenance"
+    assert payload["provenance"] == ["probe"]
+    body = payload["report"] if "report" in payload else payload
+    assert body["chart"] == "A"
+    assert body["is_generic"] is True
+    assert math.isclose(body["d2g0_fast"], rep.d2g0_fast, rel_tol=0.0)
 
 
 def test_fold_report_rejects_unknown_chart(dp, es):
