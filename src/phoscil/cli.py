@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ._fmt import fmt17, write_csv, write_json
-from .errors import NoPositiveEquilibriumError, ParameterFileError, PhoscilError
+from .errors import NoPositiveEquilibriumError, ParameterFileError, PhoscilError, PreconditionError
 from .gspt import (
     DEFAULT_EPS_A,
     DEFAULT_EPS_B,
@@ -97,6 +97,8 @@ class RunConfig:
         return phys, dp, derive_eps_split(dp).at_eps(self.eps), self._cfg
 
     def out(self, name: str) -> Path:
+        """Path of the output file ``name``; the first call creates ``out_dir``."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         return self.out_dir / name
 
     def provenance(self, subcommand: str, *extra: str) -> list[str]:
@@ -169,10 +171,10 @@ def _simulate(run: RunConfig, args) -> None:
     export_trajectory(traj, run.out("simulate_state.csv"), run.out("simulate_events.json"),
                       provenance=prov)
     export_trajectory(traj, run.out("simulate_chart_a.csv"),
-                      names=("sigma", "h"), transform=lambda y: tuple(to_chart_A(y, es)),
+                      names=("sigma", "h"), transform=lambda y: to_chart_A(y, es),
                       provenance=prov)
     export_trajectory(traj, run.out("simulate_log.csv"),
-                      names=("pS", "pH"), transform=lambda y: tuple(to_log(y, phys)),
+                      names=("pS", "pH"), transform=lambda y: to_log(y, phys),
                       provenance=prov)
     print(f"simulate: {len(traj.t)} samples, {len(traj.events)} turning points "
           f"-> {run.out('simulate_state.csv')}")
@@ -410,10 +412,12 @@ def main(argv=None) -> int:
     run = RunConfig(params_path=args.params, eps=args.eps, rtol=args.rtol,
                     atol=args.atol, out_dir=args.out, fmt=args.format)
     try:
-        run.out_dir.mkdir(parents=True, exist_ok=True)
         args.handler(run, args)
     except ParameterFileError as exc:
         print(f"phoscil: parameter file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except PreconditionError as exc:  # only fold-scaling's --eps-list raises it here
+        print(f"phoscil: invalid argument: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"phoscil: I/O error: {exc}", file=sys.stderr)

@@ -24,7 +24,6 @@ from .errors import (
     MalformedCycleError,
     NoPositiveEquilibriumError,
     PhoscilError,
-    PreconditionError,
 )
 from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate_until_event
 from .model import _rate, make_field, rate_r
@@ -135,20 +134,9 @@ def _analytic_or_nan(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
         return AnalyticTimescales(math.nan, math.nan, math.nan, math.nan)
 
 
-def physical_timescales(dp: DimlessParams, es: EpsSplit,
-                        phys: PhysicalParams) -> tuple[float, float]:
-    """(T_acid, T_basic) in seconds: dimensionless times over k_max.
-
-    The phys/dimless pair must be consistent (dp derived from phys);
-    mismatched pairs raise PreconditionError.
-    """
-    derived = derive_dimensionless(phys)
-    for name in ("K_s", "K_h", "K", "alpha", "beta"):
-        a, b = getattr(derived, name), getattr(dp, name)
-        if abs(a - b) > 1e-9 * max(abs(a), abs(b)):
-            raise PreconditionError(
-                f"dimensionless group {name} = {b!r} does not match {a!r} derived from phys")
-    ts = analytic_timescales(dp, es)
+def physical_timescales(phys: PhysicalParams, es: EpsSplit) -> tuple[float, float]:
+    """(T_acid, T_basic) in seconds: dimensionless times over k_max."""
+    ts = analytic_timescales(derive_dimensionless(phys), es)
     return ts.T_acid / phys.k_max, ts.T_basic / phys.k_max
 
 

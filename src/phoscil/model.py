@@ -17,13 +17,15 @@ original time), chart B uses eta = h/eps and time t' = t/eps (basic
 branch).  The full reference kinetics in physical time is kept alongside
 for cross-validation of the reduction.
 
+The coordinate maps (to_/from_chart_A, to_/from_chart_B, to_/from_log)
+return plain (float, float) pairs.  Each s, h, sigma and eta they return
+is checked finite and non-negative; to_log needs s > 0 and h > 0.
+
 All evaluators are pure and accept scalars or numpy arrays.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -31,10 +33,6 @@ from .errors import DomainError
 from .params import DimlessParams, EpsSplit, PhysicalParams, split_dimless
 
 __all__ = [
-    "State",
-    "ChartAState",
-    "ChartBState",
-    "LogState",
     "rate_r",
     "rate_r_prime",
     "rate_r_hat",
@@ -64,66 +62,6 @@ def _check_coord(name: str, value: float) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
     return value
-
-
-@dataclass(frozen=True)
-class State:
-    """Dimensionless substrate and acid concentrations, both >= 0."""
-
-    s: float
-    h: float
-
-    def __post_init__(self) -> None:
-        _check_coord("s", self.s)
-        _check_coord("h", self.h)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.s
-        yield self.h
-
-
-@dataclass(frozen=True)
-class ChartAState:
-    """Chart-A coordinates (sigma, h) with sigma = eps*s."""
-
-    sigma: float
-    h: float
-
-    def __post_init__(self) -> None:
-        _check_coord("sigma", self.sigma)
-        _check_coord("h", self.h)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.sigma
-        yield self.h
-
-
-@dataclass(frozen=True)
-class ChartBState:
-    """Chart-B coordinates (s, eta) with eta = h/eps."""
-
-    s: float
-    eta: float
-
-    def __post_init__(self) -> None:
-        _check_coord("s", self.s)
-        _check_coord("eta", self.eta)
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.s
-        yield self.eta
-
-
-@dataclass(frozen=True)
-class LogState:
-    """Negative base-10 logarithms (pS, pH) of the molar concentrations."""
-
-    pS: float
-    pH: float
-
-    def __iter__(self) -> Iterator[float]:
-        yield self.pS
-        yield self.pH
 
 
 # --- rate functions ---------------------------------------------------------
@@ -387,37 +325,40 @@ def rhs_reference(state, phys: PhysicalParams):
 
 # --- coordinate maps ----------------------------------------------------------
 
-def to_chart_A(state, es: EpsSplit) -> ChartAState:
+def to_chart_A(state, es: EpsSplit) -> tuple[float, float]:
+    """(sigma, h) with sigma = eps*s."""
     s, h = state
-    return ChartAState(sigma=es.eps * s, h=h)
+    return _check_coord("sigma", es.eps * s), _check_coord("h", h)
 
 
-def from_chart_A(x, es: EpsSplit) -> State:
+def from_chart_A(x, es: EpsSplit) -> tuple[float, float]:
     sigma, h = x
-    return State(s=sigma / es.eps, h=h)
+    return _check_coord("s", sigma / es.eps), _check_coord("h", h)
 
 
-def to_chart_B(state, es: EpsSplit) -> ChartBState:
+def to_chart_B(state, es: EpsSplit) -> tuple[float, float]:
+    """(s, eta) with eta = h/eps."""
     s, h = state
-    return ChartBState(s=s, eta=h / es.eps)
+    return _check_coord("s", s), _check_coord("eta", h / es.eps)
 
 
-def from_chart_B(x, es: EpsSplit) -> State:
+def from_chart_B(x, es: EpsSplit) -> tuple[float, float]:
     s, eta = x
-    return State(s=s, h=es.eps * eta)
+    return _check_coord("s", s), _check_coord("h", es.eps * eta)
 
 
-def to_log(state, phys: PhysicalParams) -> LogState:
-    """(pS, pH) of the molar concentrations s*S_ext and h*H_ext."""
+def to_log(state, phys: PhysicalParams) -> tuple[float, float]:
+    """(pS, pH): negative base-10 logarithms of the molar s*S_ext and h*H_ext."""
     s, h = state
     if not (s > 0.0 and h > 0.0):
         raise DomainError("log coordinates require s > 0 and h > 0")
-    return LogState(pS=-math.log10(s * phys.S_ext), pH=-math.log10(h * phys.H_ext))
+    return -math.log10(s * phys.S_ext), -math.log10(h * phys.H_ext)
 
 
-def from_log(x, phys: PhysicalParams) -> State:
+def from_log(x, phys: PhysicalParams) -> tuple[float, float]:
     pS, pH = x
-    return State(s=10.0 ** (-pS) / phys.S_ext, h=10.0 ** (-pH) / phys.H_ext)
+    return (_check_coord("s", 10.0 ** (-pS) / phys.S_ext),
+            _check_coord("h", 10.0 ** (-pH) / phys.H_ext))
 
 
 # --- integrator-facing field objects -----------------------------------------

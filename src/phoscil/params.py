@@ -144,23 +144,10 @@ UREASE_VESICLE = PhysicalParams(
 )
 
 
-def _round_sig(x: float, n: int) -> float:
-    if x == 0.0:
-        return 0.0
-    return round(x, -int(math.floor(math.log10(abs(x)))) + (n - 1))
-
-
-def derive_dimensionless(phys: PhysicalParams, *, rounded: bool = False) -> DimlessParams:
-    """Reduce physical parameters to the seven dimensionless groups.
-
-    All groups are computed from the unrounded physical values.  The
-    two-significant-figure set quoted in summaries is available behind
-    the explicit ``rounded`` flag and should not be used for numerics:
-    downstream fixed-point and timescale values match the unrounded
-    derivation, not the rounded one.
-    """
+def derive_dimensionless(phys: PhysicalParams) -> DimlessParams:
+    """Reduce physical parameters to the seven dimensionless groups."""
     k_max = phys.k_max
-    dp = DimlessParams(
+    return DimlessParams(
         K_s=phys.k_S / k_max,
         K_h=phys.k_H / k_max,
         K=phys.k / k_max,
@@ -169,9 +156,6 @@ def derive_dimensionless(phys: PhysicalParams, *, rounded: bool = False) -> Diml
         eps1=math.sqrt(phys.k_E1 * phys.k_E2) / phys.H_ext,
         eps2=(phys.H_ext / (2.0 * phys.S_ext)) / (phys.k_prime * phys.H_ext),
     )
-    if rounded:
-        dp = DimlessParams(**{k: _round_sig(v, 2) for k, v in dataclasses.asdict(dp).items()})
-    return dp
 
 
 def derive_eps_split(dp: DimlessParams) -> EpsSplit:

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 import phoscil
+from phoscil._fmt import fmt17
 from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from phoscil.gspt import verify_generic_fold
+from phoscil.params import UREASE_VESICLE
 
 PARAM_KEYS = ("S_ext", "H_ext", "v_max", "k_M", "k_E1", "k_E2",
               "k2", "k2r", "k_H", "k_S", "k", "k_plus")
@@ -100,6 +102,20 @@ def test_simulate_exports_all_coordinate_systems(tmp_path):
     assert read_csv_rows(tmp_path / "simulate_state.csv")[1] == ["t", "s", "h"]
     assert read_csv_rows(tmp_path / "simulate_chart_a.csv")[1] == ["t", "sigma", "h"]
     assert read_csv_rows(tmp_path / "simulate_log.csv")[1] == ["t", "pS", "pH"]
+
+
+def test_simulate_coordinate_files_follow_from_the_state_file(tmp_path):
+    assert main(["simulate", "--t-span", "0:50", "--out", str(tmp_path)]) == EXIT_OK
+    _, _, states = read_csv_rows(tmp_path / "simulate_state.csv")
+    _, _, chart_a = read_csv_rows(tmp_path / "simulate_chart_a.csv")
+    _, _, logs = read_csv_rows(tmp_path / "simulate_log.csv")
+    assert len(states) > 100 and len(chart_a) == len(logs) == len(states)
+    eps, S_ext, H_ext = 1e-3, UREASE_VESICLE.S_ext, UREASE_VESICLE.H_ext
+    for (t, s, h), (t_a, sigma, h_a), (t_l, pS, pH) in zip(states, chart_a, logs):
+        assert t_a == t_l == t
+        assert sigma == fmt17(eps * float(s)) and h_a == h
+        assert pS == fmt17(-math.log10(float(s) * S_ext))
+        assert pH == fmt17(-math.log10(float(h) * H_ext))
 
 
 def test_simulate_turning_points_space_one_period(tmp_path):
@@ -341,6 +357,36 @@ def test_numeric_failure_maps_to_its_own_code(tmp_path, capsys):
     code = main(["fixed-point", "--params", str(params), "--out", str(tmp_path)])
     assert code == EXIT_NUMERIC
     assert "NoPositiveEquilibriumError" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, params, code", [
+    (["fixed-point"], {"k_S": 0.1}, EXIT_NUMERIC),
+    (["cycle", "--eps", "1e-300"], None, EXIT_NUMERIC),
+    (["simulate", "--t-span", "0:10", "--rtol", "1e-20"], None, EXIT_NUMERIC),
+    (["fixed-point"], {"k_banana": 7}, EXIT_USAGE),
+], ids=["no-equilibrium", "eps2-underflow", "rtol-below-floor", "unknown-key"])
+def test_a_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, code):
+    if params is not None:
+        values = {**{k: getattr(UREASE_VESICLE, k) for k in PARAM_KEYS}, **params}
+        path = tmp_path / "params.txt"
+        path.write_text("\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
+        argv = argv + ["--params", str(path)]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps_list, reason", [
+    ("1e-5", "eps_list needs at least two entries"),
+    ("1e-5,1e-4", "eps_list must span >= 1.5 decades, got 1.000"),
+], ids=["one-entry", "one-decade"])
+def test_a_narrow_fold_scaling_eps_list_is_a_usage_error(tmp_path, capsys, eps_list, reason):
+    out = tmp_path / "out"
+    assert main(["fold-scaling", "--chart", "A", "--eps-list", eps_list,
+                 "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert reason in err and "parameter file" not in err
+    assert not out.exists()
 
 
 def test_an_eps_out_of_float_range_is_named(tmp_path, capsys):

@@ -21,11 +21,7 @@ from phoscil.cycle import (
     segment_times,
     winding_number,
 )
-from phoscil.errors import (
-    DomainError,
-    MalformedCycleError,
-    PreconditionError,
-)
+from phoscil.errors import DomainError, MalformedCycleError
 from phoscil.gspt import fixed_point
 from phoscil.integrator import (
     EventSpec,
@@ -111,15 +107,10 @@ def test_analytic_timescales_domain_error_shows_a_plain_float(dp, es):
 
 
 def test_physical_timescales_frozen(dp, es, phys):
-    t_acid_s, t_basic_s = physical_timescales(dp, es, phys)
+    t_acid_s, t_basic_s = physical_timescales(phys, es)
     assert math.isclose(t_acid_s, 146.1007965960122, rel_tol=1e-13)
     assert math.isclose(t_basic_s, 1163.4370219275893, rel_tol=1e-13)
     assert math.isclose(t_acid_s, T_ACID_1E3 / phys.k_max, rel_tol=1e-15)
-
-
-def test_physical_timescales_reject_mismatched_pair(dp, es, phys):
-    with pytest.raises(PreconditionError):
-        physical_timescales(dataclasses.replace(dp, K_h=2.0 * dp.K_h), es, phys)
 
 
 # --- oscillation condition ------------------------------------------------------

@@ -73,9 +73,9 @@ def test_fixed_point_kills_the_field(dp):
 
 def test_fixed_point_log_coordinates(dp, phys):
     fp = fixed_point(dp)
-    log = to_log((fp.s_star, fp.h_star), phys)
-    assert math.isclose(log.pS, 4.538352430510139, rel_tol=1e-13)
-    assert math.isclose(log.pH, 4.928936644174555, rel_tol=1e-13)
+    pS, pH = to_log((fp.s_star, fp.h_star), phys)
+    assert math.isclose(pS, 4.538352430510139, rel_tol=1e-13)
+    assert math.isclose(pH, 4.928936644174555, rel_tol=1e-13)
 
 
 def test_fixed_point_requires_admissibility(dp):

@@ -8,9 +8,6 @@ from hypothesis import given, strategies as st
 
 from phoscil.errors import DomainError
 from phoscil.model import (
-    ChartAState,
-    ChartBState,
-    State,
     from_chart_A,
     from_chart_B,
     from_log,
@@ -173,15 +170,15 @@ def test_supply_dominates_at_zero_substrate(dp):
 # --- chart forms ---------------------------------------------------------------
 
 def test_chart_transforms_roundtrip(dp, es):
-    x = State(s=0.37, h=0.21)
-    a = to_chart_A(x, es)
-    assert isinstance(a, ChartAState) and a.sigma == es.eps * 0.37
-    back = from_chart_A(a, es)
-    assert math.isclose(back.s, x.s, rel_tol=1e-15) and back.h == x.h
-    b = to_chart_B(x, es)
-    assert isinstance(b, ChartBState) and b.eta == 0.21 / es.eps
-    back = from_chart_B(b, es)
-    assert back.s == x.s and math.isclose(back.h, x.h, rel_tol=1e-15)
+    x = (0.37, 0.21)
+    sigma, h = to_chart_A(x, es)
+    assert sigma == es.eps * 0.37 and h == 0.21
+    s, h = from_chart_A((sigma, h), es)
+    assert math.isclose(s, 0.37, rel_tol=1e-15) and h == 0.21
+    s, eta = to_chart_B(x, es)
+    assert s == 0.37 and eta == 0.21 / es.eps
+    s, h = from_chart_B((s, eta), es)
+    assert s == 0.37 and math.isclose(h, 0.21, rel_tol=1e-15)
 
 
 @pytest.mark.parametrize("state", [(0.05, 0.2), (0.5, 0.7), (1.2, 0.05)])
@@ -256,12 +253,11 @@ def test_chart_b_field_extends_to_the_axis(dp, es):
 # --- log coordinates ------------------------------------------------------------
 
 def test_log_coordinates_roundtrip(phys):
-    x = State(s=0.076, h=0.0906)
-    log = to_log(x, phys)
-    assert log.pS > 0 and log.pH > 0
-    back = from_log(log, phys)
-    assert math.isclose(back.s, x.s, rel_tol=1e-12)
-    assert math.isclose(back.h, x.h, rel_tol=1e-12)
+    pS, pH = to_log((0.076, 0.0906), phys)
+    assert pS > 0 and pH > 0
+    s, h = from_log((pS, pH), phys)
+    assert math.isclose(s, 0.076, rel_tol=1e-12)
+    assert math.isclose(h, 0.0906, rel_tol=1e-12)
 
 
 def test_log_coordinates_need_positive_state(phys):
@@ -269,21 +265,17 @@ def test_log_coordinates_need_positive_state(phys):
         to_log((0.0, 0.5), phys)
 
 
-# --- state containers -----------------------------------------------------------
+# --- coordinate checks ----------------------------------------------------------
 
-def test_states_iterate_in_order():
-    assert tuple(State(s=1.0, h=2.0)) == (1.0, 2.0)
-    assert tuple(ChartAState(sigma=3.0, h=4.0)) == (3.0, 4.0)
-    assert tuple(ChartBState(s=5.0, eta=6.0)) == (5.0, 6.0)
-
-
-def test_states_reject_negative_coordinates():
-    with pytest.raises(DomainError):
-        State(s=-0.1, h=0.5)
-    with pytest.raises(DomainError):
-        ChartAState(sigma=0.1, h=-0.5)
-    with pytest.raises(DomainError):
-        ChartBState(s=-1.0, eta=0.5)
+def test_states_reject_negative_coordinates(es):
+    with pytest.raises(DomainError, match="^s must be finite and non-negative"):
+        from_chart_B((-0.1, 0.5 / es.eps), es)
+    with pytest.raises(DomainError, match="^h must be finite and non-negative"):
+        to_chart_A((0.1 / es.eps, -0.5), es)
+    with pytest.raises(DomainError, match="^s must be finite and non-negative"):
+        to_chart_B((-1.0, 0.5 * es.eps), es)
+    with pytest.raises(DomainError, match="^eta must be finite and non-negative"):
+        to_chart_B((1.0, -0.5 * es.eps), es)
 
 
 # --- reference kinetics -----------------------------------------------------------

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from phoscil.errors import DomainError, ParameterFileError
 from phoscil.params import (
     UREASE_VESICLE,
-    DimlessParams,
     EpsSplit,
     PhysicalParams,
     derive_dimensionless,
@@ -62,19 +61,6 @@ def test_dimensionless_groups_frozen_values():
     assert math.isclose(dp.beta, 0.02, rel_tol=1e-15)
     assert math.isclose(dp.eps1, 0.00076923076923076934, rel_tol=1e-15)
     assert math.isclose(dp.eps2, 7.3443696450428398e-07, rel_tol=1e-15)
-
-
-def test_rounded_reduction_truncates_display_precision():
-    exact = derive_dimensionless(UREASE_VESICLE)
-    rounded = derive_dimensionless(UREASE_VESICLE, rounded=True)
-    for field in dataclasses.fields(DimlessParams):
-        a = getattr(exact, field.name)
-        b = getattr(rounded, field.name)
-        # two significant figures: relative error at most 5%
-        assert math.isclose(a, b, rel_tol=0.05), field.name
-    assert rounded.alpha == 0.17
-    assert rounded.K_h == 0.15
-    assert rounded.alpha != exact.alpha
 
 
 def test_eps_split_reproduces_physical_smallness():
