@@ -61,9 +61,6 @@ class AnalyticTimescales:
     T_total: float
     ratio: float
 
-    def __iter__(self):
-        return iter((self.T_acid, self.T_basic, self.T_total, self.ratio))
-
 
 @dataclass(frozen=True)
 class CycleReport:

@@ -14,7 +14,6 @@ __all__ = [
     "EventBracketError",
     "NoPositiveEquilibriumError",
     "FoldSingularityError",
-    "DerivativeConsistencyError",
     "SectionNoHitError",
     "PreconditionError",
     "MalformedCycleError",
@@ -51,10 +50,6 @@ class NoPositiveEquilibriumError(PhoscilError, ValueError):
 
 class FoldSingularityError(PhoscilError, ZeroDivisionError):
     """A reduced slow flow was evaluated at its fold singularity."""
-
-
-class DerivativeConsistencyError(PhoscilError, RuntimeError):
-    """Analytic and finite-difference derivatives disagree beyond tolerance."""
 
 
 class SectionNoHitError(PhoscilError, RuntimeError):

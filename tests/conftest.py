@@ -2,7 +2,7 @@
 import hypothesis
 import pytest
 
-from phoscil.params import UREASE_VESICLE, derive_dimensionless, derive_eps_split
+from phoscil.params import PhysicalParams, UREASE_VESICLE, derive_dimensionless, derive_eps_split
 
 hypothesis.settings.register_profile(
     "phoscil", deadline=None, max_examples=60,
@@ -25,6 +25,30 @@ def dp(phys):
 def es(dp):
     """Eps split calibrated so eps = 1e-3 reproduces the physical eps1, eps2."""
     return derive_eps_split(dp)
+
+
+@pytest.fixture(scope="session")
+def chart_b_edge_params():
+    """Two admissible sets whose chart-B folds a fixed-step difference misreads.
+
+    ``coarse`` has eta_B = C = 0.024, so a stencil of step 1e-3 misses
+    d2(g0)/deta2 in the fourth digit; ``narrow`` has eta_B = C = 3.8e-4,
+    so the same stencil steps to eta < 0, outside the layer problem.
+    """
+    return {
+        "coarse": PhysicalParams(
+            S_ext=1.3099073320748745e-05, H_ext=0.0031891746259544163,
+            v_max=0.0021002461840514946, k_M=0.0003143383416793114,
+            k_E1=4.7941360305785184e-06, k_E2=1.256013348075435e-09,
+            k2=173716210305.364, k2r=342.8503887623763, k_H=0.00021363915745302195,
+            k_S=1.8176821474354743e-05, k=0.030845261137761426, k_plus=0.0007536961681638977),
+        "narrow": PhysicalParams(
+            S_ext=3.9898792922662896e-05, H_ext=0.0030263745866544677,
+            v_max=0.000911225427599082, k_M=6.457401733238539e-05,
+            k_E1=5.830858801602233e-08, k_E2=2.2870196462931896e-11,
+            k2=452705276656.7606, k2r=2.3902765142611444, k_H=0.00024671583150264766,
+            k_S=0.004419125875456378, k=0.00033405616577254603, k_plus=2.655764429523276e-05),
+    }
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
+import dataclasses
 import json
 import math
 import os
@@ -89,6 +90,16 @@ def test_fold_check_csv_keeps_the_location(tmp_path):
     assert {"chart", "fold_slow", "fold_fast", "g0_value", "dg0_fast",
             "d2g0_fast", "dg0_slow", "f0_value", "is_generic"} <= set(values)
     assert math.isclose(float(values["fold_fast"]), 0.76923076923076927, rel_tol=1e-13)
+
+
+def test_fold_check_answers_where_the_chart_b_fold_is_narrow(tmp_path, chart_b_edge_params):
+    for name, phys in chart_b_edge_params.items():
+        params = tmp_path / f"{name}.json"
+        params.write_text(json.dumps(dataclasses.asdict(phys)))
+        out = tmp_path / name
+        assert main(["fold-check", "--chart", "B", "--params", str(params), "--out", str(out),
+                     "--format", "json"]) == EXIT_OK
+        assert json.loads((out / "fold_report_b.json").read_text())["is_generic"] is True
 
 
 # --- simulate ----------------------------------------------------------------------

@@ -299,7 +299,7 @@ def test_cycle_is_total_where_the_analytic_formulas_fail(phys):
     assert 0.5 < dp_hi.h_star < 1.0
     rep = find_limit_cycle(dp_hi, derive_eps_split(dp_hi))
     assert rep.terminus == "equilibrium"
-    assert all(math.isnan(v) for v in rep.analytic)
+    assert all(math.isnan(v) for v in dataclasses.astuple(rep.analytic))
 
 
 def test_cycle_report_json_dict(cycle_1e3):

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from phoscil.errors import (
 from phoscil.gspt import (
     DEFAULT_EPS_A,
     DEFAULT_EPS_B,
+    FoldReport,
     fixed_point,
     fold_location_A,
     fold_location_B,
@@ -38,7 +40,7 @@ from phoscil.gspt import (
 )
 from phoscil.integrator import SolverStats
 from phoscil.model import rate_r, rhs, rhs_chart_B, to_log
-from phoscil.params import derive_dimensionless
+from phoscil.params import UREASE_VESICLE, derive_dimensionless, derive_eps_split
 
 # Chart-A fold-passage offsets for eps in (1e-6, 1e-5, 1e-4), measured once
 # at rtol 1e-10; the slope is the log-log fit through the three points.
@@ -259,6 +261,61 @@ def test_degenerate_fold_is_flagged(dp, es):
     rep = verify_generic_fold("A", es, degenerate)
     assert rep.f0_value == 0.0
     assert not rep.is_generic
+
+
+def _admissible_sample(n, seed=1):
+    """The first n admissible sets drawn with every reference constant scaled by 10^U(-2, 2)."""
+    rng = random.Random(seed)
+    names = [f.name for f in dataclasses.fields(UREASE_VESICLE)]
+    sets = []
+    while len(sets) < n:
+        phys = dataclasses.replace(UREASE_VESICLE, **{
+            name: getattr(UREASE_VESICLE, name) * 10.0 ** rng.uniform(-2.0, 2.0) for name in names})
+        sample = derive_dimensionless(phys)
+        if sample.admissible:
+            sets.append(sample)
+    return sets
+
+
+def test_fold_derivatives_match_sympy(dp, chart_b_edge_params):
+    """g0 and its three derivatives at both folds against sympy's derivatives
+    of the layer problems, evaluated at 40 digits at the reported fold point."""
+    sp = pytest.importorskip("sympy")
+    mpmath = pytest.importorskip("mpmath")
+    symbols = sp.symbols("fast slow alpha beta K_h K C A", positive=True)
+    fast, slow, alpha, beta, K_h, K, C, A = symbols
+    v = alpha * A * K * fast**2 - K_h
+    w = A * K * slow * fast**3 / (beta * C + fast + beta / C * fast**2)
+    layers = {
+        "A": K_h * (1 - fast) - C * slow / (alpha * beta * fast),  # (slow, fast) = (sigma, h)
+        "B": K_h - (sp.sqrt(v * v + 4 * w) - v) / 2,  # (slow, fast) = (s, eta)
+    }
+    exact = {chart: sp.lambdify(symbols, [g, sp.diff(g, fast), sp.diff(g, fast, 2), sp.diff(g, slow)],
+                                modules="mpmath")
+             for chart, g in layers.items()}
+    sets = [dp, *map(derive_dimensionless, chart_b_edge_params.values()), *_admissible_sample(200)]
+    for d in sets:
+        es = derive_eps_split(d)
+        for chart, derivatives in exact.items():
+            rep = verify_generic_fold(chart, es, d)
+            s_fold, f_fold = rep.fold_location
+            # mpf arguments: plain floats would run the generated arithmetic in double precision
+            with mpmath.workdps(40):
+                g0, dg_fast, d2g_fast, dg_slow = map(float, derivatives(*map(
+                    mpmath.mpf, (f_fold, s_fold, d.alpha, d.beta, d.K_h, d.K, es.C, es.A))))
+            # g0 and dg0_fast are zero at the fold: differences of terms of
+            # size K_h and K_h/fast, so their error is absolute on that scale
+            assert abs(rep.g0_value - g0) <= 1e-12 * d.K_h, (chart, d)
+            assert abs(rep.dg0_fast - dg_fast) <= 1e-12 * d.K_h / f_fold, (chart, d)
+            assert math.isclose(rep.d2g0_fast, d2g_fast, rel_tol=1e-10), (chart, d)
+            assert math.isclose(rep.dg0_slow, dg_slow, rel_tol=1e-10), (chart, d)
+
+
+def test_verify_generic_fold_is_total_on_admissible_sets():
+    for d in _admissible_sample(200):
+        es = derive_eps_split(d)
+        for chart in "AB":
+            assert isinstance(verify_generic_fold(chart, es, d), FoldReport)
 
 
 # --- stability scan ----------------------------------------------------------------
