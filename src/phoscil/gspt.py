@@ -72,7 +72,8 @@ __all__ = [
     "return_map_contraction",
 ]
 
-#: absolute tolerance for the two zero conditions of a generic fold
+#: tolerance for the two zero conditions of a generic fold, relative to
+#: the size of their terms: K_h for g0 and K_h/|fast| for dg0_fast
 FOLD_TOL = 1e-9
 
 
@@ -365,8 +366,9 @@ def slow_flow_B(eta, es: EpsSplit, dp: DimlessParams):
 class FoldReport:
     """The five fold-point quantities of one chart plus the genericity flag.
 
-    is_generic requires |g0_value| <= tol, |dg0_fast| <= tol,
-    d2g0_fast != 0, dg0_slow != 0 and f0_value != 0 (tol = FOLD_TOL).
+    is_generic requires |g0_value| <= tol*K_h, |dg0_fast| <= tol*K_h/|fast|,
+    d2g0_fast != 0, dg0_slow != 0 and f0_value != 0 (tol = FOLD_TOL, fast
+    the fold's fast coordinate, h_A or eta_B).
     """
 
     chart: str
@@ -418,8 +420,9 @@ def verify_generic_fold(chart: str, es: EpsSplit, dp: DimlessParams) -> FoldRepo
 
     g0 and its derivatives in the fast and slow coordinates are closed
     forms of the layer problem, checked against sympy's exact derivatives
-    in the test suite.  The genericity flag uses them with the FOLD_TOL
-    zero tolerance.
+    in the test suite.  g0 and dg0_fast vanish at the fold as differences
+    of terms of size K_h and K_h/|fast|, so the genericity flag tests them
+    against FOLD_TOL relative to those sizes.
     """
     if chart == "A":
         sigma_A, h_A = fold_location_A(es, dp)
@@ -436,7 +439,8 @@ def verify_generic_fold(chart: str, es: EpsSplit, dp: DimlessParams) -> FoldRepo
         location = (s_B, eta_B)
     else:
         raise DomainError(f"chart must be 'A' or 'B', got {chart!r}")
-    is_generic = (abs(g0) <= FOLD_TOL and abs(dg_fast) <= FOLD_TOL
+    tol = FOLD_TOL * dp.K_h
+    is_generic = (abs(g0) <= tol and abs(dg_fast) * abs(location[1]) <= tol
                   and d2g_fast != 0.0 and dg_slow != 0.0 and f0 != 0.0)
     return FoldReport(chart=chart, fold_location=location, g0_value=float(g0),
                       dg0_fast=float(dg_fast), d2g0_fast=float(d2g_fast),
@@ -467,6 +471,23 @@ def _eta_start_B(es: EpsSplit, dp: DimlessParams) -> float:
     return (-b - disc) / (2.0 * a)
 
 
+def _fold_passage(chart: str, es: EpsSplit, dp: DimlessParams) -> tuple:
+    """(field, start, section event, t_max, fold's slow coordinate) of one passage."""
+    if chart == "A":
+        sigma_A, h_A = fold_location_A(es, dp)
+        h_start = 0.5 * (1.0 + math.sqrt(0.4))  # phi(h_start) = 0.6 sigma_A
+        x0 = (manifold_A(h_start, es, dp), h_start)
+        event = EventSpec(func=lambda t, y: y[1] - 0.5 * h_A, direction="falling")
+        return make_field_chart_A(es, dp), x0, event, 0.05 / es.eps + 50.0, sigma_A
+    if chart == "B":
+        s_B, eta_B = fold_location_B(es, dp)
+        eta_start = _eta_start_B(es, dp)
+        x0 = (manifold_B(eta_start, es, dp), eta_start)
+        event = EventSpec(func=lambda t, y: y[1] - 2.0 * eta_B, direction="rising")
+        return make_field_chart_B(es, dp), x0, event, 50.0 / es.eps + 1000.0, s_B
+    raise DomainError(f"chart must be 'A' or 'B', got {chart!r}")
+
+
 def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
                         cfg: IntegratorConfig | None = None) -> FoldScaling:
     """Slow-coordinate overshoot past the fold for each eps, with its slope.
@@ -485,7 +506,9 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     parameters), so its asymptotic range starts around eps <= 1e-5.
     DEFAULT_EPS_A and DEFAULT_EPS_B hold ranges measured to sit inside
     the scaling regime.  ``stats`` holds each passage's work counts; no
-    output file carries them.
+    output file carries them.  Each passage restarts a failed Newton solve
+    from zero stages (``zero_restart=True``), which cuts chart B's work
+    about fourfold and leaves chart A's bits alone.
     """
     eps_arr = sorted(float(e) for e in eps_list)
     if not all(0.0 < e < math.inf for e in eps_arr):
@@ -499,26 +522,9 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
 
     entries, stats = [], []
     for eps in eps_arr:
-        es_i = es.at_eps(eps)
-        if chart == "A":
-            sigma_A, h_A = fold_location_A(es_i, dp)
-            h_start = 0.5 * (1.0 + math.sqrt(0.4))  # phi(h_start) = 0.6 sigma_A
-            x0 = (manifold_A(h_start, es_i, dp), h_start)
-            field = make_field_chart_A(es_i, dp)
-            event = EventSpec(func=lambda t, y: y[1] - 0.5 * h_A, direction="falling")
-            t_max = 0.05 / eps + 50.0
-            fold_slow = sigma_A
-        elif chart == "B":
-            s_B, eta_B = fold_location_B(es_i, dp)
-            eta_start = _eta_start_B(es_i, dp)
-            x0 = (manifold_B(eta_start, es_i, dp), eta_start)
-            field = make_field_chart_B(es_i, dp)
-            event = EventSpec(func=lambda t, y: y[1] - 2.0 * eta_B, direction="rising")
-            t_max = 50.0 / eps + 1000.0
-            fold_slow = s_B
-        else:
-            raise DomainError(f"chart must be 'A' or 'B', got {chart!r}")
-        res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
+        field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
+        res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False,
+                                    zero_restart=True)
         if not res.hit:
             raise SectionNoHitError(
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")

@@ -18,7 +18,9 @@ elementwise arithmetic runs on floats, which round as numpy's do.  The
 2x2 LAPACK getrf/getrs and zgetrf/zgetrs are restated with OpenBLAS's
 bits, and the Newton right-hand side's complex product with numpy's, as
 FMA chains built from an exact FMA, so that a run imports no scipy.
-scipy stays the reference in the tests.
+scipy stays the reference in the tests.  The results are bit-identical
+to scipy's ``Radau``, except fold passages, which restart from zero
+(``zero_restart=True``, see :class:`_PlanarRadau`).
 """
 from __future__ import annotations
 
@@ -120,7 +122,8 @@ class EventHit:
 class SolverStats:
     """Work counts of an integration: accepted steps, Radau's counters,
     error-test rejections, unconverged collocation solves, event brackets
-    located and the event-function calls that polished them."""
+    located, the event-function calls that polished them and the solves
+    restarted from zero stages (``zero_restart=True`` only)."""
 
     steps: int = 0
     nfev: int = 0
@@ -130,6 +133,7 @@ class SolverStats:
     newton_failures: int = 0
     event_polishes: int = 0
     polish_evals: int = 0
+    zero_restarts: int = 0
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -518,15 +522,46 @@ class _PlanarRadau:
     ``Radau``, which the tests keep as the reference.  It also counts
     error-test rejections (``rejected``) and unconverged collocation solves
     (``newton_failures``).
+
+    ``zero_restart=True`` adds RADAU5's zero start (Hairer & Wanner's
+    ``STARTN``): when a solve started from the extrapolated guess fails,
+    it is tried once more from Z0 = 0 with the same LU, and every later
+    try at this step size starts from zero too.  Only when that fails does
+    scipy's logic refresh a stale J or halve h.  ``zero_restarts`` counts
+    the retries.  The guess fails on chart-B fold passages although it is
+    accurate.  On the ε = 1e-7 passage its error in the scaled norm is
+    about 0.1 (median), 3e-8 of a zero start's.  The fast component there
+    is g = K_h - q, with q ≈ K_h = 0.146, so every evaluation carries a
+    rounding error of about ulp(K_h) = 2.8e-17.  Steps are long
+    (h ≈ 2e4-9e4), and η ≈ 0.05 has an atol-bound error scale of about
+    6e-12.  The simplified Newton update maps that rounding to
+    h·ulp(K_h)/(|MU| + h·|λ|), about 0.02 in the scaled norm: 1000 times
+    ``newton_tol`` (2.2e-5 at rtol = 1e-10).  Started from the converged
+    stages themselves, the first update is still 0.02 (median), and the
+    solve converges again in only 40 of 866 cases.  So an iteration that
+    starts within this floor only sees rates θ ≈ 1 between two updates
+    of rounding noise.  It then fails as diverged (θ >= 1: 803 of the
+    2,205 failures from the guess on the ε = 1e-7 and 1e-5 passages) or
+    as too slow (1,402), mostly at the second or third iteration.  The
+    step size is not the cause: the median h/h_prev at a failure is 1.18.
+    A zero start's updates begin at about 1e5-1e6.  Its rate comes from
+    real contraction, so the test passes in two or three iterations with
+    the stages at the same floor, and the error test judges the step as
+    before.  Chart A's fast coordinate is O(1) with an rtol-bound scale,
+    so there the floor stays below the tolerance and the retry never
+    fires.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float):
+    def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float,
+                 *, zero_restart: bool = False):
         self._field, self._jac = field, field.jac
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.status = "running"
+        self.zero_restart = zero_restart
         self.nfev = self.njev = self.nlu = self.rejected = self.newton_failures = 0
+        self.zero_restarts = 0
         self.rtol, self.atol = rtol, atol
         self.f = self.fun(t0, y0)
         self.h_abs = _select_initial_step(self.fun, t0, y0, t_bound, self.f, rtol, atol)
@@ -668,6 +703,12 @@ class _PlanarRadau:
 
                 if not converged:
                     self.newton_failures += 1
+                    if self.zero_restart and Z0.any():
+                        # RADAU5's zero start: once more with the same LU, then
+                        # from zero for the rest of this step size
+                        self.zero_restarts += 1
+                        Z0 = np.zeros((3, 2))
+                        continue
                     if current_jac:
                         break
                     J = self.jac(t, y)
@@ -729,7 +770,8 @@ class _PlanarRadau:
 
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
-              events: Sequence[EventSpec] = (), keep_dense: bool = True) -> Trajectory:
+              events: Sequence[EventSpec] = (), keep_dense: bool = True, *,
+              zero_restart: bool = False) -> Trajectory:
     """Integrate the planar ``field`` from ``x0`` over ``t_span``; return the Trajectory.
 
     The field maps (t, (y0, y1)) to its two components and needs an
@@ -740,6 +782,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     trajectory at the hit.  ``keep_dense=False`` drops the per-step
     interpolants after event processing to bound memory on very long runs
     (the returned trajectory then answers only at its samples).
+    ``zero_restart=True`` retries a failed Newton solve from zero stages
+    (see :class:`_PlanarRadau`); the default keeps scipy's bits.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
@@ -755,7 +799,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     events = list(events)
     t_scale = max(1.0, abs(t0), abs(t1))
 
-    solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol)
+    solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol,
+                          zero_restart=zero_restart)
 
     ts = [t0]
     ys = [y0.copy()]
@@ -814,14 +859,16 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
 
     stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
                         rejected=solver.rejected, newton_failures=solver.newton_failures,
-                        event_polishes=polishes, polish_evals=polish_evals)
+                        event_polishes=polishes, polish_evals=polish_evals,
+                        zero_restarts=solver.zero_restarts)
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 
 
 def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None,
                           t_max: float = math.inf, t0: float = 0.0,
-                          keep_dense: bool = True) -> EventHitResult:
+                          keep_dense: bool = True, *,
+                          zero_restart: bool = False) -> EventHitResult:
     """Run until the first hit of ``event`` (made terminal), or to t_max.
 
     A trajectory that reaches t_max without a hit yields a no-hit result,
@@ -831,7 +878,8 @@ def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | N
     if not (math.isfinite(t_max) and t_max > t0):
         raise DomainError(f"t_max must be finite and exceed t0, got {t_max!r}")
     terminal = EventSpec(func=event.func, direction=event.direction, terminal=True)
-    traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense)
+    traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense,
+                     zero_restart=zero_restart)
     if traj.events:
         last = traj.events[-1]
         return EventHitResult(t_hit=last.t, state_hit=last.state, trajectory=traj)

@@ -91,7 +91,7 @@ def reference_period(phys):
 
 @pytest.fixture(scope="session")
 def fold_scaling_b(dp, es):
-    """The default chart-B fold-passage scaling, DEFAULT_EPS_B (5.7-6.4 s to build).
+    """The default chart-B fold-passage scaling, DEFAULT_EPS_B (1.1-1.3 s to build).
 
     Acceptance 5 and the counter pin in ``test_gspt`` share it.  Times are
     single runs on a 2-core VM.

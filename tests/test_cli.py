@@ -477,5 +477,20 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
             "fold_scaling_a.csv"} <= {p.name for p in tmp_path.iterdir()}
 
 
+def test_fold_scaling_chart_b_runs_without_scipy(tmp_path):
+    code = """
+import json, sys
+from phoscil.cli import main
+assert main(["fold-scaling", "--chart", "B", "--eps-list", "3e-7,1e-6,1e-5",
+             "--out", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+    done = _fresh_python("-c", code, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    _, header, rows = read_csv_rows(tmp_path / "fold_scaling_b.csv")
+    assert header == ["eps", "offset"] and len(rows) == 3
+
+
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_NUMERIC, EXIT_IO, EXIT_USAGE) == (0, 1, 2, 3)

@@ -38,7 +38,7 @@ from phoscil.gspt import (
     stability_scan,
     verify_generic_fold,
 )
-from phoscil.integrator import SolverStats
+from phoscil.integrator import SolverStats, integrate_until_event
 from phoscil.model import rate_r, rhs, rhs_chart_B, to_log
 from phoscil.params import UREASE_VESICLE, derive_dimensionless, derive_eps_split
 
@@ -263,14 +263,16 @@ def test_degenerate_fold_is_flagged(dp, es):
     assert not rep.is_generic
 
 
-def _admissible_sample(n, seed=1):
-    """The first n admissible sets drawn with every reference constant scaled by 10^U(-2, 2)."""
+def _admissible_sample(n, seed=1, decades=2.0):
+    """The first n admissible sets drawn with every reference constant scaled
+    by 10^U(-decades, decades)."""
     rng = random.Random(seed)
     names = [f.name for f in dataclasses.fields(UREASE_VESICLE)]
     sets = []
     while len(sets) < n:
         phys = dataclasses.replace(UREASE_VESICLE, **{
-            name: getattr(UREASE_VESICLE, name) * 10.0 ** rng.uniform(-2.0, 2.0) for name in names})
+            name: getattr(UREASE_VESICLE, name) * 10.0 ** rng.uniform(-decades, decades)
+            for name in names})
         sample = derive_dimensionless(phys)
         if sample.admissible:
             sets.append(sample)
@@ -309,6 +311,17 @@ def test_fold_derivatives_match_sympy(dp, chart_b_edge_params):
             assert abs(rep.dg0_fast - dg_fast) <= 1e-12 * d.K_h / f_fold, (chart, d)
             assert math.isclose(rep.d2g0_fast, d2g_fast, rel_tol=1e-10), (chart, d)
             assert math.isclose(rep.dg0_slow, dg_slow, rel_tol=1e-10), (chart, d)
+
+
+def test_generic_folds_stay_generic_at_any_scale():
+    # the admissible sets of 6,000 draws over eight decades: g0 and dg0_fast
+    # round to at most 1.3e-15 of K_h and K_h/fast, which an absolute
+    # tolerance misread as degenerate for large K_h or a small fold coordinate
+    for d in _admissible_sample(3_048, seed=7, decades=4.0):
+        es = derive_eps_split(d)
+        for chart in "AB":
+            rep = verify_generic_fold(chart, es, d)
+            assert rep.is_generic, (chart, d)
 
 
 def test_verify_generic_fold_is_total_on_admissible_sets():
@@ -503,12 +516,49 @@ def test_fold_b_passages_count_their_work(fold_scaling_b):
     stats = fold_scaling_b.stats
     assert len(stats) == len(fold_scaling_b.entries) == 5
     assert fold_scaling_b.entries[0][0] == DEFAULT_EPS_B[0] == pytest.approx(1e-7)
-    assert stats[0] == SolverStats(steps=19_413, nfev=392_552, njev=12_931, nlu=87_688,
-                                   rejected=8, newton_failures=28_979,
-                                   event_polishes=1, polish_evals=5)
+    assert stats[0] == SolverStats(steps=2_131, nfev=64_281, njev=1_136, nlu=5_680,
+                                   rejected=7, newton_failures=4_144,
+                                   event_polishes=1, polish_evals=5, zero_restarts=2_201)
     total = sum(stats, SolverStats())
-    assert (total.steps, total.nfev, total.njev) == (29_669, 556_932, 17_763)
+    assert ((total.steps, total.nfev, total.njev, total.nlu, total.zero_restarts)
+            == (6_773, 134_793, 2_060, 10_196, 3_815))
     assert all(s.event_polishes == 1 for s in stats)
+
+
+def test_fold_b_offsets_stay_on_golden(fold_scaling_b):
+    """The zero-restart path's own gate: seed-0 ``fold-B`` offsets and slope
+    within 1e-9 relative of the benchmark's golden values."""
+    golden = (3.169945155157006e-05, 6.481300029626338e-05, 0.00013142188638163438,
+              0.0002650512203864787, 0.0005308805190068315)
+    assert tuple(eps for eps, _ in fold_scaling_b.entries) == DEFAULT_EPS_B
+    for (eps, offset), want in zip(fold_scaling_b.entries, golden):
+        assert math.isclose(offset, want, rel_tol=1e-9, abs_tol=0.0), eps
+    assert math.isclose(fold_scaling_b.slope, 0.6119115526596465, rel_tol=1e-9, abs_tol=0.0)
+
+
+def _passage(chart, eps, es, dp, **kwargs):
+    field, x0, event, t_max, _ = gspt._fold_passage(chart, es.at_eps(eps), dp)
+    return integrate_until_event(field, x0, event, t_max=t_max, keep_dense=False, **kwargs)
+
+
+def test_default_path_keeps_the_chart_b_passage_work(dp, es):
+    # scipy's Newton start, without the zero restart: the counters and
+    # offset bits of the eps = 1e-5 passage before the restart existed
+    res = _passage("B", DEFAULT_EPS_B[-1], es, dp)
+    assert res.trajectory.stats == SolverStats(steps=900, nfev=6_482, njev=11, nlu=86,
+                                               rejected=18, newton_failures=5,
+                                               event_polishes=1, polish_evals=6)
+    s_B, _ = fold_location_B(es.at_eps(DEFAULT_EPS_B[-1]), dp)
+    assert abs(float(res.state_hit[0]) - s_B) == 0.0005308805190087744
+
+
+def test_zero_restart_leaves_chart_a_passages_alone(dp, es):
+    for eps in DEFAULT_EPS_A:
+        on = _passage("A", eps, es, dp, zero_restart=True)
+        off = _passage("A", eps, es, dp)
+        assert on.t_hit == off.t_hit and on.state_hit.tolist() == off.state_hit.tolist(), eps
+        assert on.trajectory.stats == off.trajectory.stats, eps
+        assert on.trajectory.stats.zero_restarts == 0
 
 
 def test_scaling_preconditions(dp, es):

@@ -352,9 +352,10 @@ def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
 class _StockRadau(scipy_radau.Radau):
     """scipy's own Radau, built the way ``integrate`` builds its solver."""
 
-    def __init__(self, field, t0, y0, t_bound, rtol, atol):
+    def __init__(self, field, t0, y0, t_bound, rtol, atol, *, zero_restart):
+        assert not zero_restart, "scipy's Radau has no zero restart"
         super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=field.jac)
-        self.rejected = self.newton_failures = 0
+        self.rejected = self.newton_failures = self.zero_restarts = 0
 
 
 def _scipy_brentq(f, a, b, xtol, rtol):
