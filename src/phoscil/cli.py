@@ -340,6 +340,14 @@ def _state(text: str) -> tuple[float, float]:
     return s, h
 
 
+def _rtol(text: str) -> float:
+    """An rtol that IntegratorConfig accepts; its range is stated there only."""
+    try:
+        return IntegratorConfig(rtol=float(text)).rtol
+    except ValueError as exc:  # float's, or IntegratorConfig's DomainError
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 #: one eps bound for --eps and every --eps-list entry
 _eps = _positive("eps", upper=1.0)
 
@@ -359,7 +367,7 @@ def _build_parser() -> _Parser:
                         help="parameter file (.txt key=value or .json); default: built-in set")
     common.add_argument("--eps", type=_eps, default=1e-3,
                         help="timescale-separation parameter (default 1e-3)")
-    common.add_argument("--rtol", type=_positive("rtol", upper=1e-3), default=None,
+    common.add_argument("--rtol", type=_rtol, default=None,
                         help="integrator relative tolerance (default 1e-10)")
     common.add_argument("--atol", type=_positive("atol"), default=None,
                         help="integrator absolute tolerance (default 1e-12)")

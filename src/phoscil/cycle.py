@@ -131,6 +131,18 @@ def _analytic_or_nan(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
         return AnalyticTimescales(math.nan, math.nan, math.nan, math.nan)
 
 
+def _leg_budget(dp: DimlessParams, es: EpsSplit) -> float:
+    """Time a half-leg of the cycle may take: 6 T_total, or where T_total has no
+    formula (h_* >= 1/2) its bound 6 beta/(eps C) (1 + 1/(4 h_*)), finite for h_* > 0."""
+    if dp.h_star <= 0.0:
+        raise NoPositiveEquilibriumError(
+            "cycle detection needs a positive equilibrium (alpha*K_h > K_s)")
+    T_total = _analytic_or_nan(dp, es).T_total
+    if math.isnan(T_total):
+        return 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
+    return 6.0 * T_total
+
+
 def physical_timescales(phys: PhysicalParams, es: EpsSplit) -> tuple[float, float]:
     """(T_acid, T_basic) in seconds: dimensionless times over k_max."""
     ts = analytic_timescales(derive_dimensionless(phys), es)
@@ -271,14 +283,8 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     start = _start_point(dp_eps)
     analytic = _analytic_or_nan(dp, es)
     s_max_ev, s_min_ev = _event_pair(dp_eps)
-    if math.isnan(analytic.T_total):
-        # beta/(eps C) (1 + 1/(4 h_*)) bounds T_total wherever it exists
-        # (w(h_*) < 1) and stays finite for every h_* > 0
-        leg_budget = 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
-    else:
-        leg_budget = 6.0 * analytic.T_total
     terminus, n_periods, recorded = _section_returns(
-        make_field(dp_eps), start, (s_min_ev, s_max_ev), leg_budget, es.eps, cfg)
+        make_field(dp_eps), start, (s_min_ev, s_max_ev), _leg_budget(dp, es), es.eps, cfg)
     if recorded is None:
         return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
                            tau_A_to_B=math.nan, turning_points=None,

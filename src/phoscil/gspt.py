@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import fmt17, write_csv
-from .cycle import analytic_timescales
+from .cycle import _leg_budget
 from .errors import (
     DomainError,
     FoldSingularityError,
@@ -31,15 +31,16 @@ from .errors import (
 from .integrator import (EventSpec, IntegratorConfig, SolverStats, _brentq, integrate,
                          integrate_until_event)
 from .model import (
+    _chart_A,
+    _chart_B,
+    _jacobian_rows,
     _monic_root,
-    _q_hat,
     _rate,
     _root_slopes,
     make_field_chart_A,
     make_field_chart_B,
     rate_r,
     rate_r_hat,
-    rate_r_prime,
     rhs,
     rhs_jacobian,
 )
@@ -134,21 +135,17 @@ def _trace_det_grid(dp: DimlessParams, K_h, alpha):
     h = 1.0 - dp.K_s / (alpha * K_h)
     with np.errstate(divide="ignore", invalid="ignore"):
         r = _rate(h, dp)
-        rp = (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
-        s = dp.K_s / r
         q = K_h * (1.0 - h)
-        v = alpha * dp.K / dp.eps2 * h * h - q
-        w_s = dp.K / dp.eps2 * r * h * h
-        w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
-        v_h = 2.0 * alpha * dp.K / dp.eps2 * h + K_h
-        q_s, q_h = _root_slopes(q, 2.0 * q + v, w_s, w_h, v_h)
-        f_s = -r
-        f_h = -rp * s
-        g_s = -q_s
-        g_h = -q_h - K_h
+        f_s, f_h, g_s, g_h = _jacobian_rows(dp.K_s / r, h, r, q,
+                                            alpha * dp.K / dp.eps2 * h * h - q, alpha, K_h, dp)
         trace = f_s + g_h
         det = f_s * g_h - f_h * g_s
     return trace, det
+
+
+def _opposite(a, b):
+    """Where a and b are nonzero with opposite signs; a*b < 0 would overflow or underflow."""
+    return (a < 0.0) & (b > 0.0) | (a > 0.0) & (b < 0.0)
 
 
 @dataclass(frozen=True)
@@ -172,7 +169,7 @@ class StabilityMap:
     @functools.cached_property
     def hopf(self) -> tuple[tuple[float, float], ...]:
         tr, ok = self.trace, self.admissible
-        flips = (tr[:, :-1] * tr[:, 1:] < 0.0) & ok[:, :-1] & ok[:, 1:]
+        flips = _opposite(tr[:, :-1], tr[:, 1:]) & ok[:, :-1] & ok[:, 1:]
         hopf = []
         for i, j in zip(*np.nonzero(flips)):
             K_h = self.kh_over_ks[i] * self._dp.K_s
@@ -242,8 +239,8 @@ def stability_scan(dp: DimlessParams,
 
     # cells adjacent to a trace sign change between admissible neighbours
     boundary = np.zeros((nx, ny), dtype=bool)
-    sign_flip_x = (trace[:-1, :] * trace[1:, :] < 0.0) & admissible[:-1, :] & admissible[1:, :]
-    sign_flip_y = (trace[:, :-1] * trace[:, 1:] < 0.0) & admissible[:, :-1] & admissible[:, 1:]
+    sign_flip_x = _opposite(trace[:-1, :], trace[1:, :]) & admissible[:-1, :] & admissible[1:, :]
+    sign_flip_y = _opposite(trace[:, :-1], trace[:, 1:]) & admissible[:, :-1] & admissible[:, 1:]
     boundary[:-1, :] |= sign_flip_x
     boundary[1:, :] |= sign_flip_x
     boundary[:, :-1] |= sign_flip_y
@@ -309,36 +306,16 @@ def manifold_B_stability(eta, es: EpsSplit, dp: DimlessParams):
 
 
 def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
-    """Singular-limit chart-A pair (f0, g0) at (sigma, h).
+    """Layer problem of chart A, its (f_tilde, g_tilde) at eps = 0, for sigma >= 0 and h > 0.
 
     f0 = K_s - C*sigma/(beta*h); g0 = K_h(1-h) - C*sigma/(alpha*beta*h).
     """
-    sigma_arr = np.asarray(sigma, dtype=float)
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0):
-        raise DomainError("layer_A requires h > 0")
-    f0 = dp.K_s - es.C * sigma_arr / (dp.beta * h_arr)
-    g0 = dp.K_h * (1.0 - h_arr) - es.C * sigma_arr / (dp.alpha * dp.beta * h_arr)
-    if f0.ndim == 0:
-        return float(f0), float(g0)
-    return f0, g0
+    return _chart_A(sigma, h, es.at_eps(0.0), dp)
 
 
 def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
-    """Singular-limit chart-B pair (f0, g0); g0 extends to 0 on the s-axis."""
-    s_arr = np.asarray(s, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(eta_arr < 0.0):
-        raise DomainError("layer_B requires s >= 0 and eta >= 0")
-    with np.errstate(divide="ignore"):
-        r_hat = np.where(eta_arr > 0.0,
-                         eta_arr / (dp.beta * es.C + eta_arr + (dp.beta / es.C) * eta_arr ** 2),
-                         0.0)
-    f0 = dp.K_s - r_hat * s_arr
-    g0 = dp.K_h - _q_hat(s_arr, eta_arr, es.at_eps(0.0), dp)
-    if f0.ndim == 0:
-        return float(f0), float(g0)
-    return f0, g0
+    """Layer problem of chart B: its (f_hat, g_hat) at eps = 0; g0 is 0 on the s-axis."""
+    return _chart_B(s, eta, es.at_eps(0.0), dp)
 
 
 def slow_flow_A(h, es: EpsSplit, dp: DimlessParams):
@@ -601,28 +578,25 @@ def return_map_contraction(dp: DimlessParams, es: EpsSplit,
     first relaxed onto the cycle, then restarted from the section with h
     displaced by 5% relative; the ratio |h2 - h1| / |h1 - h0| of
     successive return displacements measures the return-map contraction
-    (values << 1 mean strong contraction).
+    (values << 1 mean strong contraction).  Each run may take half of a
+    cycle leg's budget (3 T_total); too few returns raise SectionNoHitError.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     sigma_A, _ = fold_location_A(es, dp)
     section = 0.6 * sigma_A
     field = make_field_chart_A(es, dp)
     event = EventSpec(func=lambda t, y: y[0] - section, direction="rising")
-    period_guess = analytic_timescales(dp, es).T_total
+    horizon = 0.5 * _leg_budget(dp, es)
 
-    relax = integrate(field, (section, 0.95), (0.0, 3.0 * period_guess), cfg,
-                      events=[event], keep_dense=False)
-    crossings = [hit.state for hit in relax.events]
-    if len(crossings) < 2:
-        raise SectionNoHitError("orbit failed to return twice to the chart-A section")
-    h_cycle = float(crossings[-1][1])
+    def returns_from(h_start: float, orbit: str) -> list[float]:
+        run = integrate(field, (section, h_start), (0.0, horizon), cfg,
+                        events=[event], keep_dense=False)
+        if len(run.events) < 2:
+            raise SectionNoHitError(f"{orbit} failed to return twice to the chart-A section")
+        return [float(hit.state[1]) for hit in run.events]
 
-    h0 = h_cycle * 1.05
-    run = integrate(field, (section, h0), (0.0, 3.0 * period_guess), cfg,
-                    events=[event], keep_dense=False)
-    returns = [float(hit.state[1]) for hit in run.events]
-    if len(returns) < 2:
-        raise SectionNoHitError("perturbed orbit failed to return twice to the section")
+    h0 = returns_from(0.95, "orbit")[-1] * 1.05
+    returns = returns_from(h0, "perturbed orbit")
     d1 = abs(returns[0] - h0)
     d2 = abs(returns[1] - returns[0])
     if d1 < 1e-13:

@@ -14,8 +14,12 @@ and q(s,h) the non-negative root of q^2 + v q - w = 0, where
 Two rescaled charts cover the fast-slow structure under the split
 eps1 = C*eps, eps2 = eps^2/A: chart A uses sigma = eps*s (acidic branch,
 original time), chart B uses eta = h/eps and time t' = t/eps (basic
-branch).  The full reference kinetics in physical time is kept alongside
-for cross-validation of the reduction.
+branch).  Each chart's field (f_tilde, g_tilde) or (f_hat, g_hat) is
+written once, in one kernel that stays regular as eps -> 0; its value at
+eps = 0 is the chart's layer problem (gspt.layer_A, gspt.layer_B), and
+rhs_chart_A and rhs_chart_B return (eps*f, g) from the same kernels.
+The full reference kinetics in physical time is kept alongside for
+cross-validation of the reduction.
 
 The coordinate maps (to_/from_chart_A, to_/from_chart_B, to_/from_log)
 return plain (float, float) pairs.  Each s, h, sigma and eta they return
@@ -84,14 +88,24 @@ def rate_r(h, dp: DimlessParams):
     return float(out) if out.ndim == 0 else out
 
 
+def _rate_slope(h, r, dp: DimlessParams):
+    """r'(h) = (beta*eps1/h^2 - beta/eps1) r^2, given r = r(h); unchecked."""
+    return (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
+
+
 def rate_r_prime(h, dp: DimlessParams):
     """dr/dh, from r' = (beta*eps1/h^2 - beta/eps1) r^2."""
     h = np.asarray(h, dtype=float)
     if np.any(h <= 0.0):
         raise DomainError("rate_r_prime requires h > 0")
-    r = _rate(h, dp)
-    out = (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
+    out = _rate_slope(h, _rate(h, dp), dp)
     return float(out) if out.ndim == 0 else out
+
+
+def _rate_hat(eta, es: EpsSplit, dp: DimlessParams):
+    """r_hat(eta) on an array, unchecked; its eta -> 0 limit 0 at eta = 0."""
+    with np.errstate(divide="ignore"):
+        return 1.0 / (dp.beta * es.C / eta + 1.0 + (dp.beta / es.C) * eta)
 
 
 def rate_r_hat(eta, es: EpsSplit, dp: DimlessParams):
@@ -99,7 +113,7 @@ def rate_r_hat(eta, es: EpsSplit, dp: DimlessParams):
     eta = np.asarray(eta, dtype=float)
     if np.any(eta <= 0.0):
         raise DomainError("rate_r_hat requires eta > 0")
-    out = 1.0 / (dp.beta * es.C / eta + 1.0 + (dp.beta / es.C) * eta)
+    out = _rate_hat(eta, es, dp)
     return float(out) if out.ndim == 0 else out
 
 
@@ -164,24 +178,26 @@ def _root_slopes(q, denom, w_s, w_h, v_h):
     return w_s / denom, (w_h - q * v_h) / denom
 
 
-def rhs_jacobian(state, dp: DimlessParams):
-    """Analytic Jacobian of ``rhs`` with respect to (s, h).
+def _jacobian_rows(s, h, r, q, v, alpha, K_h, dp: DimlessParams):
+    """(f_s, f_h, g_s, g_h) at (s, h) from r = r(h) and the root q of q^2 + v q - w.
 
-    q's partials follow by implicit differentiation of its quadratic.
+    alpha and K_h may be arrays over a parameter grid; the other groups come from ``dp``.
     """
+    rp = _rate_slope(h, r, dp)
+    w_s = dp.K / dp.eps2 * r * h * h
+    w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
+    q_s, q_h = _root_slopes(q, 2.0 * q + v, w_s, w_h, 2.0 * alpha * dp.K / dp.eps2 * h + K_h)
+    return -r, -rp * s, -q_s, -q_h - K_h
+
+
+def rhs_jacobian(state, dp: DimlessParams):
+    """Analytic Jacobian of ``rhs`` with respect to (s, h)."""
     s, h = state
     r = rate_r(h, dp)
-    rp = rate_r_prime(h, dp)
     v = _v_of(h, dp)
-    w_s = dp.K / dp.eps2 * r * h * h
-    q = _monic_root_array(v, w_s * s)
-    w_h = dp.K / dp.eps2 * s * (rp * h * h + 2.0 * r * h)
-    v_h = 2.0 * dp.alpha * dp.K / dp.eps2 * h + dp.K_h
-    q_s, q_h = _root_slopes(q, 2.0 * q + v, w_s, w_h, v_h)
-    return np.array([
-        [-r, -rp * s],
-        [-q_s, -q_h - dp.K_h],
-    ])
+    q = _monic_root_array(v, dp.K / dp.eps2 * r * h * h * s)
+    f_s, f_h, g_s, g_h = _jacobian_rows(s, h, r, q, v, dp.alpha, dp.K_h, dp)
+    return np.array([[f_s, f_h], [g_s, g_h]])
 
 
 # --- chart A ----------------------------------------------------------------
@@ -191,11 +207,6 @@ def h_plus_eps(es: EpsSplit, dp: DimlessParams) -> float:
     aAK = dp.alpha * es.A * dp.K
     e = es.eps
     return e * (-e * dp.K_h + math.sqrt((e * dp.K_h) ** 2 + 4.0 * aAK * dp.K_h)) / (2.0 * aAK)
-
-
-def _r_tilde(h, es: EpsSplit, dp: DimlessParams):
-    e = es.eps
-    return 1.0 / (e * e * dp.beta * es.C / h + e + (dp.beta / es.C) * h)
 
 
 def q_tilde_eps(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = None):
@@ -240,31 +251,43 @@ def q_tilde_eps(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = 
     return float(out) if out.ndim == 0 else out
 
 
+def _chart_A(sigma, h, es: EpsSplit, dp: DimlessParams):
+    """(f_tilde, g_tilde) at (sigma, h), h > 0: finite at eps = 0, where it is the layer problem."""
+    sigma = np.asarray(sigma, dtype=float)
+    h = np.asarray(h, dtype=float)
+    if np.any(h <= 0.0):
+        raise DomainError("chart A requires h > 0")
+    e = es.eps
+    r_tilde = 1.0 / (e * e * dp.beta * es.C / h + e + (dp.beta / es.C) * h)
+    f_tilde = -r_tilde * sigma + dp.K_s
+    g_tilde = -q_tilde_eps(sigma, h, es, dp) + dp.K_h * (1.0 - h)
+    return (float(f_tilde), float(g_tilde)) if np.ndim(f_tilde) == 0 else (f_tilde, g_tilde)
+
+
 def rhs_chart_A(x, es: EpsSplit, dp: DimlessParams):
     """(dsigma/dt, dh/dt) = (eps*f_tilde, g_tilde) in chart A, original time.
 
-    At eps = 0 the second component is the layer problem g_tilde_0(sigma,h)
-    = -C*sigma/(alpha*beta*h) + K_h(1-h) and the first vanishes.
+    At eps = 0 the first component vanishes and the second is the layer problem's g0.
     """
-    sigma, h = x
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0):
-        raise DomainError("rhs_chart_A requires h > 0")
-    e = es.eps
-    f_tilde = -_r_tilde(h, es, dp) * sigma + dp.K_s
-    g_tilde = -q_tilde_eps(sigma, h, es, dp) + dp.K_h * (1.0 - np.asarray(h, dtype=float))
-    g_tilde = float(g_tilde) if np.ndim(g_tilde) == 0 else g_tilde
-    return (e * f_tilde, g_tilde)
+    f_tilde, g_tilde = _chart_A(*x, es, dp)
+    return es.eps * f_tilde, g_tilde
 
 
 # --- chart B ----------------------------------------------------------------
 
-def _q_hat(s, eta, es: EpsSplit, dp: DimlessParams):
-    e = es.eps
-    v = dp.alpha * es.A * dp.K * eta * eta - dp.K_h * (1.0 - e * eta)
+def _chart_B(s, eta, es: EpsSplit, dp: DimlessParams):
+    """(f_hat, g_hat) at (s, eta), s, eta >= 0: finite at eps = 0, where it is the layer problem."""
+    s = np.asarray(s, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    if np.any(s < 0.0) or np.any(eta < 0.0):
+        raise DomainError("chart B requires s >= 0 and eta >= 0")
+    inflow = dp.K_h * (1.0 - es.eps * eta)
+    v = dp.alpha * es.A * dp.K * eta * eta - inflow
     # r_hat*eta^2 = eta^3/(beta*C + eta + (beta/C) eta^2): finite at eta = 0
     rh2 = eta ** 3 / (dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta)
-    return _monic_root_array(v, es.A * dp.K * rh2 * s)
+    f_hat = -_rate_hat(eta, es, dp) * s + dp.K_s
+    g_hat = -_monic_root_array(v, es.A * dp.K * rh2 * s) + inflow
+    return (float(f_hat), float(g_hat)) if np.ndim(f_hat) == 0 else (f_hat, g_hat)
 
 
 def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):
@@ -273,25 +296,24 @@ def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):
     g_hat extends continuously to eta = 0 (the s-axis branch of the
     critical manifold) with value 0 at eps = 0.
     """
-    s, eta = x
-    s_arr = np.asarray(s, dtype=float)
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(eta_arr < 0.0):
-        raise DomainError("rhs_chart_B requires s >= 0 and eta >= 0")
-    e = es.eps
-    with np.errstate(divide="ignore"):
-        r_hat = np.where(eta_arr > 0.0,
-                         1.0 / (dp.beta * es.C / np.where(eta_arr > 0.0, eta_arr, 1.0)
-                                + 1.0 + (dp.beta / es.C) * eta_arr),
-                         0.0)
-    f_hat = -r_hat * s_arr + dp.K_s
-    g_hat = -_q_hat(s_arr, eta_arr, es, dp) + dp.K_h * (1.0 - e * eta_arr)
-    if np.ndim(f_hat) == 0:
-        return (e * float(f_hat), float(g_hat))
-    return (e * f_hat, g_hat)
+    f_hat, g_hat = _chart_B(*x, es, dp)
+    return es.eps * f_hat, g_hat
 
 
 # --- reference kinetics (physical time) --------------------------------------
+
+def _reference_terms(s, h, phys: PhysicalParams) -> tuple[float, float, float]:
+    """(f_H, k_cat, b) of :func:`rhs_reference` at (s, h), after its domain check."""
+    if not (0.0 <= s <= 1.0):
+        raise DomainError(f"rhs_reference requires 0 <= s <= 1, got s={s!r}")
+    if not (0.0 < h <= 1.0):
+        raise DomainError(f"rhs_reference requires 0 < h <= 1, got h={h!r}")
+    x = h * phys.H_ext
+    f_H = 1.0 / (1.0 + x / phys.k_E1 + phys.k_E2 / x)
+    k_cat = phys.v_max / (phys.k_M + s * phys.S_ext) * f_H
+    b = 1.0 + phys.k_prime * phys.H_ext * h + (1.0 - 1.0 / h) * phys.k_H / phys.k
+    return f_H, k_cat, b
+
 
 def rhs_reference(state, phys: PhysicalParams):
     """Full reduced kinetics in physical time (1/s), for cross-validation.
@@ -308,14 +330,7 @@ def rhs_reference(state, phys: PhysicalParams):
     c = 2 k_cat k' S_ext s / k (same conjugate-form evaluation as q).
     """
     s, h = state
-    if not (0.0 <= s <= 1.0):
-        raise DomainError(f"rhs_reference requires 0 <= s <= 1, got s={s!r}")
-    if not (0.0 < h <= 1.0):
-        raise DomainError(f"rhs_reference requires 0 < h <= 1, got h={h!r}")
-    x = h * phys.H_ext
-    f_H = 1.0 / (1.0 + x / phys.k_E1 + phys.k_E2 / x)
-    k_cat = phys.v_max / (phys.k_M + s * phys.S_ext) * f_H
-    b = 1.0 + phys.k_prime * phys.H_ext * h + (1.0 - 1.0 / h) * phys.k_H / phys.k
+    _, k_cat, b = _reference_terms(s, h, phys)
     c = 2.0 * k_cat * phys.k_prime * phys.S_ext * s / phys.k
     p = _monic_root(b, c)
     ds = -k_cat * s + phys.k_S * (1.0 - s)
@@ -390,26 +405,26 @@ def _rhs_scalar(s: float, h: float, c: tuple[float, ...]) -> tuple[float, float]
     return K_s - r * s, inflow - _monic_root(v_hh * h * h - inflow, w)
 
 
-def _jac_scalar(s: float, h: float, dp: DimlessParams) -> tuple[float, float, float, float]:
+def _jac_scalar(s: float, h: float, c: tuple[float, ...]) -> tuple[float, float, float, float]:
     """(f_s, f_h, g_s, g_h): the Jacobian of :func:`_rhs_scalar` by rows."""
-    den = dp.beta * dp.eps1 + h + dp.beta * h * h / dp.eps1
+    be, beta, eps1, v_hh, w_r, K_h, _ = c
+    den = be + h + beta * h * h / eps1
     if den <= 0.0:
         raise DomainError(f"Jacobian evaluated beyond its rational pole, h = {h!r}")
-    den_h = 1.0 + 2.0 * dp.beta * h / dp.eps1
+    den_h = 1.0 + 2.0 * beta * h / eps1
     r = h / den
     r_h = (den - h * den_h) / (den * den)
     rh2 = h * h * h / den
     rh2_h = h * h * (3.0 * den - h * den_h) / (den * den)
-    v = dp.alpha * dp.K / dp.eps2 * h * h - dp.K_h * (1.0 - h)
-    v_h = 2.0 * dp.alpha * dp.K / dp.eps2 * h + dp.K_h
-    w = dp.K / dp.eps2 * rh2 * s
+    v = v_hh * h * h - K_h * (1.0 - h)
+    w = w_r * rh2 * s
     if w < 0.0:
         w = 0.0
     q = _monic_root(v, w)
-    w_s = dp.K / dp.eps2 * rh2
-    w_h = dp.K / dp.eps2 * rh2_h * s
-    q_s, q_h = _root_slopes(q, max(2.0 * q + v, 1e-300), w_s, w_h, v_h)
-    return (-r, -r_h * s, -q_s, -q_h - dp.K_h)
+    # 2.0 * v_hh is 2*alpha*K/eps2 to the bit: doubling commutes with rounding
+    q_s, q_h = _root_slopes(q, max(2.0 * q + v, 1e-300), w_r * rh2, w_r * rh2_h * s,
+                            2.0 * v_hh * h + K_h)
+    return (-r, -r_h * s, -q_s, -q_h - K_h)
 
 
 class _ScaledField:
@@ -428,7 +443,6 @@ class _ScaledField:
         self._eps = eps
         self._cs = cs
         self._ch = ch
-        self._dp = dp
         self._c = _rhs_constants(dp)
 
     def __call__(self, t: float, y) -> tuple[float, float]:
@@ -437,7 +451,7 @@ class _ScaledField:
 
     def jac(self, t: float, y) -> np.ndarray:
         e, cs, ch = self._eps, self._cs, self._ch
-        f_s, f_h, g_s, g_h = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._dp)
+        f_s, f_h, g_s, g_h = _jac_scalar(float(y[0]) / cs, ch * float(y[1]), self._c)
         return np.array([[e / cs * f_s, e * ch * f_h], [g_s / cs, ch * g_h]])
 
 
@@ -455,14 +469,11 @@ class _ReferenceField:
     def jac(self, t: float, y) -> np.ndarray:
         """d(ds/dt, dh/dt)/d(s, h); p's partials through :func:`_root_slopes`."""
         ph, s, h = self.phys, float(y[0]), float(y[1])
-        rhs_reference((s, h), ph)  # its domain check
+        f_H, k_cat, b = _reference_terms(s, h, ph)
         x = h * ph.H_ext
-        f_H = 1.0 / (1.0 + x / ph.k_E1 + ph.k_E2 / x)
-        k_cat = ph.v_max / (ph.k_M + s * ph.S_ext) * f_H
         k_cat_s = -k_cat * ph.S_ext / (ph.k_M + s * ph.S_ext)
         k_cat_h = -k_cat * f_H * ph.H_ext * (1.0 / ph.k_E1 - ph.k_E2 / (x * x))
         g = 2.0 * ph.k_prime * ph.S_ext / ph.k  # c = g k_cat s
-        b = 1.0 + ph.k_prime * ph.H_ext * h + (1.0 - 1.0 / h) * ph.k_H / ph.k
         p = _monic_root(b, g * k_cat * s)
         p_s, p_h = _root_slopes(p, 2.0 * p + b, g * (k_cat + s * k_cat_s), g * s * k_cat_h,
                                 ph.k_prime * ph.H_ext + ph.k_H / (ph.k * h * h))

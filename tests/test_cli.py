@@ -373,7 +373,7 @@ def test_numeric_failure_maps_to_its_own_code(tmp_path, capsys):
 @pytest.mark.parametrize("argv, params, code", [
     (["fixed-point"], {"k_S": 0.1}, EXIT_NUMERIC),
     (["cycle", "--eps", "1e-300"], None, EXIT_NUMERIC),
-    (["simulate", "--t-span", "0:10", "--rtol", "1e-20"], None, EXIT_NUMERIC),
+    (["simulate", "--t-span", "0:10", "--rtol", "1e-20"], None, EXIT_USAGE),
     (["fixed-point"], {"k_banana": 7}, EXIT_USAGE),
 ], ids=["no-equilibrium", "eps2-underflow", "rtol-below-floor", "unknown-key"])
 def test_a_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, code):
@@ -383,8 +383,34 @@ def test_a_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, code):
         path.write_text("\n".join(f"{k} = {v}" for k, v in values.items()) + "\n")
         argv = argv + ["--params", str(path)]
     out = tmp_path / "out"
-    assert main(argv + ["--out", str(out)]) == code
+    try:
+        assert main(argv + ["--out", str(out)]) == code
+    except SystemExit as exc:  # the parser's usage errors
+        assert exc.code == code
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rtol", ["1e-20", "2.2e-14", "2e-3", "nan", "abc"])
+@pytest.mark.parametrize("subcommand", ["fixed-point", "cycle"])
+def test_an_rtol_outside_the_integrators_range_is_a_usage_error(tmp_path, capsys, subcommand,
+                                                                 rtol):
+    # fixed-point never integrates, yet its --rtol is held to the same range
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, "--rtol", rtol, "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument --rtol: " in err
+    if rtol != "abc":
+        assert "rtol must lie in [2.220446049250313e-14, 1e-3]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rtol", ["2.220446049250313e-14", "1e-3"])
+def test_the_ends_of_the_rtol_range_are_accepted(tmp_path, rtol):
+    assert main(["fixed-point", "--rtol", rtol, "--out", str(tmp_path)]) == EXIT_OK
+    comments, _, _ = read_csv_rows(tmp_path / "fixed_point.csv")
+    assert f"# rtol = {fmt17(float(rtol))}" in comments
 
 
 @pytest.mark.parametrize("eps_list, reason", [
@@ -447,12 +473,14 @@ def test_python_dash_m_runs_the_cli(tmp_path):
     assert done.stderr.splitlines()[0].startswith("usage: phoscil scan")
 
 
-def test_rtol_below_100_eps_is_a_numeric_error_without_a_scipy_warning(tmp_path):
+def test_rtol_below_100_eps_is_a_usage_error_without_a_scipy_warning(tmp_path):
     # scipy would clamp it to 100 eps with a UserWarning and run on
     done = _fresh_python("-c", "import sys; from phoscil.cli import main; sys.exit(main(sys.argv[1:]))",
                          "simulate", "--t-span", "0:10", "--rtol", "1e-20", "--out", str(tmp_path))
-    assert done.returncode == EXIT_NUMERIC
-    assert done.stderr.startswith("phoscil: DomainError: rtol must lie in [2.220446049250313e-14")
+    assert done.returncode == EXIT_USAGE
+    assert done.stderr.splitlines()[-1] == (
+        "phoscil simulate: error: argument --rtol: "
+        "rtol must lie in [2.220446049250313e-14, 1e-3], got 1e-20")
     assert "Warning" not in done.stderr and "scipy" not in done.stderr
     assert list(tmp_path.iterdir()) == []
 

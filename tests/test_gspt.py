@@ -15,6 +15,7 @@ from phoscil.errors import (
     FoldSingularityError,
     NoPositiveEquilibriumError,
     PreconditionError,
+    SectionNoHitError,
 )
 from phoscil.gspt import (
     DEFAULT_EPS_A,
@@ -39,7 +40,7 @@ from phoscil.gspt import (
     verify_generic_fold,
 )
 from phoscil.integrator import SolverStats, integrate_until_event
-from phoscil.model import rate_r, rhs, rhs_chart_B, to_log
+from phoscil.model import rate_r, rhs, rhs_chart_A, rhs_chart_B, to_log
 from phoscil.params import UREASE_VESICLE, derive_dimensionless, derive_eps_split
 
 # Chart-A fold-passage offsets for eps in (1e-6, 1e-5, 1e-4), measured once
@@ -143,10 +144,14 @@ def test_manifolds_zero_the_layer_fields(dp, es):
 
 
 def test_layer_B_is_the_chart_B_field_at_eps_zero(dp, es):
+    # and chart A's likewise: each layer problem is its chart's field at eps = 0
     s, eta = np.meshgrid(np.linspace(0.0, 2.0, 41), np.linspace(0.0, 3.0, 61))
     assert np.any(eta == 0.0)
     np.testing.assert_array_equal(layer_B(s, eta, es, dp)[1],
                                   rhs_chart_B((s, eta), es.at_eps(0.0), dp)[1])
+    sigma, h = np.meshgrid(np.linspace(0.0, 4e-4, 41), np.linspace(0.01, 1.2, 61))
+    np.testing.assert_array_equal(layer_A(sigma, h, es, dp)[1],
+                                  rhs_chart_A((sigma, h), es.at_eps(0.0), dp)[1])
 
 
 def test_manifold_peaks_sit_at_the_folds(dp, es):
@@ -423,6 +428,16 @@ def test_scan_and_its_csv_run_in_bounded_memory(dp, tmp_path):
     assert peak < 4e6
 
 
+def test_scan_finds_sign_changes_without_overflow(dp):
+    # traces near 1e306: their product overflows, and warnings are errors here
+    sm = stability_scan(dp, (1.0, 1e308), (1.0, 12.0), (3, 3))
+    assert np.nanmax(np.abs(sm.trace)) > 1e306
+    assert not sm.boundary.any() and sm.hopf == ()
+    # and small ones: their product underflows to zero
+    flips = gspt._opposite(np.array([1e-200, -1e-200, 0.0]), np.array([-1e-200, 1e-200, 1.0]))
+    assert flips.tolist() == [True, True, False]
+
+
 def test_scan_rejects_degenerate_grids(dp):
     with pytest.raises(DomainError):
         stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (1, 10))
@@ -578,6 +593,16 @@ def test_scaling_preconditions(dp, es):
 def test_return_map_contracts_strongly(dp, es):
     ratio = return_map_contraction(dp, es)
     assert 0.0 <= ratio < 1e-6
+    # each run's horizon, half of find_limit_cycle's leg budget 6 T_total, is 3 T_total
+    assert ratio == 1.1480238709398644e-10
+
+
+def test_return_map_contraction_answers_where_h_star_exceeds_one_half(phys):
+    # T_total has no formula for h_* >= 1/2; the horizon falls back to the leg budget's bound
+    dp = derive_dimensionless(dataclasses.replace(phys, k_H=1.8e-2))
+    assert dp.h_star > 0.5
+    with pytest.raises(SectionNoHitError, match="failed to return twice"):
+        return_map_contraction(dp, derive_eps_split(dp))
 
 
 def test_scan_refines_the_hopf_curve_only_when_it_is_read(monkeypatch, dp, tmp_path):
