@@ -25,7 +25,7 @@ from .errors import (
     NoPositiveEquilibriumError,
     PhoscilError,
 )
-from .integrator import EventSpec, IntegratorConfig, Trajectory, integrate_until_event
+from .integrator import EventSpec, IntegratorConfig, SolverStats, Trajectory, integrate_until_event
 from .model import _rate, make_field, rate_r
 from .params import DimlessParams, EpsSplit, PhysicalParams, derive_dimensionless, split_dimless
 
@@ -70,6 +70,7 @@ class CycleReport:
     "equilibrium" when the orbit lands on the fixed point instead, and
     "no_convergence" when the transient budget runs out.  ``period`` is
     tau_B_to_A + tau_A_to_B exactly (same floats, same event hits).
+    ``transient_stats`` counts the work of every half-leg outside ``trajectory``.
     """
 
     eps: float
@@ -82,6 +83,7 @@ class CycleReport:
     n_transient_periods: int
     terminus: str
     trajectory: Trajectory | None
+    transient_stats: SolverStats
 
     def to_json_dict(self) -> dict:
         """JSON-ready summary (the trajectory itself is exported separately)."""
@@ -213,7 +215,8 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
     ``leg_budget`` time units.  The transient ends when two successive
     back-section returns agree to TRANSIENT_TOL in (scale*y0, y1); one
     further period is then recorded with dense output kept.  Returns
-    (terminus, n_transient_periods, recorded): for "limit_cycle",
+    (terminus, n_transient_periods, recorded, transient_stats), the last
+    summing the work of every half-leg outside ``recorded``; for "limit_cycle",
     recorded = (tau_out, tau_back, out_leg, back_leg) with the two
     half-leg times and results; None for "equilibrium" (the orbit stops
     returning at rest, or the recorded y0-amplitude falls below
@@ -221,16 +224,20 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
     return, or TRANSIENT_BUDGET periods without agreement).
     """
     out_ev, back_ev = events
+    work = SolverStats()
 
     def no_cycle(n_seen: int, last_state=None):
         settled = (last_state is not None and
                    math.hypot(*field(0.0, np.asarray(last_state, dtype=float))) < 1e-8)
-        return ("equilibrium" if settled else "no_convergence"), n_seen, None
+        return ("equilibrium" if settled else "no_convergence"), n_seen, None, work
 
     def half_leg(x, t_start: float, event: EventSpec, keep_dense: bool):
-        return integrate_until_event(field, np.asarray(x, dtype=float), event, cfg,
-                                     t_max=t_start + leg_budget, t0=t_start,
-                                     keep_dense=keep_dense)
+        nonlocal work
+        res = integrate_until_event(field, np.asarray(x, dtype=float), event, cfg,
+                                    t_max=t_start + leg_budget, t0=t_start,
+                                    keep_dense=keep_dense)
+        work += res.trajectory.stats
+        return res
 
     res = half_leg(start, 0.0, back_ev, False)
     if not res.hit:
@@ -257,12 +264,12 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
         recording = bool(np.max(np.abs(this_return - prev_return)) < TRANSIENT_TOL)
         if not recording and n_periods >= TRANSIENT_BUDGET:
             return no_cycle(n_periods)
-        prev_return = this_return
+        prev_return, transient = this_return, work
 
     if abs(float(back.state_hit[0]) - float(out.state_hit[0])) < EQUILIBRIUM_AMPLITUDE:
         return no_cycle(n_periods, back.state_hit)
     return ("limit_cycle", n_periods,
-            (out.t_hit - t_now, back.t_hit - out.t_hit, out, back))
+            (out.t_hit - t_now, back.t_hit - out.t_hit, out, back), transient)
 
 
 def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
@@ -283,22 +290,20 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     start = _start_point(dp_eps)
     analytic = _analytic_or_nan(dp, es)
     s_max_ev, s_min_ev = _event_pair(dp_eps)
-    terminus, n_periods, recorded = _section_returns(
+    terminus, n_periods, recorded, transient = _section_returns(
         make_field(dp_eps), start, (s_min_ev, s_max_ev), _leg_budget(dp, es), es.eps, cfg)
+    outcome = dict(eps=es.eps, analytic=analytic, n_transient_periods=n_periods,
+                   terminus=terminus, transient_stats=transient)
     if recorded is None:
-        return CycleReport(eps=es.eps, period=math.nan, tau_B_to_A=math.nan,
-                           tau_A_to_B=math.nan, turning_points=None,
-                           analytic=analytic, converged=False,
-                           n_transient_periods=n_periods, terminus=terminus,
-                           trajectory=None)
+        return CycleReport(period=math.nan, tau_B_to_A=math.nan, tau_A_to_B=math.nan,
+                           turning_points=None, converged=False, trajectory=None, **outcome)
     tau_A_to_B, tau_B_to_A, mid, back = recorded
-    return CycleReport(eps=es.eps, period=tau_B_to_A + tau_A_to_B,
+    return CycleReport(period=tau_B_to_A + tau_A_to_B,
                        tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
                        turning_points=(tuple(float(v) for v in back.state_hit),
                                        tuple(float(v) for v in mid.state_hit)),
-                       analytic=analytic, converged=True,
-                       n_transient_periods=n_periods, terminus="limit_cycle",
-                       trajectory=_merge_halves(mid.trajectory, back.trajectory))
+                       converged=True,
+                       trajectory=_merge_halves(mid.trajectory, back.trajectory), **outcome)
 
 
 def segment_times(traj: Trajectory) -> tuple[float, float]:

@@ -483,9 +483,9 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     parameters), so its asymptotic range starts around eps <= 1e-5.
     DEFAULT_EPS_A and DEFAULT_EPS_B hold ranges measured to sit inside
     the scaling regime.  ``stats`` holds each passage's work counts; no
-    output file carries them.  Each passage restarts a failed Newton solve
-    from zero stages (``zero_restart=True``), which cuts chart B's work
-    about fourfold and leaves chart A's bits alone.
+    output file carries them.  Each passage accepts a Newton solve that
+    stalls at its rounding floor (``floor_accept=True``), which cuts chart
+    B's field calls about thirteenfold and leaves chart A's bits alone.
     """
     eps_arr = sorted(float(e) for e in eps_list)
     if not all(0.0 < e < math.inf for e in eps_arr):
@@ -501,7 +501,7 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     for eps in eps_arr:
         field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
         res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False,
-                                    zero_restart=True)
+                                    floor_accept=True)
         if not res.hit:
             raise SectionNoHitError(
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")

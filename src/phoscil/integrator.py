@@ -19,11 +19,12 @@ elementwise arithmetic runs on floats, which round as numpy's do.  The
 bits, and the Newton right-hand side's complex product with numpy's, as
 FMA chains built from an exact FMA, so that a run imports no scipy.
 scipy stays the reference in the tests.  The results are bit-identical
-to scipy's ``Radau``, except fold passages, which restart from zero
-(``zero_restart=True``, see :class:`_PlanarRadau`).
+to scipy's ``Radau``, except fold passages, which accept a Newton solve
+at its rounding floor (``floor_accept=True``, see :class:`_PlanarRadau`).
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import astuple, dataclass
@@ -76,6 +77,7 @@ P = np.array([
     [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
     [1/3, -8/3, 10/3]])
 NEWTON_MAXITER = 6
+NEWTON_FLOOR = 0.1  # Hairer & Wanner's kappa, for fold passages (see _PlanarRadau)
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 
@@ -122,8 +124,10 @@ class EventHit:
 class SolverStats:
     """Work counts of an integration: accepted steps, Radau's counters,
     error-test rejections, unconverged collocation solves, event brackets
-    located, the event-function calls that polished them and the solves
-    restarted from zero stages (``zero_restart=True`` only)."""
+    located and their polishing calls, and solves accepted at the rounding
+    floor.  ``==`` skips the Newton split that follows, so older pins hold:
+    iterations, and failures by fresh or stale Jacobian and by cause
+    (a rate >= 1 or a non-finite stage, else predicted too slow)."""
 
     steps: int = 0
     nfev: int = 0
@@ -133,7 +137,12 @@ class SolverStats:
     newton_failures: int = 0
     event_polishes: int = 0
     polish_evals: int = 0
-    zero_restarts: int = 0
+    floor_accepts: int = 0
+    newton_iters: int = dataclasses.field(default=0, compare=False)
+    fresh_jac_failures: int = dataclasses.field(default=0, compare=False)
+    stale_jac_failures: int = dataclasses.field(default=0, compare=False)
+    diverged_failures: int = dataclasses.field(default=0, compare=False)
+    slow_failures: int = dataclasses.field(default=0, compare=False)
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -520,48 +529,41 @@ class _PlanarRadau:
     and W C-contiguous, rewritten in place.  The LU helpers above restate
     LAPACK with OpenBLAS's bits, so the results are those of scipy's
     ``Radau``, which the tests keep as the reference.  It also counts
-    error-test rejections (``rejected``) and unconverged collocation solves
-    (``newton_failures``).
+    error-test rejections, Newton iterations and unconverged collocation
+    solves by Jacobian and by cause, as :class:`SolverStats` names them.
 
-    ``zero_restart=True`` adds RADAU5's zero start (Hairer & Wanner's
-    ``STARTN``): when a solve started from the extrapolated guess fails,
-    it is tried once more from Z0 = 0 with the same LU, and every later
-    try at this step size starts from zero too.  Only when that fails does
-    scipy's logic refresh a stale J or halve h.  ``zero_restarts`` counts
-    the retries.  The guess fails on chart-B fold passages although it is
-    accurate.  On the ε = 1e-7 passage its error in the scaled norm is
-    about 0.1 (median), 3e-8 of a zero start's.  The fast component there
-    is g = K_h - q, with q ≈ K_h = 0.146, so every evaluation carries a
-    rounding error of about ulp(K_h) = 2.8e-17.  Steps are long
-    (h ≈ 2e4-9e4), and η ≈ 0.05 has an atol-bound error scale of about
-    6e-12.  The simplified Newton update maps that rounding to
-    h·ulp(K_h)/(|MU| + h·|λ|), about 0.02 in the scaled norm: 1000 times
-    ``newton_tol`` (2.2e-5 at rtol = 1e-10).  Started from the converged
-    stages themselves, the first update is still 0.02 (median), and the
-    solve converges again in only 40 of 866 cases.  So an iteration that
-    starts within this floor only sees rates θ ≈ 1 between two updates
-    of rounding noise.  It then fails as diverged (θ >= 1: 803 of the
-    2,205 failures from the guess on the ε = 1e-7 and 1e-5 passages) or
-    as too slow (1,402), mostly at the second or third iteration.  The
-    step size is not the cause: the median h/h_prev at a failure is 1.18.
-    A zero start's updates begin at about 1e5-1e6.  Its rate comes from
-    real contraction, so the test passes in two or three iterations with
-    the stages at the same floor, and the error test judges the step as
-    before.  Chart A's fast coordinate is O(1) with an rtol-bound scale,
-    so there the floor stays below the tolerance and the retry never
-    fires.
+    ``floor_accept=True`` stops a solve at the rounding floor of its
+    Newton updates, as Hairer & Wanner's test η‖ΔZ‖ <= κ·Tol does (κ from
+    1e-2 to 1e-1).  When scipy's rate test fails (θ >= 1, or
+    θ^(6-k)/(1-θ)·‖ΔW‖ > ``newton_tol``), the solve still converges if
+    that update has ‖ΔW‖ <= NEWTON_FLOOR = 0.1 in the scaled RMS norm,
+    where the error test's bound is 1.  The update is not applied, and
+    the error test judges the step as before.  On chart-B fold passages
+    the floor lies far above ``newton_tol``.  There g = K_h - q with
+    q ≈ K_h = 0.146 rounds to about ulp(K_h) = 2.8e-17.  With h ≈ 2e4-9e4
+    and an atol-bound η scale of about 6e-12, the simplified Newton update
+    maps that to h·ulp(K_h)/(|MU| + h·|λ|), about 0.02 in the scaled
+    norm: 1000 times ``newton_tol`` (2.2e-5 at rtol = 1e-10).  Started
+    from the converged stages, the first update is still 0.02 (median),
+    and scipy's test passes in only 40 of 866 cases.  So solves from the
+    guess, which is accurate, failed as diverged (803 of 2,205 failures
+    on the ε = 1e-7 and 1e-5 passages) or as too slow (1,402), mostly at
+    the second or third iteration.  Chart A's fast coordinate is O(1)
+    with an rtol-bound scale, so there the floor stays below the
+    tolerance and the rule never fires.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
     def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float,
-                 *, zero_restart: bool = False):
+                 *, floor_accept: bool = False):
         self._field, self._jac = field, field.jac
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.status = "running"
-        self.zero_restart = zero_restart
-        self.nfev = self.njev = self.nlu = self.rejected = self.newton_failures = 0
-        self.zero_restarts = 0
+        self.floor_accept = floor_accept
+        self.nfev = self.njev = self.nlu = self.rejected = self.newton_iters = 0
+        self.floor_accepts = self.slow_failures = 0
+        self.fresh_jac_failures = self.stale_jac_failures = 0
         self.rtol, self.atol = rtol, atol
         self.f = self.fun(t0, y0)
         self.h_abs = _select_initial_step(self.fun, t0, y0, t_bound, self.f, rtol, atol)
@@ -647,6 +649,9 @@ class _PlanarRadau:
 
             if (rate is not None and (rate >= 1 or
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
+                converged = self.floor_accept and dW_norm <= NEWTON_FLOOR
+                self.floor_accepts += converged
+                self.slow_failures += not converged and rate < 1
                 break
 
             w00, w01, w10, w11 = w00 + dr0, w01 + dr1, w10 + dcr0, w11 + dcr1
@@ -662,6 +667,7 @@ class _PlanarRadau:
 
             dW_norm_old = dW_norm
 
+        self.newton_iters += k + 1
         return converged, k + 1, Z, rate
 
     def step(self):
@@ -702,15 +708,10 @@ class _PlanarRadau:
                     t, y, h, Z0, scale, LU_real, LU_complex)
 
                 if not converged:
-                    self.newton_failures += 1
-                    if self.zero_restart and Z0.any():
-                        # RADAU5's zero start: once more with the same LU, then
-                        # from zero for the rest of this step size
-                        self.zero_restarts += 1
-                        Z0 = np.zeros((3, 2))
-                        continue
                     if current_jac:
+                        self.fresh_jac_failures += 1
                         break
+                    self.stale_jac_failures += 1
                     J = self.jac(t, y)
                     current_jac = True
                     LU_real = LU_complex = None
@@ -771,7 +772,7 @@ class _PlanarRadau:
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
               events: Sequence[EventSpec] = (), keep_dense: bool = True, *,
-              zero_restart: bool = False) -> Trajectory:
+              floor_accept: bool = False) -> Trajectory:
     """Integrate the planar ``field`` from ``x0`` over ``t_span``; return the Trajectory.
 
     The field maps (t, (y0, y1)) to its two components and needs an
@@ -782,8 +783,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     trajectory at the hit.  ``keep_dense=False`` drops the per-step
     interpolants after event processing to bound memory on very long runs
     (the returned trajectory then answers only at its samples).
-    ``zero_restart=True`` retries a failed Newton solve from zero stages
-    (see :class:`_PlanarRadau`); the default keeps scipy's bits.
+    ``floor_accept=True`` accepts a Newton solve that stalls at its
+    rounding floor (see :class:`_PlanarRadau`); the default keeps scipy's bits.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
@@ -800,7 +801,7 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     t_scale = max(1.0, abs(t0), abs(t1))
 
     solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol,
-                          zero_restart=zero_restart)
+                          floor_accept=floor_accept)
 
     ts = [t0]
     ys = [y0.copy()]
@@ -857,10 +858,13 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
         if terminal_t is not None:
             break
 
+    fresh, stale, slow = solver.fresh_jac_failures, solver.stale_jac_failures, solver.slow_failures
     stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
-                        rejected=solver.rejected, newton_failures=solver.newton_failures,
+                        rejected=solver.rejected, newton_failures=fresh + stale,
                         event_polishes=polishes, polish_evals=polish_evals,
-                        zero_restarts=solver.zero_restarts)
+                        floor_accepts=solver.floor_accepts, newton_iters=solver.newton_iters,
+                        fresh_jac_failures=fresh, stale_jac_failures=stale,
+                        diverged_failures=fresh + stale - slow, slow_failures=slow)
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 
@@ -868,7 +872,7 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
 def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None,
                           t_max: float = math.inf, t0: float = 0.0,
                           keep_dense: bool = True, *,
-                          zero_restart: bool = False) -> EventHitResult:
+                          floor_accept: bool = False) -> EventHitResult:
     """Run until the first hit of ``event`` (made terminal), or to t_max.
 
     A trajectory that reaches t_max without a hit yields a no-hit result,
@@ -879,7 +883,7 @@ def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | N
         raise DomainError(f"t_max must be finite and exceed t0, got {t_max!r}")
     terminal = EventSpec(func=event.func, direction=event.direction, terminal=True)
     traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense,
-                     zero_restart=zero_restart)
+                     floor_accept=floor_accept)
     if traj.events:
         last = traj.events[-1]
         return EventHitResult(t_hit=last.t, state_hit=last.state, trajectory=traj)

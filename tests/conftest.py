@@ -80,7 +80,7 @@ def reference_period(phys):
     def s_rate(t, y):
         return rhs_reference((y[0], y[1]), phys)[0]
 
-    terminus, _, recorded = _section_returns(
+    terminus, _, recorded, _ = _section_returns(
         make_field_reference(phys), (0.9, 0.5),
         (EventSpec(func=s_rate, direction="rising"), EventSpec(func=s_rate, direction="falling")),
         2.0e4, 1.0)

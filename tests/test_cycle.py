@@ -163,6 +163,31 @@ def test_cycle_solver_stats_frozen(cycle_1e3):
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 
+def test_cycle_counts_where_the_newton_work_goes(cycle_1e3):
+    # every one of the 21 failures came with a stale Jacobian and was predicted too slow
+    stats = cycle_1e3.trajectory.stats
+    assert dataclasses.astuple(stats) == dataclasses.astuple(SolverStats(
+        steps=2251, nfev=16808, njev=62, nlu=358, rejected=39, newton_failures=21,
+        event_polishes=2, polish_evals=11, newton_iters=4851, stale_jac_failures=21,
+        slow_failures=21))
+
+
+def test_cycle_counts_the_transients_work(dp, es, cycle_1e3):
+    # the approach leg and the 2 transient periods: 5 half-legs, one hit each
+    assert dataclasses.astuple(cycle_1e3.transient_stats) == dataclasses.astuple(SolverStats(
+        steps=4706, nfev=34974, njev=122, nlu=714, rejected=78, newton_failures=34,
+        event_polishes=5, polish_evals=29, newton_iters=10086, stale_jac_failures=34,
+        slow_failures=34))
+    # the seed-0 timescales job's rows: the traced benchmark counts 18,827
+    # accepted steps and 157,689 field calls over every integration
+    reports = (cycle_1e3, find_limit_cycle(dp, es.at_eps(1e-4)))
+    total = sum((r.transient_stats + r.trajectory.stats for r in reports), SolverStats())
+    assert (total.steps, total.nfev) == (18_827, 157_689)
+    # the split of the 2,021 Newton failures, by Jacobian and by cause
+    assert (total.fresh_jac_failures, total.stale_jac_failures) == (1_252, 769)
+    assert (total.diverged_failures, total.slow_failures) == (355, 1_666)
+
+
 def rotation(t, y):
     return -y[1], y[0]
 
@@ -198,10 +223,12 @@ def damped_spiral(damping):
 
 
 def test_section_loop_times_the_period_of_a_rotation():
-    terminus, n_periods, recorded = _section_returns(rotation, (0.0, 1.0), Y1_SECTIONS,
-                                                     10.0, 1.0)
+    terminus, n_periods, recorded, transient = _section_returns(
+        rotation, (0.0, 1.0), Y1_SECTIONS, 10.0, 1.0)
     assert terminus == "limit_cycle"
     assert n_periods == 1
+    # the approach leg and one transient period, but not the recorded one
+    assert transient.event_polishes == 3
     tau_out, tau_back, out, back = recorded
     assert abs(tau_out + tau_back - 2.0 * math.pi) < 1e-9
     assert abs(tau_out - math.pi) < 1e-9 and abs(tau_back - math.pi) < 1e-9
@@ -210,13 +237,18 @@ def test_section_loop_times_the_period_of_a_rotation():
 
 
 def test_section_loop_classifies_a_strongly_damped_spiral_as_equilibrium():
-    assert _section_returns(damped_spiral(1.0), (0.0, 1.0), Y1_SECTIONS,
-                            10.0, 1.0) == ("equilibrium", 4, None)
+    *outcome, transient = _section_returns(damped_spiral(1.0), (0.0, 1.0), Y1_SECTIONS,
+                                           10.0, 1.0)
+    assert outcome == ["equilibrium", 4, None]
+    # without a recorded period every half-leg is transient work
+    assert transient.event_polishes == 10
 
 
 def test_section_loop_gives_up_on_a_weakly_damped_spiral():
-    assert _section_returns(damped_spiral(0.1), (0.0, 1.0), Y1_SECTIONS,
-                            10.0, 1.0) == ("no_convergence", TRANSIENT_BUDGET, None)
+    *outcome, transient = _section_returns(damped_spiral(0.1), (0.0, 1.0), Y1_SECTIONS,
+                                           10.0, 1.0)
+    assert outcome == ["no_convergence", TRANSIENT_BUDGET, None]
+    assert transient.event_polishes == 1 + 2 * TRANSIENT_BUDGET
 
 def test_cycle_turning_points_frozen(cycle_1e3):
     (s_max, h_at_max), (s_min, h_at_min) = cycle_1e3.turning_points

@@ -531,12 +531,16 @@ def test_fold_b_passages_count_their_work(fold_scaling_b):
     stats = fold_scaling_b.stats
     assert len(stats) == len(fold_scaling_b.entries) == 5
     assert fold_scaling_b.entries[0][0] == DEFAULT_EPS_B[0] == pytest.approx(1e-7)
-    assert stats[0] == SolverStats(steps=2_131, nfev=64_281, njev=1_136, nlu=5_680,
-                                   rejected=7, newton_failures=4_144,
-                                   event_polishes=1, polish_evals=5, zero_restarts=2_201)
+    assert dataclasses.astuple(stats[0]) == dataclasses.astuple(SolverStats(
+        steps=1_246, nfev=11_274, njev=418, nlu=1_220, rejected=6, newton_failures=146,
+        event_polishes=1, polish_evals=5, floor_accepts=442, newton_iters=3_342,
+        fresh_jac_failures=127, stale_jac_failures=19, diverged_failures=69,
+        slow_failures=77))
     total = sum(stats, SolverStats())
-    assert ((total.steps, total.nfev, total.njev, total.nlu, total.zero_restarts)
-            == (6_773, 134_793, 2_060, 10_196, 3_815))
+    assert ((total.steps, total.nfev, total.njev, total.nlu, total.floor_accepts)
+            == (5_280, 42_031, 944, 2_586, 910))
+    assert ((total.newton_iters, total.fresh_jac_failures, total.stale_jac_failures,
+             total.diverged_failures, total.slow_failures) == (12_247, 171, 22, 104, 89))
     assert all(s.event_polishes == 1 for s in stats)
 
 
@@ -567,13 +571,15 @@ def test_default_path_keeps_the_chart_b_passage_work(dp, es):
     assert abs(float(res.state_hit[0]) - s_B) == 0.0005308805190087744
 
 
-def test_zero_restart_leaves_chart_a_passages_alone(dp, es):
+def test_floor_accept_leaves_chart_a_passages_alone(dp, es):
     for eps in DEFAULT_EPS_A:
-        on = _passage("A", eps, es, dp, zero_restart=True)
+        on = _passage("A", eps, es, dp, floor_accept=True)
         off = _passage("A", eps, es, dp)
         assert on.t_hit == off.t_hit and on.state_hit.tolist() == off.state_hit.tolist(), eps
         assert on.trajectory.stats == off.trajectory.stats, eps
-        assert on.trajectory.stats.zero_restarts == 0
+        assert dataclasses.astuple(on.trajectory.stats) == dataclasses.astuple(
+            off.trajectory.stats), eps
+        assert on.trajectory.stats.floor_accepts == 0
 
 
 def test_scaling_preconditions(dp, es):

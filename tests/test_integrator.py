@@ -350,12 +350,23 @@ def test_stiff_relaxation_run_completes_and_stays_positive(dp, es):
 # --- the scalar Radau step against scipy's ---------------------------------------------
 
 class _StockRadau(scipy_radau.Radau):
-    """scipy's own Radau, built the way ``integrate`` builds its solver."""
+    """scipy's own Radau, built the way ``integrate`` builds its solver; each
+    Jacobian call after the first appends "jac" to ``log``."""
 
-    def __init__(self, field, t0, y0, t_bound, rtol, atol, *, zero_restart):
-        assert not zero_restart, "scipy's Radau has no zero restart"
+    log: list
+
+    def __init__(self, field, t0, y0, t_bound, rtol, atol, *, floor_accept):
+        assert not floor_accept, "scipy's Radau has no floor acceptance"
         super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=field.jac)
-        self.rejected = self.newton_failures = self.zero_restarts = 0
+        self.rejected = self.floor_accepts = self.newton_iters = self.slow_failures = 0
+        self.fresh_jac_failures = self.stale_jac_failures = 0
+        jac = self.jac
+
+        def logged(*args):
+            self.log.append("jac")
+            return jac(*args)
+
+        self.jac = logged
 
 
 def _scipy_brentq(f, a, b, xtol, rtol):
@@ -369,34 +380,53 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
     The stock run builds scipy's ``Radau`` (its constructor, initial step,
     ``step()``, ``lu_factor``/``lu_solve`` closures and
     ``RadauDenseOutput``) and polishes events with scipy's ``brentq``.
-    scipy's step does not count rejections and Newton failures, so
+    scipy's step does not count rejections or its Newton work, so
     wrappers count them: one ``predict_factor`` call per rejection and per
-    accepted step, and the collocation solves that return unconverged.
+    accepted step, and each collocation solve's iterations and outcome.
+    A failed solve had a stale Jacobian when scipy refreshes J right after
+    it, and diverged when its last stages were not finite or its last
+    rate was >= 1; it was predicted too slow otherwise.
     """
-    calls = {"lu": 0, "predict": 0, "failed": 0}
+    calls = {"lu": 0, "predict": 0}
+    log = []  # (converged, iterations, diverged) per solve, and "jac" per Jacobian refresh
 
-    def counting(name, func, count=lambda result: 1):
+    def counting(name, func):
         def wrapper(*a, **kw):
-            result = func(*a, **kw)
-            calls[name] += count(result)
-            return result
+            calls[name] += 1
+            return func(*a, **kw)
         return wrapper
+
+    def solve(fun, *a, stock_solve=scipy_radau.solve_collocation_system):
+        finite = []
+
+        def checked(t, y):
+            f = fun(t, y)
+            finite.append(np.isfinite(f).all())
+            return f
+
+        result = converged, n_iter, _, rate = stock_solve(checked, *a)
+        log.append((converged, n_iter, not converged and (not all(finite[-3:]) or rate >= 1)))
+        return result
 
     with monkeypatch.context() as m:
         m.setattr(integrator, "_PlanarRadau", _StockRadau)
         m.setattr(integrator, "_brentq", _scipy_brentq)
+        m.setattr(_StockRadau, "log", log, raising=False)
         m.setattr(scipy_radau, "lu_factor", counting("lu", lu_factor))
         m.setattr(scipy_radau, "predict_factor", counting("predict", scipy_radau.predict_factor))
-        m.setattr(scipy_radau, "solve_collocation_system",
-                  counting("failed", scipy_radau.solve_collocation_system,
-                           lambda result: not result[0]))
+        m.setattr(scipy_radau, "solve_collocation_system", solve)
         stock = integrate(*args, **kwargs)
     assert calls["lu"] == stock.stats.nlu > 0
     assert calls["predict"] >= stock.stats.steps > 0
-    assert stock.stats.rejected == stock.stats.newton_failures == 0
+    assert stock.stats.rejected == stock.stats.newton_failures == stock.stats.newton_iters == 0
     assert all(isinstance(seg, scipy_radau.RadauDenseOutput) for seg in stock.segments)
-    stock.stats = dataclasses.replace(stock.stats, rejected=calls["predict"] - stock.stats.steps,
-                                      newton_failures=calls["failed"])
+    failed = [i for i, e in enumerate(log) if e != "jac" and not e[0]]
+    stale = sum(log[i + 1:i + 2] == ["jac"] for i in failed)
+    diverged = sum(e[2] for e in log if e != "jac")
+    stock.stats = dataclasses.replace(
+        stock.stats, rejected=calls["predict"] - stock.stats.steps, newton_failures=len(failed),
+        newton_iters=sum(e[1] for e in log if e != "jac"), fresh_jac_failures=len(failed) - stale,
+        stale_jac_failures=stale, diverged_failures=diverged, slow_failures=len(failed) - diverged)
     return stock, integrate(*args, **kwargs)
 
 
@@ -406,7 +436,7 @@ def _assert_bit_identical(stock, direct):
     assert [h.index for h in direct.events] == [h.index for h in stock.events]
     assert np.array_equal([h.t for h in direct.events], [h.t for h in stock.events])
     assert np.array_equal([h.state for h in direct.events], [h.state for h in stock.events])
-    assert direct.stats == stock.stats
+    assert dataclasses.astuple(direct.stats) == dataclasses.astuple(stock.stats)
 
 
 def test_direct_lapack_is_bit_identical_on_the_eps_1e3_cycle(monkeypatch, dp, es, cycle_1e3):
@@ -496,6 +526,84 @@ def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
         stock, direct = _stock_and_direct(monkeypatch, recording, (1.0, 1.0), (0.0, 1.99999))
     assert any(nans) and direct.stats.newton_failures > 0
     _assert_bit_identical(stock, direct)
+
+
+# --- fold passages: a Newton solve stops at its rounding floor ---------------------
+
+@pytest.fixture(scope="module")
+def chart_b_step(dp, es):
+    """The 100th step of the eps = 1e-7 chart-B passage, as a solve to repeat:
+    (solver, t, y, h, converged stages, error scale, both LUs)."""
+    es_b = es.at_eps(1e-7)
+    eta_start = _eta_start_B(es_b, dp)
+    solver = integrator._PlanarRadau(make_field_chart_B(es_b, dp), 0.0,
+                                     (manifold_B(eta_start, es_b, dp), eta_start),
+                                     50.0 / 1e-7 + 1000.0, 1e-10, 1e-12, floor_accept=True)
+    for _ in range(100):
+        t, y = solver.t, solver.y
+        assert solver.step() is None
+    h = solver.sol.h
+    scale = (solver.atol + abs(y[0]) * solver.rtol, solver.atol + abs(y[1]) * solver.rtol)
+    return (solver, t, y, h, solver.sol.guess(t, h, y), scale,
+            solver._factor(h, solver.jac(t, y)))
+
+
+def _floor_solve(monkeypatch, chart_b_step, floor_accept, Z0=None, stall=None):
+    """One collocation solve of ``chart_b_step``: (converged, stages, update
+    norms, floor accepts, diverged, too slow).  ``stall`` shrinks the error
+    scale so that the last update's norm comes out at that value."""
+    solver, t, y, h, Z, scale, lus = chart_b_step
+    norms = []
+
+    def recording(*x, rms=integrator._rms):
+        norms.append(rms(*x))
+        return norms[-1]
+
+    if stall is not None:
+        floor = _floor_solve(monkeypatch, chart_b_step, floor_accept)[2][-1]
+        scale = tuple(s * floor / stall for s in scale)
+    accepts, slow = solver.floor_accepts, solver.slow_failures
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "_rms", recording)
+        m.setattr(solver, "floor_accept", floor_accept)
+        converged, _, Z, _ = solver._collocate(t, y, h, Z if Z0 is None else Z0, scale, *lus)
+    accepts, slow = solver.floor_accepts - accepts, solver.slow_failures - slow
+    return converged, Z, norms, accepts, int(not converged) - slow, slow
+
+
+def test_a_chart_b_solve_from_converged_stages_stalls_at_its_floor(monkeypatch, chart_b_step):
+    on = _floor_solve(monkeypatch, chart_b_step, True)
+    off = _floor_solve(monkeypatch, chart_b_step, False)
+    # the updates stall at about 1000 newton_tol, far below kappa
+    assert on[2] == off[2] and len(on[2]) == 2
+    assert 1000 * chart_b_step[0].newton_tol < on[2][-1] < 0.05
+    assert on[0] and on[3:] == (1, 0, 0)
+    assert not off[0] and off[3:] == (0, 0, 1)
+    # the stages are the iterate held before the update that failed the test
+    assert np.array_equal(on[1], off[1])
+    # just below kappa = 0.1 the rule still accepts
+    on = _floor_solve(monkeypatch, chart_b_step, True, stall=0.095)
+    assert on[0] and on[3:] == (1, 0, 0)
+    assert math.isclose(on[2][-1], 0.095, rel_tol=1e-12)
+    assert not _floor_solve(monkeypatch, chart_b_step, False, stall=0.095)[0]
+
+
+@pytest.mark.parametrize("floor_accept", [True, False])
+def test_a_chart_b_solve_that_stalls_above_kappa_fails(monkeypatch, chart_b_step, floor_accept):
+    # just above kappa = 0.1
+    out = _floor_solve(monkeypatch, chart_b_step, floor_accept, stall=0.105)
+    assert math.isclose(out[2][-1], 0.105, rel_tol=1e-12)
+    assert not out[0] and out[3:] == (0, 0, 1)
+
+
+@pytest.mark.parametrize("floor_accept", [True, False])
+def test_a_chart_b_solve_from_a_far_start_diverges(monkeypatch, chart_b_step, floor_accept):
+    _, _, y, _, Z, _, _ = chart_b_step
+    # each stage's fast coordinate 1000 eta too far out
+    out = _floor_solve(monkeypatch, chart_b_step, floor_accept,
+                       Z0=Z + np.array([0.0, 1000.0 * y[1]]))
+    assert out[2][-1] > out[2][0] > 1e12
+    assert not out[0] and out[3:] == (0, 1, 0)
 
 
 # --- each restated operation against numpy and LAPACK -------------------------------
