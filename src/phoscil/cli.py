@@ -2,11 +2,15 @@
 
 Each subcommand wraps one library operation and serializes its result to
 the output directory as plot-ready CSV or JSON.  Every output file opens
-with a deterministic provenance header (the subcommand and all effective
-settings, echoed as ``#`` comment lines or a ``"provenance"`` key), so
+with a deterministic provenance header (the subcommand and the settings
+it reads, echoed as ``#`` comment lines or a ``"provenance"`` key), so
 identical invocations produce byte-identical files: there is no clock
 and no randomness in any output.
 
+Besides ``--params`` and ``--out``, a subcommand takes only the flags its
+handler reads: ``--eps`` (simulate, cycle), ``--rtol``/``--atol`` (also
+timescales, fold-scaling) and ``--format`` (all but simulate, which always
+writes CSV plus JSON events).  Any other flag is a usage error.
 Each subparser carries its handler, called as ``handler(run, args)``.
 The parser is the only input check; the library checks eps, rtol and
 atol once more in ``EpsSplit`` and ``IntegratorConfig``.  Every report
@@ -71,19 +75,20 @@ EXIT_USAGE = 3
 class RunConfig:
     """Resolved run settings shared by all subcommands.
 
-    ``params_path is None`` selects the built-in urease-vesicle set.
-    ``rtol``/``atol`` of ``None`` keep the integrator defaults.  Runs are
+    ``params_path is None`` selects the built-in urease-vesicle set.  A
+    setting the subcommand does not take is ``None``: ``provenance`` skips
+    it, and ``resolve`` uses eps 1e-3 and the integrator defaults.  Runs are
     seed-free: nothing here (or downstream) consumes randomness.  The
     values are checked where they are used: by the parser, and again by
     ``EpsSplit`` and ``IntegratorConfig``.
     """
 
     params_path: Path | None
-    eps: float
+    eps: float | None
     rtol: float | None
     atol: float | None
     out_dir: Path
-    fmt: str
+    fmt: str | None
 
     @functools.cached_property
     def _cfg(self) -> IntegratorConfig:
@@ -94,7 +99,8 @@ class RunConfig:
         """(phys, dp, es, cfg): load parameters and apply every override."""
         phys = UREASE_VESICLE if self.params_path is None else load_physical(self.params_path)
         dp = derive_dimensionless(phys)
-        return phys, dp, derive_eps_split(dp).at_eps(self.eps), self._cfg
+        es = derive_eps_split(dp)
+        return phys, dp, es if self.eps is None else es.at_eps(self.eps), self._cfg
 
     def out(self, name: str) -> Path:
         """Path of the output file ``name``; the first call creates ``out_dir``."""
@@ -103,13 +109,12 @@ class RunConfig:
 
     def provenance(self, subcommand: str, *extra: str) -> list[str]:
         """Deterministic header lines echoed into every output file."""
+        settings = (("eps", self.eps), ("rtol", self.rtol), ("atol", self.atol))
         return [
             f"phoscil {subcommand}",
             "params = " + ("builtin urease-vesicle set" if self.params_path is None
                            else str(self.params_path)),
-            f"eps = {fmt17(self.eps)}",
-            f"rtol = {fmt17(self._cfg.rtol)}",
-            f"atol = {fmt17(self._cfg.atol)}",
+            *(f"{name} = {fmt17(value)}" for name, value in settings if value is not None),
             *extra,
         ]
 
@@ -362,63 +367,66 @@ def _eps_list(text: str) -> tuple[float, ...]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="phoscil",
                      description="Urea-urease pH-oscillator analyses with reproducible outputs.")
-    common = argparse.ArgumentParser(add_help=False)
+    # a subcommand takes a flag group only if its handler reads it, and flags only
+    # in full: an abbreviation would read a dropped --eps as --eps-list
+    common, report, eps, tol = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     common.add_argument("--params", type=Path, default=None, metavar="FILE",
                         help="parameter file (.txt key=value or .json); default: built-in set")
-    common.add_argument("--eps", type=_eps, default=1e-3,
-                        help="timescale-separation parameter (default 1e-3)")
-    common.add_argument("--rtol", type=_rtol, default=None,
-                        help="integrator relative tolerance (default 1e-10)")
-    common.add_argument("--atol", type=_positive("atol"), default=None,
-                        help="integrator absolute tolerance (default 1e-12)")
     common.add_argument("--out", type=Path, default=Path("."), metavar="DIR",
                         help="output directory (created if missing; default .)")
-    common.add_argument("--format", choices=("csv", "json"), default="csv",
+    report.add_argument("--format", choices=("csv", "json"), default="csv",
                         help="serialization for report-style outputs (default csv)")
+    eps.add_argument("--eps", type=_eps, default=1e-3,
+                     help="timescale-separation parameter (default 1e-3)")
+    tol.add_argument("--rtol", type=_rtol, default=IntegratorConfig.rtol,
+                     help="integrator relative tolerance (default %(default)g)")
+    tol.add_argument("--atol", type=_positive("atol"), default=IntegratorConfig.atol,
+                     help="integrator absolute tolerance (default %(default)g)")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
-    def command(name: str, handler, summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def command(name: str, handler, summary: str, *groups) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common, *groups], help=summary, allow_abbrev=False)
         p.set_defaults(handler=handler)
         return p
 
     p = command("simulate", _simulate,
-                "integrate and export the trajectory in three coordinate systems")
+                "integrate and export the trajectory in three coordinate systems", eps, tol)
     p.add_argument("--t-span", type=_span, default=(0.0, 300.0), metavar="T0:T1",
                    help="integration window (default 0:300); T0:T0 exports one sample")
     p.add_argument("--x0", type=_state, default=None, metavar="S,H",
                    help="initial state, s > 0 and h > 0 "
                         "(default: near the fixed point, displaced in h)")
 
-    p = command("scan", _scan, "trace/det stability scan over (K_h/K_s, 1/alpha)")
+    p = command("scan", _scan, "trace/det stability scan over (K_h/K_s, 1/alpha)", report)
     p.add_argument("--kh-over-ks", type=_interval, default=(1.0, 20.0), metavar="A:B")
     p.add_argument("--inv-alpha", type=_interval, default=(1.0, 12.0), metavar="A:B")
     p.add_argument("--grid", type=_grid, default=(200, 200), metavar="NxM")
 
-    p = command("fold-check", _fold_check, "verify the generic-fold conditions in one chart")
+    p = command("fold-check", _fold_check, "check the generic-fold conditions in one chart", report)
     p.add_argument("--chart", choices=("A", "B"), required=True)
 
-    command("cycle", _cycle, "detect the limit cycle and export period, segments, trajectory")
+    command("cycle", _cycle, "detect the limit cycle and export period, segments, trajectory",
+            report, eps, tol)
 
     p = command("timescales", _timescales,
-                "analytic vs measured timescale table over several eps")
+                "analytic vs measured timescale table over several eps", report, tol)
     p.add_argument("--eps-list", type=_eps_list, default=(1e-3, 1e-4, 1e-5),
                    metavar="E1,E2,...")
 
     p = command("fold-scaling", _fold_scaling,
-                "fold-passage offset vs eps and its log-log slope")
+                "fold-passage offset vs eps and its log-log slope", report, tol)
     p.add_argument("--chart", choices=("A", "B"), required=True)
     p.add_argument("--eps-list", type=_eps_list, default=None, metavar="E1,E2,...",
                    help="default: five log-spaced eps in the chart's scaling regime")
 
-    command("fixed-point", _fixed_point, "locate and classify the positive fixed point")
+    command("fixed-point", _fixed_point, "locate and classify the positive fixed point", report)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    run = RunConfig(params_path=args.params, eps=args.eps, rtol=args.rtol,
-                    atol=args.atol, out_dir=args.out, fmt=args.format)
+    run = RunConfig(args.params, *(getattr(args, name, None) for name in ("eps", "rtol", "atol")),
+                    args.out, getattr(args, "format", None))
     try:
         args.handler(run, args)
     except ParameterFileError as exc:

@@ -37,7 +37,7 @@ class StiffnessError(PhoscilError, RuntimeError):
 
 
 class BudgetError(PhoscilError, RuntimeError):
-    """The accepted-step budget (max_steps) was exhausted."""
+    """The accepted-step budget (integrator.MAX_STEPS) was exhausted."""
 
 
 class EventBracketError(PhoscilError, RuntimeError):

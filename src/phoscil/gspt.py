@@ -525,8 +525,11 @@ class RegionReport:
     violations: tuple[tuple[str, float, float, float], ...]  # (segment, s, h, value)
 
 
-def invariant_region_check(dp: DimlessParams, samples: int = 200,
-                           h_top: float = 1.2, s_nul: float = 10.0) -> RegionReport:
+#: the trapping region's side s = s_nul, its top h = h_top > 1, and samples per side
+REGION_S_NUL, REGION_H_TOP, REGION_SAMPLES = 10.0, 1.2, 200
+
+
+def invariant_region_check(dp: DimlessParams) -> RegionReport:
     """Check that the flow points inward on the trapping-region boundary.
 
     The region is bounded by s = 0, s = s_nul, h = h_top and the small-h
@@ -536,14 +539,11 @@ def invariant_region_check(dp: DimlessParams, samples: int = 200,
     field is tangent to the boundary, so the s = s_nul segment is sampled
     on the half-open interval (h_nul, h_top].
     """
-    if not h_top > 1.0:
-        raise PreconditionError(f"h_top must exceed 1, got {h_top!r}")
+    s_nul, h_top, samples = REGION_S_NUL, REGION_H_TOP, REGION_SAMPLES
     fp = fixed_point(dp)
     s_floor = max(dp.K_s / rate_r(h_top, dp), fp.s_star)
     if not s_nul > s_floor:
         raise PreconditionError(f"s_nul must exceed {s_floor!r}, got {s_nul!r}")
-    if samples < 2:
-        raise PreconditionError(f"samples must be >= 2, got {samples!r}")
 
     r_target = dp.K_s / s_nul
     h_nul, _ = _brentq(lambda h: rate_r(h, dp) - r_target, 1e-30, dp.eps1,

@@ -24,7 +24,6 @@ at its rounding floor (``floor_accept=True``, see :class:`_PlanarRadau`).
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from dataclasses import astuple, dataclass
@@ -80,15 +79,15 @@ NEWTON_MAXITER = 6
 NEWTON_FLOOR = 0.1  # Hairer & Wanner's kappa, for fold passages (see _PlanarRadau)
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
+MAX_STEPS = 10_000_000  # accepted steps per integrate call
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Tolerances and budgets; time units are those of the active chart."""
+    """Tolerances; time units are those of the active chart."""
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_steps: int = 10_000_000
 
     def __post_init__(self) -> None:
         # below 100 eps Radau's error test cannot hold (scipy clamps rtol there)
@@ -96,8 +95,6 @@ class IntegratorConfig:
             raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {self.rtol!r}")
         if not (self.atol > 0.0):
             raise DomainError(f"atol must be positive, got {self.atol!r}")
-        if not (self.max_steps > 0):
-            raise DomainError(f"max_steps must be positive, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -124,10 +121,10 @@ class EventHit:
 class SolverStats:
     """Work counts of an integration: accepted steps, Radau's counters,
     error-test rejections, unconverged collocation solves, event brackets
-    located and their polishing calls, and solves accepted at the rounding
-    floor.  ``==`` skips the Newton split that follows, so older pins hold:
-    iterations, and failures by fresh or stale Jacobian and by cause
-    (a rate >= 1 or a non-finite stage, else predicted too slow)."""
+    located and their polishing calls, solves accepted at the rounding
+    floor, and the Newton split: iterations, and failures by fresh or
+    stale Jacobian and by cause (a rate >= 1 or a non-finite stage, else
+    predicted too slow)."""
 
     steps: int = 0
     nfev: int = 0
@@ -138,11 +135,11 @@ class SolverStats:
     event_polishes: int = 0
     polish_evals: int = 0
     floor_accepts: int = 0
-    newton_iters: int = dataclasses.field(default=0, compare=False)
-    fresh_jac_failures: int = dataclasses.field(default=0, compare=False)
-    stale_jac_failures: int = dataclasses.field(default=0, compare=False)
-    diverged_failures: int = dataclasses.field(default=0, compare=False)
-    slow_failures: int = dataclasses.field(default=0, compare=False)
+    newton_iters: int = 0
+    fresh_jac_failures: int = 0
+    stale_jac_failures: int = 0
+    diverged_failures: int = 0
+    slow_failures: int = 0
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -477,9 +474,9 @@ def _select_initial_step(fun, t0: float, y0: tuple, t_bound: float, f0: tuple,
 
 
 def _predict_factor(h_abs, h_abs_old, error_norm, error_norm_old):
-    """scipy's ``predict_factor``: by which factor to change the step.
-    An error norm of exactly 0 gives inf, as numpy's ``0.0 ** -0.25`` does."""
-    if error_norm_old is None or h_abs_old is None or error_norm == 0:
+    """scipy's ``predict_factor``: by which factor to change the step.  As in
+    float64, error_norm = 0 gives inf (0 ** -0.25) and h_abs_old = 0 a multiplier 1."""
+    if error_norm_old is None or not h_abs_old or error_norm == 0:
         multiplier = 1
     else:
         multiplier = h_abs / h_abs_old * (error_norm_old / error_norm) ** 0.25
@@ -811,8 +808,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     n_steps = polishes = polish_evals = 0
 
     while solver.status == "running":
-        if n_steps >= cfg.max_steps:
-            raise BudgetError(f"max_steps = {cfg.max_steps} exhausted at t = {solver.t}")
+        if n_steps >= MAX_STEPS:
+            raise BudgetError(f"MAX_STEPS = {MAX_STEPS} exhausted at t = {solver.t}")
         try:
             message = solver.step()
         except PhoscilError:

@@ -1,4 +1,5 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
+import argparse
 import dataclasses
 import json
 import math
@@ -13,7 +14,7 @@ import pytest
 
 import phoscil
 from phoscil._fmt import fmt17
-from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
 from phoscil.gspt import verify_generic_fold
 from phoscil.params import UREASE_VESICLE
 
@@ -105,7 +106,7 @@ def test_fold_check_answers_where_the_chart_b_fold_is_narrow(tmp_path, chart_b_e
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_exports_all_coordinate_systems(tmp_path):
-    assert main(["simulate", "--t", "0:300", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["simulate", "--t-span", "0:300", "--out", str(tmp_path)]) == EXIT_OK
     for name in ("simulate_state.csv", "simulate_chart_a.csv", "simulate_log.csv"):
         comments, header, rows = read_csv_rows(tmp_path / name)
         assert len(rows) > 100
@@ -130,7 +131,7 @@ def test_simulate_coordinate_files_follow_from_the_state_file(tmp_path):
 
 
 def test_simulate_turning_points_space_one_period(tmp_path):
-    assert main(["simulate", "--t", "0:300", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["simulate", "--t-span", "0:300", "--out", str(tmp_path)]) == EXIT_OK
     payload = json.loads((tmp_path / "simulate_events.json").read_text())
     maxima = [e["t"] for e in payload["events"] if e["index"] == 0]
     assert len(maxima) >= 2
@@ -145,12 +146,12 @@ def test_simulate_keeps_no_dense_output(tmp_path, monkeypatch):
     exported = []
     monkeypatch.setattr(cli, "export_trajectory",
                         lambda traj, *args, **kwargs: exported.append(traj))
-    assert main(["simulate", "--t", "0:10", "--out", str(tmp_path)]) == EXIT_OK
+    assert main(["simulate", "--t-span", "0:10", "--out", str(tmp_path)]) == EXIT_OK
     assert len(exported) == 3
     assert all(len(traj.t) > 2 and not traj.segments for traj in exported)
 
 def test_simulate_zero_length_span_exports_initial_sample(tmp_path):
-    assert main(["simulate", "--t", "5:5", "--x0", "0.3,0.4",
+    assert main(["simulate", "--t-span", "5:5", "--x0", "0.3,0.4",
                  "--out", str(tmp_path)]) == EXIT_OK
     _, _, rows = read_csv_rows(tmp_path / "simulate_state.csv")
     assert len(rows) == 1
@@ -158,7 +159,7 @@ def test_simulate_zero_length_span_exports_initial_sample(tmp_path):
 
 
 def test_simulate_honours_explicit_tolerances(tmp_path):
-    assert main(["simulate", "--t", "0:10", "--rtol", "1e-6", "--atol", "1e-9",
+    assert main(["simulate", "--t-span", "0:10", "--rtol", "1e-6", "--atol", "1e-9",
                  "--out", str(tmp_path)]) == EXIT_OK
     comments, _, _ = read_csv_rows(tmp_path / "simulate_state.csv")
     assert any("rtol = 9.9999999999999995e-07" in c for c in comments)
@@ -293,6 +294,50 @@ def test_cycle_and_timescales_classify_h_star_above_one_half(tmp_path):
 
 # --- exit codes ---------------------------------------------------------------------
 
+#: the flags of each subcommand: --params and --out everywhere, --eps where
+#: the handler runs at one eps, --rtol/--atol where it integrates, and
+#: --format where it writes a report
+_COMMON = {"--params", "--out"}
+SUBCOMMAND_FLAGS = {
+    "simulate": _COMMON | {"--eps", "--rtol", "--atol", "--t-span", "--x0"},
+    "cycle": _COMMON | {"--eps", "--rtol", "--atol", "--format"},
+    "timescales": _COMMON | {"--rtol", "--atol", "--format", "--eps-list"},
+    "fold-scaling": _COMMON | {"--rtol", "--atol", "--format", "--chart", "--eps-list"},
+    "scan": _COMMON | {"--format", "--kh-over-ks", "--inv-alpha", "--grid"},
+    "fold-check": _COMMON | {"--format", "--chart"},
+    "fixed-point": _COMMON | {"--format"},
+}
+
+
+def test_each_subcommand_takes_exactly_the_flags_its_handler_reads():
+    parser = _build_parser()
+    sub, = (action for action in parser._actions
+            if isinstance(action, argparse._SubParsersAction))
+    flags = {name: {flag for action in p._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, p in sub.choices.items()}
+    assert flags == SUBCOMMAND_FLAGS
+
+
+def test_provenance_echoes_the_settings_the_subcommand_reads(tmp_path):
+    for argv, name in ((["fixed-point"], "fixed_point.csv"),
+                       (["fold-check", "--chart", "A"], "fold_report_a.csv"),
+                       (["simulate", "--t-span", "0:0"], "simulate_state.csv")):
+        assert main(argv + ["--out", str(tmp_path)]) == EXIT_OK
+        echoed = [c.split()[1] for c in read_csv_rows(tmp_path / name)[0]
+                  if re.match(r"# (eps|rtol|atol) = ", c)]
+        assert echoed == [f for f in ("eps", "rtol", "atol")
+                          if f"--{f}" in SUBCOMMAND_FLAGS[argv[0]]]
+
+
+def test_an_abbreviated_flag_is_a_usage_error(tmp_path):
+    # an abbreviation would read a dropped --eps as timescales' --eps-list
+    for argv in (["simulate", "--t", "0:10"], ["timescales", "--eps", "1e-4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == EXIT_USAGE
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fixed-point", "--out", str(tmp_path), "--frobnicate"])
@@ -391,10 +436,9 @@ def test_a_failed_run_leaves_no_out_dir(tmp_path, capsys, argv, params, code):
 
 
 @pytest.mark.parametrize("rtol", ["1e-20", "2.2e-14", "2e-3", "nan", "abc"])
-@pytest.mark.parametrize("subcommand", ["fixed-point", "cycle"])
+@pytest.mark.parametrize("subcommand", ["simulate", "cycle"])
 def test_an_rtol_outside_the_integrators_range_is_a_usage_error(tmp_path, capsys, subcommand,
                                                                  rtol):
-    # fixed-point never integrates, yet its --rtol is held to the same range
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
         main([subcommand, "--rtol", rtol, "--out", str(out)])
@@ -408,8 +452,9 @@ def test_an_rtol_outside_the_integrators_range_is_a_usage_error(tmp_path, capsys
 
 @pytest.mark.parametrize("rtol", ["2.220446049250313e-14", "1e-3"])
 def test_the_ends_of_the_rtol_range_are_accepted(tmp_path, rtol):
-    assert main(["fixed-point", "--rtol", rtol, "--out", str(tmp_path)]) == EXIT_OK
-    comments, _, _ = read_csv_rows(tmp_path / "fixed_point.csv")
+    assert main(["simulate", "--t-span", "0:1", "--rtol", rtol,
+                 "--out", str(tmp_path)]) == EXIT_OK
+    comments, _, _ = read_csv_rows(tmp_path / "simulate_state.csv")
     assert f"# rtol = {fmt17(float(rtol))}" in comments
 
 

@@ -159,7 +159,8 @@ def test_cycle_solver_stats_frozen(cycle_1e3):
     stats = cycle_1e3.trajectory.stats
     assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358,
                                 rejected=39, newton_failures=21,
-                                event_polishes=2, polish_evals=11)
+                                event_polishes=2, polish_evals=11, newton_iters=4851,
+                                stale_jac_failures=21, slow_failures=21)
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 

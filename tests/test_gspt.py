@@ -499,12 +499,10 @@ def test_region_check_passes_for_reference_parameters(dp):
 
 
 def test_region_check_preconditions(dp):
-    with pytest.raises(PreconditionError):
-        invariant_region_check(dp, h_top=0.9)
-    with pytest.raises(PreconditionError):
-        invariant_region_check(dp, s_nul=0.01)
-    with pytest.raises(PreconditionError):
-        invariant_region_check(dp, samples=1)
+    # K_s and K_h 100 times larger put the fixed point at s_* = 7.6 and the
+    # s-nullcline at h_top at s = 73, right of the region's side s = 10
+    with pytest.raises(PreconditionError, match="s_nul must exceed 73.1"):
+        invariant_region_check(dataclasses.replace(dp, K_s=100 * dp.K_s, K_h=100 * dp.K_h))
 
 
 # --- fold-passage scaling ------------------------------------------------------------------
@@ -566,7 +564,9 @@ def test_default_path_keeps_the_chart_b_passage_work(dp, es):
     res = _passage("B", DEFAULT_EPS_B[-1], es, dp)
     assert res.trajectory.stats == SolverStats(steps=900, nfev=6_482, njev=11, nlu=86,
                                                rejected=18, newton_failures=5,
-                                               event_polishes=1, polish_evals=6)
+                                               event_polishes=1, polish_evals=6,
+                                               newton_iters=1860, fresh_jac_failures=1,
+                                               stale_jac_failures=4, slow_failures=5)
     s_B, _ = fold_location_B(es.at_eps(DEFAULT_EPS_B[-1]), dp)
     assert abs(float(res.state_hit[0]) - s_B) == 0.0005308805190087744
 

@@ -90,12 +90,12 @@ def _crand(rng, *shape, zeros=0.1):
 def test_config_defaults_are_tight():
     cfg = IntegratorConfig()
     assert cfg.rtol == 1e-10 and cfg.atol == 1e-12
-    assert cfg.max_steps == 10_000_000
+    assert integrator.MAX_STEPS == 10_000_000
 
 
 @pytest.mark.parametrize("kwargs", [
     {"rtol": 0.0}, {"rtol": 1e-2}, {"rtol": -1e-10},
-    {"atol": -1.0}, {"max_steps": 0}, {"rtol": 1e-20},
+    {"atol": -1.0}, {"rtol": 1e-20},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
@@ -287,10 +287,10 @@ def test_t_span_must_increase():
         integrate(decay, (1.0, 1.0), (0.0, math.nan))
 
 
-def test_step_budget_is_enforced():
-    with pytest.raises(BudgetError):
-        integrate(rotation, (1.0, 0.0), (0.0, 1000.0),
-                  IntegratorConfig(max_steps=5))
+def test_step_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr(integrator, "MAX_STEPS", 5)
+    with pytest.raises(BudgetError, match="MAX_STEPS = 5 exhausted"):
+        integrate(rotation, (1.0, 0.0), (0.0, 1000.0))
 
 
 @_with_jac(lambda t, y: np.array([[-0.5 / np.sqrt(y[0]), 0.0], [0.0, -1.0]]))
@@ -510,6 +510,27 @@ def test_owned_step_is_bit_identical_on_a_zero_field(monkeypatch):
     stock, direct = _stock_and_direct(monkeypatch, linear([[0.0, 0.0], [0.0, 0.0]]),
                                       (1.0, 2.0), (0.0, 10.0))
     assert np.array_equal(direct.states, np.tile([1.0, 2.0], (len(direct.t), 1)))
+    _assert_bit_identical(stock, direct)
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero encountered in scalar divide:RuntimeWarning")
+def test_owned_step_is_bit_identical_after_a_zero_step_size(monkeypatch):
+    # The field is 0 up to t = 3, so those steps have error 0.  The first step
+    # past t = 3 then predicts the factor 0 and, as it refreshes the Jacobian,
+    # keeps it: the next step starts from min_step and stores h_abs_old = 0.
+    @_with_jac(lambda t, y: np.array([[-0.2 * max(t - 3.0, 0.0) * y[0], 0.0],
+                                      [0.0, -0.1 * max(t - 3.0, 0.0)]]))
+    def switched(t, y):
+        c = 0.1 * (t - 3.0) if t >= 3.0 else 0.0
+        return -c * y[0] ** 2, -c * y[1]
+
+    seen = []
+    predict = integrator._predict_factor
+    monkeypatch.setattr(integrator, "_predict_factor", lambda *a: seen.append(a) or predict(*a))
+    stock, direct = _stock_and_direct(monkeypatch, switched, (1.0, 1.0), (0.0, 10.0),
+                                      IntegratorConfig(rtol=1e-3, atol=1e-3))
+    assert any(error_norm == 0.0 for _, _, error_norm, _ in seen)
+    assert any(h_abs_old == 0.0 for _, h_abs_old, _, _ in seen)
     _assert_bit_identical(stock, direct)
 
 
@@ -818,6 +839,12 @@ def test_step_factor_matches_scipys_including_a_zero_error():
                                                error_norm_old)
         assert own == stock
     assert integrator._predict_factor(1.0, 0.5, 0.0, 0.3) == math.inf
+    # a zero h_abs_old: float64 divides to inf (or to nan with a zero
+    # error_norm_old), and min(1, .) gives the multiplier 1 either way
+    for error_norm_old in (0.3, 0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            stock = scipy_radau.predict_factor(1.0, np.float64(0.0), 0.5, error_norm_old)
+        assert integrator._predict_factor(1.0, 0.0, 0.5, error_norm_old) == stock == 0.5 ** -0.25
 
 
 def _brent_problems(rng):
