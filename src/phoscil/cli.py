@@ -11,9 +11,11 @@ Besides ``--params`` and ``--out``, a subcommand takes only the flags its
 handler reads: ``--eps`` (simulate, cycle), ``--rtol``/``--atol`` (also
 timescales, fold-scaling) and ``--format`` (all but simulate, which always
 writes CSV plus JSON events).  Any other flag is a usage error.
-Each subparser carries its handler, called as ``handler(run, args)``.
-The parser is the only input check; the library checks eps, rtol and
-atol once more in ``EpsSplit`` and ``IntegratorConfig``.  Every report
+Each subparser carries its handler, called as ``handler(run, args)``, and
+itself, so that a usage error prints the subcommand's own usage line.
+The parser checks each value as it reads it; ``--rtol`` and ``--atol``
+are read through ``IntegratorConfig``, the only statement of their
+ranges, and ``EpsSplit`` checks eps once more.  Every report
 file goes through ``_write_report``, which names it ``<stem>.<fmt>`` and
 picks the CSV or the JSON writer; a JSON report is
 ``{"provenance": [...], **payload}``.
@@ -79,7 +81,7 @@ class RunConfig:
     setting the subcommand does not take is ``None``: ``provenance`` skips
     it, and ``resolve`` uses eps 1e-3 and the integrator defaults.  Runs are
     seed-free: nothing here (or downstream) consumes randomness.  The
-    values are checked where they are used: by the parser, and again by
+    values are checked by the parser, and again where they are used, by
     ``EpsSplit`` and ``IntegratorConfig``.
     """
 
@@ -282,79 +284,51 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _positive(name: str, upper: float | None = None):
-    def parse(text: str) -> float:
+def _pair(sep: str, kind, shape: str, holds, need: str):
+    """Parser of ``a<sep>b``: two ``kind`` values (a, b) with ``holds(a, b)``."""
+    def parse(text: str) -> tuple:
         try:
-            value = float(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{name} must be a number, got {text!r}")
-        if not (value > 0.0 and math.isfinite(value)):
-            raise argparse.ArgumentTypeError(f"{name} must be positive, got {text!r}")
-        if upper is not None and value > upper:
-            raise argparse.ArgumentTypeError(f"{name} must be <= {upper:g}, got {text!r}")
-        return value
+            a, b = map(kind, text.lower().split(sep))
+        except ValueError:  # not two parts, or a part ``kind`` cannot read
+            raise argparse.ArgumentTypeError(f"expected {shape}, got {text!r}")
+        if not holds(a, b):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text!r}")
+        return a, b
     return parse
 
 
-def _span(text: str) -> tuple[float, float]:
-    """t0:t1 with t1 >= t0 (equality selects the single-sample export)."""
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected a0:a1, got {text!r}")
+#: t0:t1 with t1 >= t0 (equality selects the single-sample export)
+_span = _pair(":", float, "T0:T1", lambda a, b: -math.inf < a <= b < math.inf, "finite T0 <= T1")
+#: a scan range of K_h/K_s or 1/alpha
+_interval = _pair(":", float, "a0:a1", lambda a, b: 0.0 < a < b < math.inf, "0 < a0 < a1 < inf")
+_grid = _pair("x", int, "NxM", lambda nx, ny: nx >= 2 and ny >= 2, "N >= 2 and M >= 2")
+#: simulate's log export (pS, pH) needs s > 0 and h > 0
+_state = _pair(",", float, "S,H", lambda s, h: 0.0 < s < math.inf and 0.0 < h < math.inf,
+               "finite S > 0 and H > 0")
+
+
+def _tolerance(name: str):
+    """Parser of ``--rtol`` or ``--atol``: a value IntegratorConfig accepts; its range
+    is stated there only."""
+    def parse(text: str) -> float:
+        try:
+            return getattr(IntegratorConfig(**{name: float(text)}), name)
+        except ValueError as exc:  # float's, or IntegratorConfig's DomainError
+            raise argparse.ArgumentTypeError(str(exc))
+    return parse
+
+
+def _eps(text: str) -> float:
+    """One eps bound, 0 < eps <= 1, for --eps and every --eps-list entry."""
     try:
-        lo, hi = float(parts[0]), float(parts[1])
+        value = float(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in a0:a1, got {text!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi >= lo):
-        raise argparse.ArgumentTypeError(f"need finite a1 >= a0, got {text!r}")
-    return lo, hi
-
-
-def _interval(text: str) -> tuple[float, float]:
-    """a0:a1 with 0 < a0 < a1: a scan range of K_h/K_s or 1/alpha."""
-    lo, hi = _span(text)
-    if not 0.0 < lo < hi:
-        raise argparse.ArgumentTypeError(f"need 0 < a0 < a1, got {text!r}")
-    return lo, hi
-
-
-def _grid(text: str) -> tuple[int, int]:
-    parts = text.lower().split("x")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected NxM, got {text!r}")
-    try:
-        nx, ny = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers in NxM, got {text!r}")
-    if nx < 2 or ny < 2:
-        raise argparse.ArgumentTypeError(f"grid must be at least 2x2, got {text!r}")
-    return nx, ny
-
-
-def _state(text: str) -> tuple[float, float]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected s,h with two numbers, got {text!r}")
-    try:
-        s, h = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numbers in s,h, got {text!r}")
-    # simulate's log export (pS, pH) needs s > 0 and h > 0
-    if not (0.0 < s < math.inf and 0.0 < h < math.inf):
-        raise argparse.ArgumentTypeError(f"state coordinates must be positive, got {text!r}")
-    return s, h
-
-
-def _rtol(text: str) -> float:
-    """An rtol that IntegratorConfig accepts; its range is stated there only."""
-    try:
-        return IntegratorConfig(rtol=float(text)).rtol
-    except ValueError as exc:  # float's, or IntegratorConfig's DomainError
-        raise argparse.ArgumentTypeError(str(exc))
-
-
-#: one eps bound for --eps and every --eps-list entry
-_eps = _positive("eps", upper=1.0)
+        raise argparse.ArgumentTypeError(f"eps must be a number, got {text!r}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"eps must be positive, got {text!r}")
+    if value > 1.0:
+        raise argparse.ArgumentTypeError(f"eps must be <= 1, got {text!r}")
+    return value
 
 
 def _eps_list(text: str) -> tuple[float, ...]:
@@ -378,15 +352,15 @@ def _build_parser() -> _Parser:
                         help="serialization for report-style outputs (default csv)")
     eps.add_argument("--eps", type=_eps, default=1e-3,
                      help="timescale-separation parameter (default 1e-3)")
-    tol.add_argument("--rtol", type=_rtol, default=IntegratorConfig.rtol,
+    tol.add_argument("--rtol", type=_tolerance("rtol"), default=IntegratorConfig.rtol,
                      help="integrator relative tolerance (default %(default)g)")
-    tol.add_argument("--atol", type=_positive("atol"), default=IntegratorConfig.atol,
+    tol.add_argument("--atol", type=_tolerance("atol"), default=IntegratorConfig.atol,
                      help="integrator absolute tolerance (default %(default)g)")
     sub = parser.add_subparsers(dest="subcommand", required=True, metavar="SUBCOMMAND")
 
     def command(name: str, handler, summary: str, *groups) -> argparse.ArgumentParser:
         p = sub.add_parser(name, parents=[common, *groups], help=summary, allow_abbrev=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler, parser=p)
         return p
 
     p = command("simulate", _simulate,
@@ -424,7 +398,9 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extra = _build_parser().parse_known_args(argv)
+    if extra:  # reported with the subcommand's own usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     run = RunConfig(args.params, *(getattr(args, name, None) for name in ("eps", "rtol", "atol")),
                     args.out, getattr(args, "format", None))
     try:

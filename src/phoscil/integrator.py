@@ -93,8 +93,9 @@ class IntegratorConfig:
         # below 100 eps Radau's error test cannot hold (scipy clamps rtol there)
         if not (100.0 * _MACH_EPS <= self.rtol <= 1e-3):
             raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {self.rtol!r}")
-        if not (self.atol > 0.0):
-            raise DomainError(f"atol must be positive, got {self.atol!r}")
+        # an infinite atol switches the error test off
+        if not (0.0 < self.atol < math.inf):
+            raise DomainError(f"atol must be positive and finite, got {self.atol!r}")
 
 
 @dataclass(frozen=True)
@@ -463,7 +464,9 @@ def _select_initial_step(fun, t0: float, y0: tuple, t_bound: float, f0: tuple,
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, (y0[0] + h0 * f0[0], y0[1] + h0 * f0[1]))
-    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1) / h0
+    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1)
+    # as in float64, x/0 is inf and 0/0 nan: h0 is 0 when d1 overflows to inf
+    d2 = d2 / h0 if h0 else (math.inf if d2 > 0 else math.nan)
 
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -866,9 +869,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 
 
-def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None,
-                          t_max: float = math.inf, t0: float = 0.0,
-                          keep_dense: bool = True, *,
+def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None, *,
+                          t_max: float, t0: float = 0.0, keep_dense: bool = True,
                           floor_accept: bool = False) -> EventHitResult:
     """Run until the first hit of ``event`` (made terminal), or to t_max.
 

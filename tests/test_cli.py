@@ -344,6 +344,20 @@ def test_unknown_flag_is_a_usage_error(tmp_path, capsys):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_FLAGS))
+def test_an_unknown_flag_prints_the_subcommands_own_usage(tmp_path, capsys, subcommand):
+    required = ["--chart", "A"] if "--chart" in SUBCOMMAND_FLAGS[subcommand] else []
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, *required, "--frobnicate", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[0].startswith(f"usage: phoscil {subcommand} ")
+    assert captured.err.splitlines()[-1] == (
+        f"phoscil {subcommand}: error: unrecognized arguments: --frobnicate")
+    assert captured.out == "" and not out.exists()
+
+
 def test_malformed_grid_is_a_usage_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--kh-over-ks", "2:10", "--inv-alpha", "1.5:8",
@@ -447,6 +461,18 @@ def test_an_rtol_outside_the_integrators_range_is_a_usage_error(tmp_path, capsys
     assert "argument --rtol: " in err
     if rtol != "abc":
         assert "rtol must lie in [2.220446049250313e-14, 1e-3]" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("atol", ["inf", "nan", "0", "-1e-12"])
+@pytest.mark.parametrize("subcommand", ["simulate", "cycle"])
+def test_an_atol_outside_the_integrators_range_is_a_usage_error(tmp_path, capsys, subcommand,
+                                                                 atol):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([subcommand, f"--atol={atol}", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --atol: atol must be positive and finite" in capsys.readouterr().err
     assert not out.exists()
 
 

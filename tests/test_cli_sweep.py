@@ -23,6 +23,8 @@ from phoscil.params import UREASE_VESICLE
 N_FAST, N_INTEGRATING = 40, 12
 EPS = ("1", "0.3", "1e-2", "1e-3")
 RTOL_ENDS = ("2.220446049250313e-14", "1e-3")
+#: the smallest subnormal and a large finite atol
+ATOL_ENDS = ("5e-324", "1e300")
 
 
 def _scaled_params(k: int) -> dict:
@@ -68,6 +70,20 @@ def test_the_integrating_subcommands_answer_on_a_scaled_parameter_file(tmp_path,
     for argv in (["cycle", "--eps", eps], ["simulate", "--eps", eps, "--t-span", "0:20"],
                  ["timescales", "--eps-list", eps]):
         _run(argv + common, capsys)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--t-span", "0:20", "--x0", x0]
+    for x0 in ("1e300,0.5", "0.5,1e300", "1e300,1e300", "1e-300,1e-300")
+] + [
+    [*subcommand, f"--atol={atol}"]
+    for subcommand in (["simulate", "--t-span", "0:20"], ["cycle"])
+    for atol in ATOL_ENDS
+], ids=" ".join)
+def test_the_integrating_subcommands_answer_at_the_ends_of_the_start_and_atol_ranges(
+        tmp_path, capsys, argv):
+    _run(argv + ["--out", str(tmp_path / "out")], capsys)
 
 
 @pytest.mark.parametrize("subcommand, flag, value", [

@@ -164,6 +164,26 @@ def test_cycle_solver_stats_frozen(cycle_1e3):
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 
+def test_rtol_refinement_spreads_the_eps_1e3_period_past_its_pin(dp, es):
+    """The eps = 1e-3 period at rtol 1e-11 and 1e-12 (atol = rtol/100).
+
+    Refining rtol moves the period by up to 7.15e-11 relative, so the
+    period is defined only to about that; ``PERIOD_1E3``'s pin (1e-12,
+    in ``test_cycle_report_frozen_values``) is tighter than this spread.
+    The offsets and step counts are recorded to three digits and exactly.
+    """
+    offsets, steps = [], []
+    for rtol in (1e-11, 1e-12):
+        rep = find_limit_cycle(dp, es, cfg=IntegratorConfig(rtol=rtol, atol=rtol / 100))
+        assert rep.terminus == "limit_cycle"
+        offsets.append((rep.period - PERIOD_1E3) / PERIOD_1E3)
+        steps.append(rep.trajectory.stats.steps)
+    assert math.isclose(offsets[0], -3.08e-12, rel_tol=2e-3)
+    assert math.isclose(offsets[1], -7.15e-11, rel_tol=2e-3)
+    assert steps == [3942, 6951]
+    assert max(map(abs, offsets)) > 50 * 1e-12
+
+
 def test_cycle_counts_where_the_newton_work_goes(cycle_1e3):
     # every one of the 21 failures came with a stale Jacobian and was predicted too slow
     stats = cycle_1e3.trajectory.stats

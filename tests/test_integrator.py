@@ -95,7 +95,7 @@ def test_config_defaults_are_tight():
 
 @pytest.mark.parametrize("kwargs", [
     {"rtol": 0.0}, {"rtol": 1e-2}, {"rtol": -1e-10},
-    {"atol": -1.0}, {"rtol": 1e-20},
+    {"atol": -1.0}, {"rtol": 1e-20}, {"atol": math.inf}, {"atol": math.nan},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
@@ -808,7 +808,8 @@ def test_tableau_constants_match_scipys_bitwise():
         assert getattr(integrator, name) == getattr(scipy_radau, name), name
 
 
-def test_initial_step_matches_scipys():
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_initial_step_matches_scipys(dp, es):
     rng = np.random.default_rng(3)
     stiff = linear([[-1e6, 0.0], [3.0, -1e6]], (1.0, -2.0))
     for field in (decay, rotation, linear([[0.0, 0.0], [0.0, 0.0]]), stiff):
@@ -825,6 +826,20 @@ def test_initial_step_matches_scipys():
                 return np.asarray(field(t, y), dtype=float)
             stock = select_initial_step(fun, t0, y0, t_bound, np.inf, f0, 1, 3, rtol, atol)
             assert own == stock
+    # the model field from simulate's starts; at s = 1e300 the norm of f0
+    # overflows to inf, so h0 = 0 and float64 gives the step 0 as well
+    field = make_field(split_dimless(dp, es))
+    steps = []
+    for y0 in ((1e300, 0.5), (1e-300, 1e-300), (0.5, 0.5)):
+        f0 = tuple(field(0.0, np.array(y0)))
+        own = integrator._select_initial_step(field, 0.0, y0, 1.0, f0, 1e-10, 1e-12)
+        with np.errstate(invalid="ignore"):  # scipy's d2 = 0/0
+            stock = select_initial_step(lambda t, y: np.asarray(field(t, y), dtype=float), 0.0,
+                                        np.array(y0), 1.0, np.inf, np.array(f0), 1, 3,
+                                        1e-10, 1e-12)
+        assert own == stock
+        steps.append(own)
+    assert steps[0] == 0.0
 
 
 def test_step_factor_matches_scipys_including_a_zero_error():
