@@ -2,8 +2,11 @@
 
 Both writers stream: they take rows or JSON pieces from an iterator in
 fixed-size chunks, so memory stays bounded by the chunk, not the file.
-Each writes a sibling temporary file and renames it over the destination
-only when the whole document is written; a source that raises leaves the
+The CSV writer formats each chunk of rows with one ``%`` on a row
+template built once, so numbers go through ``%.17g``, the format of
+``fmt17``, without a Python call per value.  Each writer writes a
+sibling temporary file and renames it over the destination only when
+the whole document is written; a source that raises leaves the
 destination as it was and no temporary file behind.
 """
 from __future__ import annotations
@@ -13,7 +16,7 @@ import os
 from itertools import chain, islice
 from pathlib import Path
 
-#: CSV rows and JSON encoder pieces joined per ``write`` call
+#: CSV rows and JSON encoder pieces per ``write`` call
 _CSV_CHUNK = 1024
 _JSON_CHUNK = 4096
 
@@ -23,31 +26,47 @@ def fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _write_chunks(path: str | Path, pieces, size: int, sep: str) -> None:
-    """Write each chunk of ``size`` pieces as ``sep.join(chunk) + sep``, all or nothing."""
+def _chunks(items, size: int):
+    """Successive lists of ``size`` items of ``items``, the last one shorter."""
+    items = iter(items)
+    while chunk := list(islice(items, size)):
+        yield chunk
+
+
+def _write_texts(path: str | Path, texts) -> None:
+    """Write the strings of ``texts`` one after another, all or nothing."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", newline="\n") as fh:
-            while chunk := list(islice(pieces, size)):
-                chunk.append("")
-                fh.write(sep.join(chunk))
+            fh.writelines(texts)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
 
 
-def write_csv(path: str | Path, header: list[str], rows, provenance: list[str] = ()) -> None:
-    """Write rows of pre-formatted strings as CSV with Unix newlines.
+def write_csv(path: str | Path, header: list[str], spec: str, rows,
+              provenance: list[str] = ()) -> None:
+    """Write rows of values as CSV lines ``spec % row`` with Unix newlines.
 
+    ``spec`` is the row format, for example ``"%s,%s,%.17g,%.17g,%d"``:
+    ``%.17g`` gives a float the bytes of ``fmt17``, and ``%s`` takes a
+    string verbatim.  Each row holds one value per field of ``spec``.
     ``provenance`` lines are echoed as leading ``#`` comments so a file
-    is self-describing; floats must already be strings (use fmt17).
-    ``rows`` may be any iterable; it is consumed once, chunk by chunk.
+    is self-describing.  ``rows`` may be any iterable; it is consumed
+    once, chunk by chunk.
     """
-    lines = chain([f"# {line}" for line in provenance], [",".join(header)],
-                  map(",".join, rows))
-    _write_chunks(path, lines, _CSV_CHUNK, "\n")
+    line = spec + "\n"
+    full = line * _CSV_CHUNK
+
+    def texts():
+        yield "".join(f"# {p}\n" for p in provenance) + ",".join(header) + "\n"
+        for chunk in _chunks(rows, _CSV_CHUNK):
+            template = full if len(chunk) == _CSV_CHUNK else line * len(chunk)
+            yield template % tuple(chain.from_iterable(chunk))
+
+    _write_texts(path, texts())
 
 
 def write_json(path: str | Path, obj) -> None:
@@ -58,4 +77,4 @@ def write_json(path: str | Path, obj) -> None:
     ``iterencode`` streams.
     """
     pieces = chain(json.JSONEncoder(indent=2).iterencode(obj), ["\n"])
-    _write_chunks(path, pieces, _JSON_CHUNK, "")
+    _write_texts(path, map("".join, _chunks(pieces, _JSON_CHUNK)))

@@ -133,14 +133,14 @@ def _json(payload):
     return lambda path, prov: write_json(path, {"provenance": prov, **payload()})
 
 
-def _csv(header: list[str], rows):
-    """CSV report writer of pre-formatted rows."""
-    return lambda path, prov: write_csv(path, header, rows, provenance=prov)
+def _csv(header: list[str], spec: str, rows):
+    """CSV report writer of rows in the row format ``spec``."""
+    return lambda path, prov: write_csv(path, header, spec, rows, provenance=prov)
 
 
 def _key_values(pairs):
     """``quantity,value`` CSV report writer: strings verbatim, numbers as fmt17."""
-    return _csv(["quantity", "value"],
+    return _csv(["quantity", "value"], "%s,%s",
                 [[key, value if isinstance(value, str) else fmt17(value)] for key, value in pairs])
 
 
@@ -258,7 +258,7 @@ def _fold_scaling(run: RunConfig, args) -> None:
                           f"slope = {fmt17(scaling.slope)}")
     path = _write_report(
         run, f"fold_scaling_{args.chart.lower()}", prov,
-        _csv(["eps", "offset"], [[fmt17(e), fmt17(o)] for e, o in scaling.entries]),
+        _csv(["eps", "offset"], "%.17g,%.17g", scaling.entries),
         _json(lambda: {"chart": scaling.chart, "slope": scaling.slope,
                        "entries": [[e, o] for e, o in scaling.entries]}))
     print(f"fold-scaling chart {args.chart}: slope={scaling.slope:.4f} -> {path}")

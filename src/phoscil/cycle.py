@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fmt import fmt17, write_csv, write_json
+from ._fmt import write_csv, write_json
 from .errors import (
     DomainError,
     MalformedCycleError,
@@ -71,6 +71,10 @@ class CycleReport:
     "no_convergence" when the transient budget runs out.  ``period`` is
     tau_B_to_A + tau_A_to_B exactly (same floats, same event hits).
     ``transient_stats`` counts the work of every half-leg outside ``trajectory``.
+    ``return_distances`` holds, for each transient period, the largest
+    coordinate gap between its back-section return and the one before:
+    the test that ended the transient, so only the last may fall below
+    TRANSIENT_TOL.  It stays out of the exported report.
     """
 
     eps: float
@@ -84,6 +88,7 @@ class CycleReport:
     terminus: str
     trajectory: Trajectory | None
     transient_stats: SolverStats
+    return_distances: tuple[float, ...]
 
     def to_json_dict(self) -> dict:
         """JSON-ready summary (the trajectory itself is exported separately)."""
@@ -215,21 +220,25 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
     ``leg_budget`` time units.  The transient ends when two successive
     back-section returns agree to TRANSIENT_TOL in (scale*y0, y1); one
     further period is then recorded with dense output kept.  Returns
-    (terminus, n_transient_periods, recorded, transient_stats), the last
-    summing the work of every half-leg outside ``recorded``; for "limit_cycle",
-    recorded = (tau_out, tau_back, out_leg, back_leg) with the two
-    half-leg times and results; None for "equilibrium" (the orbit stops
-    returning at rest, or the recorded y0-amplitude falls below
-    EQUILIBRIUM_AMPLITUDE) and for "no_convergence" (any other lost
-    return, or TRANSIENT_BUDGET periods without agreement).
+    (terminus, return_distances, recorded, transient_stats).
+    ``return_distances`` holds max|this_return - prev_return| of each
+    transient period, so its length is the number of transient periods.
+    ``transient_stats`` sums the work of every half-leg outside
+    ``recorded``.  For "limit_cycle", recorded = (tau_out, tau_back,
+    out_leg, back_leg) with the two half-leg times and results; it is
+    None for "equilibrium" (the orbit stops returning at rest, or the
+    recorded y0-amplitude falls below EQUILIBRIUM_AMPLITUDE) and for
+    "no_convergence" (any other lost return, or TRANSIENT_BUDGET periods
+    without agreement).
     """
     out_ev, back_ev = events
     work = SolverStats()
+    distances = []
 
-    def no_cycle(n_seen: int, last_state=None):
+    def no_cycle(last_state=None):
         settled = (last_state is not None and
                    math.hypot(*field(0.0, np.asarray(last_state, dtype=float))) < 1e-8)
-        return ("equilibrium" if settled else "no_convergence"), n_seen, None, work
+        return ("equilibrium" if settled else "no_convergence"), tuple(distances), None, work
 
     def half_leg(x, t_start: float, event: EventSpec, keep_dense: bool):
         nonlocal work
@@ -241,34 +250,33 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
 
     res = half_leg(start, 0.0, back_ev, False)
     if not res.hit:
-        return no_cycle(0, res.trajectory.states[-1])
+        return no_cycle(res.trajectory.states[-1])
     x = np.asarray(res.state_hit, dtype=float)
     t_now = float(res.t_hit)
     prev_return = np.array([scale * x[0], x[1]])
 
-    n_periods = 0
     recording = False
     while True:
         out = half_leg(x, t_now, out_ev, recording)
         if not out.hit:
-            return no_cycle(n_periods, out.trajectory.states[-1])
+            return no_cycle(out.trajectory.states[-1])
         back = half_leg(out.state_hit, float(out.t_hit), back_ev, recording)
         if not back.hit:
-            return no_cycle(n_periods, back.trajectory.states[-1])
+            return no_cycle(back.trajectory.states[-1])
         if recording:
             break
         x = np.asarray(back.state_hit, dtype=float)
         t_now = float(back.t_hit)
-        n_periods += 1
         this_return = np.array([scale * x[0], x[1]])
-        recording = bool(np.max(np.abs(this_return - prev_return)) < TRANSIENT_TOL)
-        if not recording and n_periods >= TRANSIENT_BUDGET:
-            return no_cycle(n_periods)
+        distances.append(float(np.max(np.abs(this_return - prev_return))))
+        recording = distances[-1] < TRANSIENT_TOL
+        if not recording and len(distances) >= TRANSIENT_BUDGET:
+            return no_cycle()
         prev_return, transient = this_return, work
 
     if abs(float(back.state_hit[0]) - float(out.state_hit[0])) < EQUILIBRIUM_AMPLITUDE:
-        return no_cycle(n_periods, back.state_hit)
-    return ("limit_cycle", n_periods,
+        return no_cycle(back.state_hit)
+    return ("limit_cycle", tuple(distances),
             (out.t_hit - t_now, back.t_hit - out.t_hit, out, back), transient)
 
 
@@ -290,10 +298,10 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     start = _start_point(dp_eps)
     analytic = _analytic_or_nan(dp, es)
     s_max_ev, s_min_ev = _event_pair(dp_eps)
-    terminus, n_periods, recorded, transient = _section_returns(
+    terminus, distances, recorded, transient = _section_returns(
         make_field(dp_eps), start, (s_min_ev, s_max_ev), _leg_budget(dp, es), es.eps, cfg)
-    outcome = dict(eps=es.eps, analytic=analytic, n_transient_periods=n_periods,
-                   terminus=terminus, transient_stats=transient)
+    outcome = dict(eps=es.eps, analytic=analytic, n_transient_periods=len(distances),
+                   terminus=terminus, transient_stats=transient, return_distances=distances)
     if recorded is None:
         return CycleReport(period=math.nan, tau_B_to_A=math.nan, tau_A_to_B=math.nan,
                            turning_points=None, converged=False, trajectory=None, **outcome)
@@ -394,10 +402,9 @@ class CompareTable:
     rows: tuple[CompareRow, ...]
 
     def to_csv(self, path, provenance=()) -> None:
-        data = []
-        for row in self.rows:
-            data.append([fmt17(getattr(row, c)) for c in _COMPARE_COLUMNS])
-        write_csv(path, list(_COMPARE_COLUMNS), data, provenance=list(provenance))
+        write_csv(path, list(_COMPARE_COLUMNS), ",".join(["%.17g"] * len(_COMPARE_COLUMNS)),
+                  ([getattr(row, c) for c in _COMPARE_COLUMNS] for row in self.rows),
+                  provenance=list(provenance))
 
     def to_json(self, path, provenance=()) -> None:
         write_json(path, {"provenance": list(provenance),

@@ -181,20 +181,20 @@ class StabilityMap:
     def to_csv(self, path, provenance=()) -> None:
         """One row per cell, kh_over_ks-major, streamed one kh row at a time.
 
-        Each coordinate is formatted once and repeated, so an nx x ny grid
-        costs nx + ny + 2*nx*ny ``fmt17`` calls.
+        Each coordinate is formatted once with ``fmt17`` and repeated, so an
+        nx x ny grid costs nx + ny ``fmt17`` calls; trace and det go to the
+        writer's ``%.17g``.
         """
         ys = [fmt17(y) for y in self.inv_alpha.tolist()]
 
         def rows():
             for x, tr, det, osc in zip(self.kh_over_ks.tolist(), self.trace,
                                        self.det, self.oscillates):
-                yield from zip(itertools.repeat(fmt17(x)), ys,
-                               map(fmt17, tr.tolist()), map(fmt17, det.tolist()),
-                               ["1" if o else "0" for o in osc.tolist()])
+                yield from zip(itertools.repeat(fmt17(x)), ys, tr.tolist(), det.tolist(),
+                               osc.tolist())
 
         write_csv(path, ["kh_over_ks", "inv_alpha", "trace", "det", "oscillates"],
-                  rows(), provenance=list(provenance))
+                  "%s,%s,%.17g,%.17g,%d", rows(), provenance=list(provenance))
 
     def to_json_dict(self) -> dict:
         """Every public field in declaration order, then ``hopf``; arrays as nested lists."""

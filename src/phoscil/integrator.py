@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._fmt import fmt17, write_csv, write_json
+from ._fmt import write_csv, write_json
 from .errors import BudgetError, DomainError, EventBracketError, PhoscilError, StiffnessError
 
 __all__ = [
@@ -456,15 +456,18 @@ def _select_initial_step(fun, t0: float, y0: tuple, t_bound: float, f0: tuple,
     and without a step bound (Hairer, Norsett & Wanner, *Solving ODEs I*, Sec. II.4)."""
     interval_length = abs(t_bound - t0)
     s0, s1 = atol + abs(y0[0]) * rtol, atol + abs(y0[1]) * rtol
-    d0 = _rms(y0[0] / s0, y0[1] / s1)
-    d1 = _rms(f0[0] / s0, f0[1] / s1)
+    # a norm may overflow to inf, as scipy's does; only numpy's warning is silenced
+    with np.errstate(over="ignore"):
+        d0 = _rms(y0[0] / s0, y0[1] / s1)
+        d1 = _rms(f0[0] / s0, f0[1] / s1)
     if d0 < 1e-5 or d1 < 1e-5:
         h0 = 1e-6
     else:
         h0 = 0.01 * d0 / d1
     h0 = min(h0, interval_length)
     f1 = fun(t0 + h0, (y0[0] + h0 * f0[0], y0[1] + h0 * f0[1]))
-    d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1)
+    with np.errstate(over="ignore"):
+        d2 = _rms((f1[0] - f0[0]) / s0, (f1[1] - f0[1]) / s1)
     # as in float64, x/0 is inf and 0/0 nan: h0 is 0 when d1 overflows to inf
     d2 = d2 / h0 if h0 else (math.inf if d2 > 0 else math.nan)
 
@@ -902,10 +905,11 @@ def export_trajectory(traj: Trajectory, csv_path: str | Path,
     """
     names = tuple(names) if names is not None else traj.names
     if transform is None:
-        rows = zip(*(map(fmt17, col) for col in (traj.t.tolist(), *traj.states.T.tolist())))
+        rows = zip(traj.t.tolist(), *traj.states.T.tolist())
     else:
-        rows = ([fmt17(t), *map(fmt17, transform(y))] for t, y in zip(traj.t.tolist(), traj.states))
-    write_csv(csv_path, ["t", *names], rows, provenance=list(provenance))
+        rows = ((t, *transform(y)) for t, y in zip(traj.t.tolist(), traj.states))
+    write_csv(csv_path, ["t", *names], ",".join(["%.17g"] * (1 + len(names))), rows,
+              provenance=list(provenance))
     if events_path is not None:
         payload = {
             "provenance": list(provenance),

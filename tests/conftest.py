@@ -64,6 +64,13 @@ def cycle_1e3(dp, es):
 
 
 @pytest.fixture(scope="session")
+def cycle_1e4(dp, es):
+    """The converged eps = 1e-4 limit-cycle report (reused, about 1.5 s to build)."""
+    from phoscil.cycle import find_limit_cycle
+    return find_limit_cycle(dp, es.at_eps(1e-4))
+
+
+@pytest.fixture(scope="session")
 def reference_period(phys):
     """Period of the full reference kinetics in seconds (0.7-0.8 s to measure).
 

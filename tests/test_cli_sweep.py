@@ -72,7 +72,6 @@ def test_the_integrating_subcommands_answer_on_a_scaled_parameter_file(tmp_path,
         _run(argv + common, capsys)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["simulate", "--t-span", "0:20", "--x0", x0]
     for x0 in ("1e300,0.5", "0.5,1e300", "1e300,1e300", "1e-300,1e-300")

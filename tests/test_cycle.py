@@ -8,6 +8,7 @@ import pytest
 
 from phoscil.cycle import (
     TRANSIENT_BUDGET,
+    TRANSIENT_TOL,
     CompareRow,
     CompareTable,
     _event_pair,
@@ -193,7 +194,7 @@ def test_cycle_counts_where_the_newton_work_goes(cycle_1e3):
         slow_failures=21))
 
 
-def test_cycle_counts_the_transients_work(dp, es, cycle_1e3):
+def test_cycle_counts_the_transients_work(cycle_1e3, cycle_1e4):
     # the approach leg and the 2 transient periods: 5 half-legs, one hit each
     assert dataclasses.astuple(cycle_1e3.transient_stats) == dataclasses.astuple(SolverStats(
         steps=4706, nfev=34974, njev=122, nlu=714, rejected=78, newton_failures=34,
@@ -201,12 +202,27 @@ def test_cycle_counts_the_transients_work(dp, es, cycle_1e3):
         slow_failures=34))
     # the seed-0 timescales job's rows: the traced benchmark counts 18,827
     # accepted steps and 157,689 field calls over every integration
-    reports = (cycle_1e3, find_limit_cycle(dp, es.at_eps(1e-4)))
+    reports = (cycle_1e3, cycle_1e4)
     total = sum((r.transient_stats + r.trajectory.stats for r in reports), SolverStats())
     assert (total.steps, total.nfev) == (18_827, 157_689)
     # the split of the 2,021 Newton failures, by Jacobian and by cause
     assert (total.fresh_jac_failures, total.stale_jac_failures) == (1_252, 769)
     assert (total.diverged_failures, total.slow_failures) == (355, 1_666)
+
+
+@pytest.mark.parametrize("name, distances", [
+    ("cycle_1e3", (0.0326, 8.2e-15)),
+    ("cycle_1e4", (8.74e-5, 7.1e-15)),
+])
+def test_cycle_keeps_the_return_distances_that_ended_the_transient(request, name, distances):
+    rep = request.getfixturevalue(name)
+    assert len(rep.return_distances) == rep.n_transient_periods
+    # the transient ends at the first return closer than TRANSIENT_TOL
+    assert all(d >= TRANSIENT_TOL for d in rep.return_distances[:-1])
+    assert rep.return_distances[-1] < TRANSIENT_TOL
+    for got, want in zip(rep.return_distances, distances, strict=True):
+        assert math.isclose(got, want, rel_tol=0.01)
+    assert "return_distances" not in rep.to_json_dict()
 
 
 def rotation(t, y):
@@ -244,10 +260,11 @@ def damped_spiral(damping):
 
 
 def test_section_loop_times_the_period_of_a_rotation():
-    terminus, n_periods, recorded, transient = _section_returns(
+    terminus, distances, recorded, transient = _section_returns(
         rotation, (0.0, 1.0), Y1_SECTIONS, 10.0, 1.0)
     assert terminus == "limit_cycle"
-    assert n_periods == 1
+    # one transient period, whose return already agrees with the approach's
+    assert len(distances) == 1 and distances[0] < TRANSIENT_TOL
     # the approach leg and one transient period, but not the recorded one
     assert transient.event_polishes == 3
     tau_out, tau_back, out, back = recorded
@@ -258,17 +275,19 @@ def test_section_loop_times_the_period_of_a_rotation():
 
 
 def test_section_loop_classifies_a_strongly_damped_spiral_as_equilibrium():
-    *outcome, transient = _section_returns(damped_spiral(1.0), (0.0, 1.0), Y1_SECTIONS,
-                                           10.0, 1.0)
-    assert outcome == ["equilibrium", 4, None]
+    terminus, distances, recorded, transient = _section_returns(
+        damped_spiral(1.0), (0.0, 1.0), Y1_SECTIONS, 10.0, 1.0)
+    assert (terminus, len(distances), recorded) == ("equilibrium", 4, None)
     # without a recorded period every half-leg is transient work
     assert transient.event_polishes == 10
 
 
 def test_section_loop_gives_up_on_a_weakly_damped_spiral():
-    *outcome, transient = _section_returns(damped_spiral(0.1), (0.0, 1.0), Y1_SECTIONS,
-                                           10.0, 1.0)
-    assert outcome == ["no_convergence", TRANSIENT_BUDGET, None]
+    terminus, distances, recorded, transient = _section_returns(
+        damped_spiral(0.1), (0.0, 1.0), Y1_SECTIONS, 10.0, 1.0)
+    assert (terminus, len(distances), recorded) == ("no_convergence", TRANSIENT_BUDGET, None)
+    # each return is closer than the one before, but none within TRANSIENT_TOL
+    assert all(a > b >= TRANSIENT_TOL for a, b in zip(distances, distances[1:]))
     assert transient.event_polishes == 1 + 2 * TRANSIENT_BUDGET
 
 def test_cycle_turning_points_frozen(cycle_1e3):

@@ -2,7 +2,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from phoscil import _fmt
 from phoscil._fmt import fmt17, write_csv, write_json
@@ -16,6 +19,11 @@ def _one_shot_csv(header, rows, provenance=()):
     lines.append(",".join(header))
     lines.extend(",".join(row) for row in rows)
     return ("\n".join(lines) + "\n").encode()
+
+
+def _all_s(header):
+    """The row format that takes every field as a pre-formatted string."""
+    return ",".join(["%s"] * len(header))
 
 
 @pytest.mark.parametrize("header, rows, provenance", [
@@ -32,9 +40,36 @@ def _one_shot_csv(header, rows, provenance=()):
         "over-chunks", "exactly-one-chunk", "non-finite"])
 def test_write_csv_bytes_match_the_one_shot_join(tmp_path, header, rows, provenance):
     path = tmp_path / "out.csv"
-    write_csv(path, header, iter(rows), provenance=provenance)
+    write_csv(path, header, _all_s(header), iter(rows), provenance=provenance)
     assert path.read_bytes() == _one_shot_csv(header, rows, provenance)
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("n", [0, 1, CHUNK - 3, CHUNK, 3 * CHUNK + 7])
+def test_write_csv_formats_numbers_as_fmt17(tmp_path, n):
+    special = [(math.nan, math.inf, True), (-0.0, 5e-324, False),
+               (-math.inf, 1.7976931348623157e308, True), (2 ** 60, -3, False)]
+    values = (special + [(i / 7.0, -1.0 / (i + 1), i % 3 == 0) for i in range(n)])[:n]
+    path = tmp_path / "out.csv"
+    write_csv(path, ["x", "y", "b"], "%.17g,%.17g,%d", iter(values), provenance=["probe"])
+    rows = [[fmt17(x), fmt17(y), "1" if b else "0"] for x, y, b in values]
+    assert path.read_bytes() == _one_shot_csv(["x", "y", "b"], rows, ["probe"])
+
+
+@seed(0)
+@settings(database=None, max_examples=2000)
+@given(st.one_of(st.floats(), st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+                 st.integers(min_value=-2 ** 80, max_value=2 ** 80)))
+@example(math.nan)
+@example(-math.nan)
+@example(math.inf)
+@example(-math.inf)
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072009e-308)
+def test_the_writers_format_is_fmt17(x):
+    # both call PyOS_double_to_string(x, 'g', 17, 0) on float(x)
+    assert "%.17g" % x == fmt17(x)
 
 
 @pytest.mark.parametrize("obj", [
@@ -67,7 +102,7 @@ def test_a_failing_row_source_leaves_the_destination_as_it_was(tmp_path, old):
     if old is not None:
         path.write_text(old)
     with pytest.raises(RuntimeError, match="row source failed"):
-        write_csv(path, ["i"], _rows_then_fail(2 * CHUNK + 3))
+        write_csv(path, ["i"], "%s", _rows_then_fail(2 * CHUNK + 3))
     assert [p.name for p in tmp_path.iterdir()] == ([] if old is None else ["out.csv"])
     assert old is None or path.read_text() == old
 
@@ -82,6 +117,6 @@ def test_a_failing_json_document_leaves_no_file(tmp_path):
 
 def test_a_rewrite_replaces_the_file(tmp_path):
     path = tmp_path / "out.csv"
-    write_csv(path, ["i"], [[fmt17(i)] for i in range(3 * CHUNK)])
-    write_csv(path, ["i"], [["1"]])
+    write_csv(path, ["i"], "%s", [[fmt17(i)] for i in range(3 * CHUNK)])
+    write_csv(path, ["i"], "%s", [["1"]])
     assert path.read_bytes() == b"i\n1\n"

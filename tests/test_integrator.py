@@ -1034,7 +1034,8 @@ def _per_row_export_csv(traj, path, names, transform=None):
     for ti, yi in zip(traj.t, traj.states):
         out = transform(yi) if transform is not None else yi
         rows.append([fmt17(ti)] + [fmt17(v) for v in out])
-    write_csv(path, ["t", *names], rows, provenance=["probe"])
+    write_csv(path, ["t", *names], ",".join(["%s"] * (1 + len(names))), rows,
+              provenance=["probe"])
 
 
 @pytest.mark.parametrize("transform", [None, lambda y: (math.hypot(*y), float(np.arctan2(y[1], y[0])))])
