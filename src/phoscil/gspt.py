@@ -483,9 +483,10 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     parameters), so its asymptotic range starts around eps <= 1e-5.
     DEFAULT_EPS_A and DEFAULT_EPS_B hold ranges measured to sit inside
     the scaling regime.  ``stats`` holds each passage's work counts; no
-    output file carries them.  Each passage accepts a Newton solve that
-    stalls at its rounding floor (``floor_accept=True``), which cuts chart
-    B's field calls about thirteenfold and leaves chart A's bits alone.
+    output file carries them.  Every Newton solve stops at its rounding
+    floor (``integrator._PlanarRadau``), which cuts chart B's field calls
+    about thirteenfold.  Chart A never reaches the floor, so its bits are
+    scipy's, as every passage's are with ``integrator.NEWTON_FLOOR = 0``.
     """
     eps_arr = sorted(float(e) for e in eps_list)
     if not all(0.0 < e < math.inf for e in eps_arr):
@@ -500,8 +501,7 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     entries, stats = [], []
     for eps in eps_arr:
         field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
-        res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False,
-                                    floor_accept=True)
+        res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
         if not res.hit:
             raise SectionNoHitError(
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")

@@ -18,9 +18,9 @@ elementwise arithmetic runs on floats, which round as numpy's do.  The
 2x2 LAPACK getrf/getrs and zgetrf/zgetrs are restated with OpenBLAS's
 bits, and the Newton right-hand side's complex product with numpy's, as
 FMA chains built from an exact FMA, so that a run imports no scipy.
-scipy stays the reference in the tests.  The results are bit-identical
-to scipy's ``Radau``, except fold passages, which accept a Newton solve
-at its rounding floor (``floor_accept=True``, see :class:`_PlanarRadau`).
+scipy stays the reference in the tests.  Every Newton solve stops at its
+rounding floor (see :class:`_PlanarRadau`); where none reaches it, and
+everywhere with ``NEWTON_FLOOR = 0``, the results are scipy's ``Radau``'s.
 """
 from __future__ import annotations
 
@@ -76,7 +76,7 @@ P = np.array([
     [13/3 - 7*S6/3, -23/3 + 22*S6/3, 10/3 - 5 * S6],
     [1/3, -8/3, 10/3]])
 NEWTON_MAXITER = 6
-NEWTON_FLOOR = 0.1  # Hairer & Wanner's kappa, for fold passages (see _PlanarRadau)
+NEWTON_FLOOR = 0.1  # Hairer & Wanner's kappa, for every Newton solve; 0 gives scipy's step
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10
 MAX_STEPS = 10_000_000  # accepted steps per integrate call
@@ -93,9 +93,9 @@ class IntegratorConfig:
         # below 100 eps Radau's error test cannot hold (scipy clamps rtol there)
         if not (100.0 * _MACH_EPS <= self.rtol <= 1e-3):
             raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {self.rtol!r}")
-        # an infinite atol switches the error test off
-        if not (0.0 < self.atol < math.inf):
-            raise DomainError(f"atol must be positive and finite, got {self.atol!r}")
+        # a huge atol switches the error test off; rtol's cap bounds it too
+        if not (0.0 < self.atol <= 1e-3):
+            raise DomainError(f"atol must lie in (0, 1e-3], got {self.atol!r}")
 
 
 @dataclass(frozen=True)
@@ -530,40 +530,36 @@ class _PlanarRadau:
     The stages are floats too, and (3, 2) arrays with scipy's layout where
     a matrix product takes them: Z0 as the predictor lays it out, and F
     and W C-contiguous, rewritten in place.  The LU helpers above restate
-    LAPACK with OpenBLAS's bits, so the results are those of scipy's
+    LAPACK with OpenBLAS's bits, so the arithmetic is that of scipy's
     ``Radau``, which the tests keep as the reference.  It also counts
     error-test rejections, Newton iterations and unconverged collocation
     solves by Jacobian and by cause, as :class:`SolverStats` names them.
 
-    ``floor_accept=True`` stops a solve at the rounding floor of its
-    Newton updates, as Hairer & Wanner's test η‖ΔZ‖ <= κ·Tol does (κ from
-    1e-2 to 1e-1).  When scipy's rate test fails (θ >= 1, or
-    θ^(6-k)/(1-θ)·‖ΔW‖ > ``newton_tol``), the solve still converges if
-    that update has ‖ΔW‖ <= NEWTON_FLOOR = 0.1 in the scaled RMS norm,
-    where the error test's bound is 1.  The update is not applied, and
-    the error test judges the step as before.  On chart-B fold passages
-    the floor lies far above ``newton_tol``.  There g = K_h - q with
-    q ≈ K_h = 0.146 rounds to about ulp(K_h) = 2.8e-17.  With h ≈ 2e4-9e4
-    and an atol-bound η scale of about 6e-12, the simplified Newton update
-    maps that to h·ulp(K_h)/(|MU| + h·|λ|), about 0.02 in the scaled
-    norm: 1000 times ``newton_tol`` (2.2e-5 at rtol = 1e-10).  Started
-    from the converged stages, the first update is still 0.02 (median),
-    and scipy's test passes in only 40 of 866 cases.  So solves from the
-    guess, which is accurate, failed as diverged (803 of 2,205 failures
-    on the ε = 1e-7 and 1e-5 passages) or as too slow (1,402), mostly at
-    the second or third iteration.  Chart A's fast coordinate is O(1)
-    with an rtol-bound scale, so there the floor stays below the
-    tolerance and the rule never fires.
+    Every solve stops at the rounding floor of its Newton updates, as
+    Hairer & Wanner's test η‖ΔZ‖ <= κ·Tol does (κ from 1e-2 to 1e-1):
+    when scipy's rate test fails (θ >= 1, or θ^(6-k)/(1-θ)·‖ΔW‖ >
+    ``newton_tol``), the solve still converges if that update has
+    ‖ΔW‖ <= NEWTON_FLOOR = 0.1 in the scaled RMS norm, where the error
+    test's bound is 1.  The update is not applied, and the error test
+    judges the step as before.  Every other solve takes scipy's path, so
+    the bits are scipy's wherever no solve reaches the floor, and
+    ``NEWTON_FLOOR = 0`` (the rule needs ‖ΔW‖ > 0) gives scipy's step.
+    The floor lies far above ``newton_tol`` where the fast flux cancels:
+    g = K_h(1-h) - q with q ≈ K_h(1-h) rounds to about ulp(K_h) = 2.8e-17.
+    On the ε = 1e-7 chart-B passage (h ≈ 2e4-9e4, an atol-bound η scale
+    of about 6e-12) the simplified Newton update maps that to
+    h·ulp(K_h)/(|MU| + h·|λ|), about 0.02 in the scaled norm, 1000 times
+    ``newton_tol`` (2.2e-5 at rtol = 1e-10), and scipy's test passes in
+    only 40 of 866 solves started from the converged stages.  The
+    ε = 1e-3 cycle and chart A's passages never reach the floor.
     """
 
     TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
-    def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float,
-                 *, floor_accept: bool = False):
+    def __init__(self, field, t0: float, y0: tuple, t_bound: float, rtol: float, atol: float):
         self._field, self._jac = field, field.jac
         self.t, self.y, self.t_bound = t0, y0, t_bound
         self.status = "running"
-        self.floor_accept = floor_accept
         self.nfev = self.njev = self.nlu = self.rejected = self.newton_iters = 0
         self.floor_accepts = self.slow_failures = 0
         self.fresh_jac_failures = self.stale_jac_failures = 0
@@ -652,7 +648,7 @@ class _PlanarRadau:
 
             if (rate is not None and (rate >= 1 or
                     rate ** (NEWTON_MAXITER - k) / (1 - rate) * dW_norm > tol)):
-                converged = self.floor_accept and dW_norm <= NEWTON_FLOOR
+                converged = dW_norm <= NEWTON_FLOOR
                 self.floor_accepts += converged
                 self.slow_failures += not converged and rate < 1
                 break
@@ -774,8 +770,7 @@ class _PlanarRadau:
 
 
 def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
-              events: Sequence[EventSpec] = (), keep_dense: bool = True, *,
-              floor_accept: bool = False) -> Trajectory:
+              events: Sequence[EventSpec] = (), keep_dense: bool = True) -> Trajectory:
     """Integrate the planar ``field`` from ``x0`` over ``t_span``; return the Trajectory.
 
     The field maps (t, (y0, y1)) to its two components and needs an
@@ -786,8 +781,6 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     trajectory at the hit.  ``keep_dense=False`` drops the per-step
     interpolants after event processing to bound memory on very long runs
     (the returned trajectory then answers only at its samples).
-    ``floor_accept=True`` accepts a Newton solve that stalls at its
-    rounding floor (see :class:`_PlanarRadau`); the default keeps scipy's bits.
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
@@ -803,8 +796,7 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     events = list(events)
     t_scale = max(1.0, abs(t0), abs(t1))
 
-    solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol,
-                          floor_accept=floor_accept)
+    solver = _PlanarRadau(field, t0, tuple(y0.tolist()), t1, rtol=cfg.rtol, atol=cfg.atol)
 
     ts = [t0]
     ys = [y0.copy()]
@@ -873,8 +865,8 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
 
 
 def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None, *,
-                          t_max: float, t0: float = 0.0, keep_dense: bool = True,
-                          floor_accept: bool = False) -> EventHitResult:
+                          t_max: float, t0: float = 0.0,
+                          keep_dense: bool = True) -> EventHitResult:
     """Run until the first hit of ``event`` (made terminal), or to t_max.
 
     A trajectory that reaches t_max without a hit yields a no-hit result,
@@ -884,8 +876,7 @@ def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | N
     if not (math.isfinite(t_max) and t_max > t0):
         raise DomainError(f"t_max must be finite and exceed t0, got {t_max!r}")
     terminal = EventSpec(func=event.func, direction=event.direction, terminal=True)
-    traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense,
-                     floor_accept=floor_accept)
+    traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense)
     if traj.events:
         last = traj.events[-1]
         return EventHitResult(t_hit=last.t, state_hit=last.state, trajectory=traj)

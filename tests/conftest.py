@@ -11,6 +11,13 @@ hypothesis.settings.register_profile(
 hypothesis.settings.load_profile("phoscil")
 
 
+@pytest.fixture
+def scipy_newton(monkeypatch):
+    """Newton solves without the rounding-floor stop (kappa = 0): scipy's Radau step."""
+    from phoscil import integrator
+    monkeypatch.setattr(integrator, "NEWTON_FLOOR", 0.0)
+
+
 @pytest.fixture(scope="session")
 def phys():
     return UREASE_VESICLE

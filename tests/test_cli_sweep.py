@@ -23,8 +23,8 @@ from phoscil.params import UREASE_VESICLE
 N_FAST, N_INTEGRATING = 40, 12
 EPS = ("1", "0.3", "1e-2", "1e-3")
 RTOL_ENDS = ("2.220446049250313e-14", "1e-3")
-#: the smallest subnormal and a large finite atol
-ATOL_ENDS = ("5e-324", "1e300")
+#: the smallest subnormal and the largest atol IntegratorConfig accepts
+ATOL_ENDS = ("5e-324", "1e-3")
 
 
 def _scaled_params(k: int) -> dict:

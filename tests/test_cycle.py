@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from phoscil import integrator
 from phoscil.cycle import (
     TRANSIENT_BUDGET,
     TRANSIENT_TOL,
@@ -200,19 +201,21 @@ def test_cycle_counts_the_transients_work(cycle_1e3, cycle_1e4):
         steps=4706, nfev=34974, njev=122, nlu=714, rejected=78, newton_failures=34,
         event_polishes=5, polish_evals=29, newton_iters=10086, stale_jac_failures=34,
         slow_failures=34))
-    # the seed-0 timescales job's rows: the traced benchmark counts 18,827
-    # accepted steps and 157,689 field calls over every integration
+    # the seed-0 timescales job's rows: the traced benchmark counts 17,955
+    # accepted steps and 140,299 field calls over every integration
     reports = (cycle_1e3, cycle_1e4)
     total = sum((r.transient_stats + r.trajectory.stats for r in reports), SolverStats())
-    assert (total.steps, total.nfev) == (18_827, 157_689)
-    # the split of the 2,021 Newton failures, by Jacobian and by cause
-    assert (total.fresh_jac_failures, total.stale_jac_failures) == (1_252, 769)
-    assert (total.diverged_failures, total.slow_failures) == (355, 1_666)
+    assert (total.steps, total.nfev, total.njev) == (17_955, 140_299, 1_959)
+    # the split of the 698 Newton failures, by Jacobian and by cause, and
+    # the 398 solves stopped at the rounding floor, all at eps = 1e-4
+    assert (total.fresh_jac_failures, total.stale_jac_failures) == (278, 420)
+    assert (total.diverged_failures, total.slow_failures) == (42, 656)
+    assert total.floor_accepts == 398
 
 
 @pytest.mark.parametrize("name, distances", [
     ("cycle_1e3", (0.0326, 8.2e-15)),
-    ("cycle_1e4", (8.74e-5, 7.1e-15)),
+    ("cycle_1e4", (8.74e-5, 3.89e-16)),
 ])
 def test_cycle_keeps_the_return_distances_that_ended_the_transient(request, name, distances):
     rep = request.getfixturevalue(name)
@@ -223,6 +226,20 @@ def test_cycle_keeps_the_return_distances_that_ended_the_transient(request, name
     for got, want in zip(rep.return_distances, distances, strict=True):
         assert math.isclose(got, want, rel_tol=0.01)
     assert "return_distances" not in rep.to_json_dict()
+
+
+def test_the_floor_stop_keeps_the_eps_1e3_bits_and_the_eps_1e4_period(
+        monkeypatch, dp, es, cycle_1e3, cycle_1e4):
+    # no eps = 1e-3 solve reaches the rounding floor, so PERIOD_1E3 is scipy's
+    assert cycle_1e3.transient_stats.floor_accepts == 0
+    assert cycle_1e3.trajectory.stats.floor_accepts == 0
+    # at eps = 1e-4 the stop moves the period by 7.6e-10 relative
+    assert cycle_1e4.trajectory.stats.floor_accepts > 0
+    with monkeypatch.context() as m:
+        m.setattr(integrator, "NEWTON_FLOOR", 0.0)
+        scipy_period = find_limit_cycle(dp, es.at_eps(1e-4)).period
+    assert scipy_period == 944.6513606737672
+    assert math.isclose(cycle_1e4.period, scipy_period, rel_tol=1e-9, abs_tol=0.0)
 
 
 def rotation(t, y):

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from phoscil import gspt
+from phoscil import gspt, integrator
 from phoscil._fmt import fmt17, write_csv, write_json
 from phoscil.errors import (
     DomainError,
@@ -554,15 +554,11 @@ def test_fold_b_offsets_stay_on_golden(fold_scaling_b):
     assert math.isclose(fold_scaling_b.slope, 0.6119115526596465, rel_tol=1e-9, abs_tol=0.0)
 
 
-def _passage(chart, eps, es, dp, **kwargs):
-    field, x0, event, t_max, _ = gspt._fold_passage(chart, es.at_eps(eps), dp)
-    return integrate_until_event(field, x0, event, t_max=t_max, keep_dense=False, **kwargs)
-
-
-def test_default_path_keeps_the_chart_b_passage_work(dp, es):
-    # scipy's Newton start, without the zero restart: the counters and
-    # offset bits of the eps = 1e-5 passage before the restart existed
-    res = _passage("B", DEFAULT_EPS_B[-1], es, dp)
+def test_default_path_keeps_the_chart_b_passage_work(dp, es, scipy_newton):
+    # scipy's step (kappa = 0): the counters and offset bits of the
+    # eps = 1e-5 passage before the zero restart and the floor stop existed
+    field, x0, event, t_max, _ = gspt._fold_passage("B", es.at_eps(DEFAULT_EPS_B[-1]), dp)
+    res = integrate_until_event(field, x0, event, t_max=t_max, keep_dense=False)
     assert res.trajectory.stats == SolverStats(steps=900, nfev=6_482, njev=11, nlu=86,
                                                rejected=18, newton_failures=5,
                                                event_polishes=1, polish_evals=6,
@@ -572,15 +568,17 @@ def test_default_path_keeps_the_chart_b_passage_work(dp, es):
     assert abs(float(res.state_hit[0]) - s_B) == 0.0005308805190087744
 
 
-def test_floor_accept_leaves_chart_a_passages_alone(dp, es):
-    for eps in DEFAULT_EPS_A:
-        on = _passage("A", eps, es, dp, floor_accept=True)
-        off = _passage("A", eps, es, dp)
-        assert on.t_hit == off.t_hit and on.state_hit.tolist() == off.state_hit.tolist(), eps
-        assert on.trajectory.stats == off.trajectory.stats, eps
-        assert dataclasses.astuple(on.trajectory.stats) == dataclasses.astuple(
-            off.trajectory.stats), eps
-        assert on.trajectory.stats.floor_accepts == 0
+@pytest.mark.parametrize("kappa", [0.1, 0.0])
+def test_the_floor_stop_leaves_chart_a_passages_alone(dp, es, monkeypatch, kappa):
+    # no chart-A solve reaches the floor, so with the stop and without it
+    # (scipy's step) the passages give fold-scaling --chart A's bits
+    monkeypatch.setattr(integrator, "NEWTON_FLOOR", kappa)
+    fs = fold_passage_offset("A", DEFAULT_EPS_A, es, dp)
+    assert [s.floor_accepts for s in fs.stats] == [0] * 5
+    assert [offset for _, offset in fs.entries] == [
+        1.809672055399364e-06, 3.707419527082653e-06, 7.5252353178754895e-06,
+        1.514530773877277e-05, 3.021454657719169e-05]
+    assert fs.slope == 0.6112877542842619
 
 
 def test_scaling_preconditions(dp, es):

@@ -95,7 +95,7 @@ def test_config_defaults_are_tight():
 
 @pytest.mark.parametrize("kwargs", [
     {"rtol": 0.0}, {"rtol": 1e-2}, {"rtol": -1e-10},
-    {"atol": -1.0}, {"rtol": 1e-20}, {"atol": math.inf}, {"atol": math.nan},
+    {"atol": -1.0}, {"rtol": 1e-20}, {"atol": math.inf}, {"atol": math.nan}, {"atol": 1e300},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
@@ -355,8 +355,7 @@ class _StockRadau(scipy_radau.Radau):
 
     log: list
 
-    def __init__(self, field, t0, y0, t_bound, rtol, atol, *, floor_accept):
-        assert not floor_accept, "scipy's Radau has no floor acceptance"
+    def __init__(self, field, t0, y0, t_bound, rtol, atol):
         super().__init__(field, t0, y0, t_bound, rtol=rtol, atol=atol, jac=field.jac)
         self.rejected = self.floor_accepts = self.newton_iters = self.slow_failures = 0
         self.fresh_jac_failures = self.stale_jac_failures = 0
@@ -449,7 +448,7 @@ def test_direct_lapack_is_bit_identical_on_the_eps_1e3_cycle(monkeypatch, dp, es
     _assert_bit_identical(stock, direct)
 
 
-def test_direct_lapack_is_bit_identical_on_a_chart_B_passage(monkeypatch, dp, es):
+def test_direct_lapack_is_bit_identical_on_a_chart_B_passage(monkeypatch, dp, es, scipy_newton):
     es_b = es.at_eps(1e-5)
     eta_B = fold_location_B(es_b, dp)[1]
     eta_start = _eta_start_B(es_b, dp)
@@ -463,7 +462,7 @@ def test_direct_lapack_is_bit_identical_on_a_chart_B_passage(monkeypatch, dp, es
 
 
 @pytest.mark.parametrize("leg", ["drift", "jump"])
-def test_owned_step_is_bit_identical_in_the_fold_B_regime(monkeypatch, dp, es, leg):
+def test_owned_step_is_bit_identical_in_the_fold_B_regime(monkeypatch, dp, es, leg, scipy_newton):
     """The stiffest passage, chart B at eps = 1e-7, in two cuts of about 2,400
     steps together: its first 4e6 time units from the manifold start, where
     most collocation solves fail Newton and refresh the Jacobian, and the
@@ -534,7 +533,7 @@ def test_owned_step_is_bit_identical_after_a_zero_step_size(monkeypatch):
     _assert_bit_identical(stock, direct)
 
 
-def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
+def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch, scipy_newton):
     nans = []
 
     # y0' = -sqrt(y0) reaches 0 at t = 2; Newton iterates below 0 give NaN
@@ -549,7 +548,7 @@ def test_owned_step_is_bit_identical_when_newton_meets_nan(monkeypatch):
     _assert_bit_identical(stock, direct)
 
 
-# --- fold passages: a Newton solve stops at its rounding floor ---------------------
+# --- a Newton solve stops at its rounding floor ------------------------------------
 
 @pytest.fixture(scope="module")
 def chart_b_step(dp, es):
@@ -559,7 +558,7 @@ def chart_b_step(dp, es):
     eta_start = _eta_start_B(es_b, dp)
     solver = integrator._PlanarRadau(make_field_chart_B(es_b, dp), 0.0,
                                      (manifold_B(eta_start, es_b, dp), eta_start),
-                                     50.0 / 1e-7 + 1000.0, 1e-10, 1e-12, floor_accept=True)
+                                     50.0 / 1e-7 + 1000.0, 1e-10, 1e-12)
     for _ in range(100):
         t, y = solver.t, solver.y
         assert solver.step() is None
@@ -569,10 +568,11 @@ def chart_b_step(dp, es):
             solver._factor(h, solver.jac(t, y)))
 
 
-def _floor_solve(monkeypatch, chart_b_step, floor_accept, Z0=None, stall=None):
-    """One collocation solve of ``chart_b_step``: (converged, stages, update
-    norms, floor accepts, diverged, too slow).  ``stall`` shrinks the error
-    scale so that the last update's norm comes out at that value."""
+def _floor_solve(monkeypatch, chart_b_step, kappa, Z0=None, stall=None):
+    """One collocation solve of ``chart_b_step`` with NEWTON_FLOOR = ``kappa``:
+    (converged, stages, update norms, floor accepts, diverged, too slow).
+    ``stall`` shrinks the error scale so that the last update's norm comes
+    out at that value."""
     solver, t, y, h, Z, scale, lus = chart_b_step
     norms = []
 
@@ -581,20 +581,20 @@ def _floor_solve(monkeypatch, chart_b_step, floor_accept, Z0=None, stall=None):
         return norms[-1]
 
     if stall is not None:
-        floor = _floor_solve(monkeypatch, chart_b_step, floor_accept)[2][-1]
+        floor = _floor_solve(monkeypatch, chart_b_step, kappa)[2][-1]
         scale = tuple(s * floor / stall for s in scale)
     accepts, slow = solver.floor_accepts, solver.slow_failures
     with monkeypatch.context() as m:
         m.setattr(integrator, "_rms", recording)
-        m.setattr(solver, "floor_accept", floor_accept)
+        m.setattr(integrator, "NEWTON_FLOOR", kappa)
         converged, _, Z, _ = solver._collocate(t, y, h, Z if Z0 is None else Z0, scale, *lus)
     accepts, slow = solver.floor_accepts - accepts, solver.slow_failures - slow
     return converged, Z, norms, accepts, int(not converged) - slow, slow
 
 
 def test_a_chart_b_solve_from_converged_stages_stalls_at_its_floor(monkeypatch, chart_b_step):
-    on = _floor_solve(monkeypatch, chart_b_step, True)
-    off = _floor_solve(monkeypatch, chart_b_step, False)
+    on = _floor_solve(monkeypatch, chart_b_step, 0.1)
+    off = _floor_solve(monkeypatch, chart_b_step, 0.0)
     # the updates stall at about 1000 newton_tol, far below kappa
     assert on[2] == off[2] and len(on[2]) == 2
     assert 1000 * chart_b_step[0].newton_tol < on[2][-1] < 0.05
@@ -603,25 +603,25 @@ def test_a_chart_b_solve_from_converged_stages_stalls_at_its_floor(monkeypatch, 
     # the stages are the iterate held before the update that failed the test
     assert np.array_equal(on[1], off[1])
     # just below kappa = 0.1 the rule still accepts
-    on = _floor_solve(monkeypatch, chart_b_step, True, stall=0.095)
+    on = _floor_solve(monkeypatch, chart_b_step, 0.1, stall=0.095)
     assert on[0] and on[3:] == (1, 0, 0)
     assert math.isclose(on[2][-1], 0.095, rel_tol=1e-12)
-    assert not _floor_solve(monkeypatch, chart_b_step, False, stall=0.095)[0]
+    assert not _floor_solve(monkeypatch, chart_b_step, 0.0, stall=0.095)[0]
 
 
-@pytest.mark.parametrize("floor_accept", [True, False])
-def test_a_chart_b_solve_that_stalls_above_kappa_fails(monkeypatch, chart_b_step, floor_accept):
+@pytest.mark.parametrize("kappa", [0.1, 0.0])
+def test_a_chart_b_solve_that_stalls_above_kappa_fails(monkeypatch, chart_b_step, kappa):
     # just above kappa = 0.1
-    out = _floor_solve(monkeypatch, chart_b_step, floor_accept, stall=0.105)
+    out = _floor_solve(monkeypatch, chart_b_step, kappa, stall=0.105)
     assert math.isclose(out[2][-1], 0.105, rel_tol=1e-12)
     assert not out[0] and out[3:] == (0, 0, 1)
 
 
-@pytest.mark.parametrize("floor_accept", [True, False])
-def test_a_chart_b_solve_from_a_far_start_diverges(monkeypatch, chart_b_step, floor_accept):
+@pytest.mark.parametrize("kappa", [0.1, 0.0])
+def test_a_chart_b_solve_from_a_far_start_diverges(monkeypatch, chart_b_step, kappa):
     _, _, y, _, Z, _, _ = chart_b_step
     # each stage's fast coordinate 1000 eta too far out
-    out = _floor_solve(monkeypatch, chart_b_step, floor_accept,
+    out = _floor_solve(monkeypatch, chart_b_step, kappa,
                        Z0=Z + np.array([0.0, 1000.0 * y[1]]))
     assert out[2][-1] > out[2][0] > 1e12
     assert not out[0] and out[3:] == (0, 1, 0)
