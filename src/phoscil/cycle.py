@@ -9,6 +9,11 @@ The analytic side evaluates the asymptotic formulas
 T_acid = (beta/(eps C)) w(h_*) with
 w(h) = 1 - (1-2h) ln((2-2h)/(1-2h)) and T_basic = beta/(4 eps C h_*);
 their ratio 1/(4 h_* w(h_*)) is eps-free.
+
+How strongly the cycle attracts is, for a planar field, its nontrivial
+Floquet multiplier exp(int_0^T div f dt) (Perko, *Differential Equations
+and Dynamical Systems*, Sec. 3.4).  ``floquet_exponent`` integrates that
+divergence on demand over a recorded period's dense output.
 """
 from __future__ import annotations
 
@@ -42,6 +47,7 @@ __all__ = [
     "compare",
     "oscillation_condition",
     "winding_number",
+    "floquet_exponent",
 ]
 
 #: successive section returns closer than this (in (sigma, h) for the model) end the transient
@@ -52,6 +58,15 @@ EQUILIBRIUM_AMPLITUDE = 1e-6
 
 #: transient budget: returns inspected before giving up
 TRANSIENT_BUDGET = 20
+
+#: five-point Gauss-Legendre rule on [0, 1], exact to degree 9: the closed-form
+#: nodes x and weights w of the rule on [-1, 1], mapped to (1 + x)/2 and w/2
+_X1 = math.sqrt(5.0 - 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_X2 = math.sqrt(5.0 + 2.0 * math.sqrt(10.0 / 7.0)) / 3.0
+_W1 = (322.0 + 13.0 * math.sqrt(70.0)) / 900.0
+_W2 = (322.0 - 13.0 * math.sqrt(70.0)) / 900.0
+_GL5_NODES = tuple(0.5 * (1.0 + x) for x in (-_X2, -_X1, 0.0, _X1, _X2))
+_GL5_WEIGHTS = tuple(0.5 * w for w in (_W2, _W1, 128.0 / 225.0, _W1, _W2))
 
 
 @dataclass(frozen=True)
@@ -136,18 +151,6 @@ def _analytic_or_nan(dp: DimlessParams, es: EpsSplit) -> AnalyticTimescales:
         return analytic_timescales(dp, es)
     except DomainError:
         return AnalyticTimescales(math.nan, math.nan, math.nan, math.nan)
-
-
-def _leg_budget(dp: DimlessParams, es: EpsSplit) -> float:
-    """Time a half-leg of the cycle may take: 6 T_total, or where T_total has no
-    formula (h_* >= 1/2) its bound 6 beta/(eps C) (1 + 1/(4 h_*)), finite for h_* > 0."""
-    if dp.h_star <= 0.0:
-        raise NoPositiveEquilibriumError(
-            "cycle detection needs a positive equilibrium (alpha*K_h > K_s)")
-    T_total = _analytic_or_nan(dp, es).T_total
-    if math.isnan(T_total):
-        return 6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
-    return 6.0 * T_total
 
 
 def physical_timescales(phys: PhysicalParams, es: EpsSplit) -> tuple[float, float]:
@@ -297,9 +300,13 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     dp_eps = split_dimless(dp, es)
     start = _start_point(dp_eps)
     analytic = _analytic_or_nan(dp, es)
+    # a half-leg may take 6 T_total, or where T_total has no formula (h_* >= 1/2)
+    # its bound 6 beta/(eps C) (1 + 1/(4 h_*)), finite for h_* > 0
+    leg_budget = (6.0 * dp.beta / (es.eps * es.C) * (1.0 + 0.25 / dp.h_star)
+                  if math.isnan(analytic.T_total) else 6.0 * analytic.T_total)
     s_max_ev, s_min_ev = _event_pair(dp_eps)
     terminus, distances, recorded, transient = _section_returns(
-        make_field(dp_eps), start, (s_min_ev, s_max_ev), _leg_budget(dp, es), es.eps, cfg)
+        make_field(dp_eps), start, (s_min_ev, s_max_ev), leg_budget, es.eps, cfg)
     outcome = dict(eps=es.eps, analytic=analytic, n_transient_periods=len(distances),
                    terminus=terminus, transient_stats=transient, return_distances=distances)
     if recorded is None:
@@ -363,6 +370,26 @@ def winding_number(traj: Trajectory, center: tuple[float, float]) -> int:
     y = (pts[:, 1] - center[1]) / span[1]
     angles = np.unwrap(np.arctan2(y, x))
     return int(round(abs(angles[-1] - angles[0]) / (2.0 * math.pi)))
+
+
+def floquet_exponent(traj: Trajectory, field) -> float:
+    """int div f dt over ``traj``: the log of a recorded period's Floquet multiplier.
+
+    Each step's collocation polynomial is sampled at the five
+    Gauss-Legendre nodes of the step, and the trace of ``field.jac``
+    there is summed with the rule's weights.  Over one period of a
+    planar cycle the result is the exponent of its nontrivial multiplier:
+    negative for an attracting cycle.  A trajectory without dense output
+    raises DomainError.
+    """
+    if not traj.segments:
+        raise DomainError("the Floquet exponent needs a trajectory with dense output")
+    t, terms = traj.t.tolist(), []
+    for seg, t0, t1 in zip(traj.segments, t, t[1:]):
+        ts = [t0 + (t1 - t0) * x for x in _GL5_NODES]
+        terms += [(t1 - t0) * w * float(np.trace(field.jac(tk, y)))
+                  for w, tk, y in zip(_GL5_WEIGHTS, ts, seg(ts).T)]
+    return math.fsum(terms)
 
 
 # --- the comparison table -------------------------------------------------------

@@ -7,7 +7,8 @@ basic branch: s = psi(eta) = alpha*K_h/r_hat(eta), fold
 F_B = (alpha*(2*beta+1)*K_h, C).  Both singular limits are eps-free once
 C and A are fixed, so fold locations and layer problems do not move as
 eps is varied; only the perturbed passage does, with the slow coordinate
-overshooting the fold by O(eps^(2/3)).
+overshooting the fold by O(eps^(2/3)).  How strongly the cycle attracts
+is read from its recorded period by ``cycle.floquet_exponent``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import fmt17, write_csv
-from .cycle import _leg_budget
 from .errors import (
     DomainError,
     FoldSingularityError,
@@ -28,8 +28,7 @@ from .errors import (
     PreconditionError,
     SectionNoHitError,
 )
-from .integrator import (EventSpec, IntegratorConfig, SolverStats, _brentq, integrate,
-                         integrate_until_event)
+from .integrator import EventSpec, IntegratorConfig, SolverStats, _brentq, integrate_until_event
 from .model import (
     _chart_A,
     _chart_B,
@@ -70,7 +69,6 @@ __all__ = [
     "verify_generic_fold",
     "fold_passage_offset",
     "invariant_region_check",
-    "return_map_contraction",
 ]
 
 #: tolerance for the two zero conditions of a generic fold, relative to
@@ -566,39 +564,3 @@ def invariant_region_check(dp: DimlessParams) -> RegionReport:
             violations.append(("h=h_top", float(s), h_top, float(dh)))
     return RegionReport(ok=not violations, h_nul=h_nul, h_top=h_top, s_nul=s_nul,
                         violations=tuple(violations))
-
-
-# --- return-map contraction ------------------------------------------------------
-
-def return_map_contraction(dp: DimlessParams, es: EpsSplit,
-                           cfg: IntegratorConfig | None = None) -> float:
-    """Displacement ratio of two successive returns to a chart-A section.
-
-    The section is sigma = 0.6 sigma_A, crossed rising.  An orbit is
-    first relaxed onto the cycle, then restarted from the section with h
-    displaced by 5% relative; the ratio |h2 - h1| / |h1 - h0| of
-    successive return displacements measures the return-map contraction
-    (values << 1 mean strong contraction).  Each run may take half of a
-    cycle leg's budget (3 T_total); too few returns raise SectionNoHitError.
-    """
-    cfg = cfg if cfg is not None else IntegratorConfig()
-    sigma_A, _ = fold_location_A(es, dp)
-    section = 0.6 * sigma_A
-    field = make_field_chart_A(es, dp)
-    event = EventSpec(func=lambda t, y: y[0] - section, direction="rising")
-    horizon = 0.5 * _leg_budget(dp, es)
-
-    def returns_from(h_start: float, orbit: str) -> list[float]:
-        run = integrate(field, (section, h_start), (0.0, horizon), cfg,
-                        events=[event], keep_dense=False)
-        if len(run.events) < 2:
-            raise SectionNoHitError(f"{orbit} failed to return twice to the chart-A section")
-        return [float(hit.state[1]) for hit in run.events]
-
-    h0 = returns_from(0.95, "orbit")[-1] * 1.05
-    returns = returns_from(h0, "perturbed orbit")
-    d1 = abs(returns[0] - h0)
-    d2 = abs(returns[1] - returns[0])
-    if d1 < 1e-13:
-        return 0.0
-    return d2 / d1

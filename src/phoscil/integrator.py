@@ -125,22 +125,28 @@ class SolverStats:
     located and their polishing calls, solves accepted at the rounding
     floor, and the Newton split: iterations, and failures by fresh or
     stale Jacobian and by cause (a rate >= 1 or a non-finite stage, else
-    predicted too slow)."""
+    predicted too slow).  The failure totals are derived, not stored."""
 
     steps: int = 0
     nfev: int = 0
     njev: int = 0
     nlu: int = 0
     rejected: int = 0
-    newton_failures: int = 0
     event_polishes: int = 0
     polish_evals: int = 0
     floor_accepts: int = 0
     newton_iters: int = 0
     fresh_jac_failures: int = 0
     stale_jac_failures: int = 0
-    diverged_failures: int = 0
     slow_failures: int = 0
+
+    @property
+    def newton_failures(self) -> int:
+        return self.fresh_jac_failures + self.stale_jac_failures
+
+    @property
+    def diverged_failures(self) -> int:
+        return self.newton_failures - self.slow_failures
 
     def __add__(self, other: "SolverStats") -> "SolverStats":
         return SolverStats(*(a + b for a, b in zip(astuple(self), astuple(other))))
@@ -853,13 +859,13 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
         if terminal_t is not None:
             break
 
-    fresh, stale, slow = solver.fresh_jac_failures, solver.stale_jac_failures, solver.slow_failures
     stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
-                        rejected=solver.rejected, newton_failures=fresh + stale,
-                        event_polishes=polishes, polish_evals=polish_evals,
-                        floor_accepts=solver.floor_accepts, newton_iters=solver.newton_iters,
-                        fresh_jac_failures=fresh, stale_jac_failures=stale,
-                        diverged_failures=fresh + stale - slow, slow_failures=slow)
+                        rejected=solver.rejected, event_polishes=polishes,
+                        polish_evals=polish_evals, floor_accepts=solver.floor_accepts,
+                        newton_iters=solver.newton_iters,
+                        fresh_jac_failures=solver.fresh_jac_failures,
+                        stale_jac_failures=solver.stale_jac_failures,
+                        slow_failures=solver.slow_failures)
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 

@@ -557,7 +557,8 @@ def test_rtol_below_100_eps_is_a_usage_error_without_a_scipy_warning(tmp_path):
 
 
 def test_cli_jobs_load_no_scipy_module(tmp_path):
-    # the stepper restates scipy's Radau on floats, so a CLI process needs no scipy
+    # the stepper restates scipy's Radau on floats, so a CLI process needs no
+    # scipy; the Floquet rule is closed-form, so it needs no numpy.polynomial
     code = """
 import json, sys
 from phoscil.cli import main
@@ -566,7 +567,8 @@ for argv in (["fixed-point"], ["scan", "--grid", "9x7"], ["fold-check", "--chart
              ["simulate", "--t-span", "0:50"], ["cycle"], ["timescales", "--eps-list", "1e-3"],
              ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,1e-5,1e-4"]):
     assert main(argv + ["--out", out]) == 0, argv
-print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+print(json.dumps(sorted(m for m in sys.modules if m in ("scipy", "numpy.polynomial")
+                        or m.startswith(("scipy.", "numpy.polynomial.")))))
 """
     done = _fresh_python("-c", code, str(tmp_path))
     assert done.returncode == 0, done.stderr

@@ -7,12 +7,14 @@ must end in a documented exit code, no exception may escape ``main``, and
 every exit 1 must name a ``PhoscilError`` subclass.  The fast
 subcommands run on every file; ``cycle``, ``simulate`` and
 ``timescales`` run on fewer files, each at one eps of ``EPS`` and one end
-of the ``--rtol`` range, so that every pair of the two occurs.
+of the ``--rtol`` range, so that every pair of the two occurs.  Each
+``main`` call has a wall-time budget, so a case that hangs fails instead.
 """
 import dataclasses
 import json
 import random
 import re
+import signal
 
 import pytest
 
@@ -25,6 +27,16 @@ EPS = ("1", "0.3", "1e-2", "1e-3")
 RTOL_ENDS = ("2.220446049250313e-14", "1e-3")
 #: the smallest subnormal and the largest atol IntegratorConfig accepts
 ATOL_ENDS = ("5e-324", "1e-3")
+#: wall seconds one ``main`` call may take; the slowest case takes under 1.5 s
+BUDGET_S = 30
+
+
+class _OverBudget(Exception):
+    """Raised by the interval timer in a case that outlives BUDGET_S."""
+
+
+def _over_budget(signum, frame):
+    raise _OverBudget
 
 
 def _scaled_params(k: int) -> dict:
@@ -35,10 +47,17 @@ def _scaled_params(k: int) -> dict:
 
 def _run(argv, capsys) -> int:
     """The exit code of ``main(argv)``, checked against the documented set."""
+    previous = signal.signal(signal.SIGALRM, _over_budget)
+    signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
         code = main(argv)
     except SystemExit as exc:  # the parser's usage errors
         code = exc.code
+    except _OverBudget:
+        pytest.fail(f"{argv} ran past its budget of {BUDGET_S} s", pytrace=False)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_NUMERIC, EXIT_IO, EXIT_USAGE), (argv, code, err)
     if code == EXIT_NUMERIC:

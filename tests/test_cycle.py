@@ -12,12 +12,15 @@ from phoscil.cycle import (
     TRANSIENT_TOL,
     CompareRow,
     CompareTable,
+    _GL5_NODES,
+    _GL5_WEIGHTS,
     _event_pair,
     _merge_halves,
     _section_returns,
     analytic_timescales,
     compare,
     find_limit_cycle,
+    floquet_exponent,
     oscillation_condition,
     physical_timescales,
     segment_times,
@@ -159,10 +162,10 @@ def test_cycle_segments_sum_to_the_period_exactly(cycle_1e3):
 def test_cycle_solver_stats_frozen(cycle_1e3):
     # the recorded period's two half-legs, summed
     stats = cycle_1e3.trajectory.stats
-    assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358,
-                                rejected=39, newton_failures=21,
+    assert stats == SolverStats(steps=2251, nfev=16808, njev=62, nlu=358, rejected=39,
                                 event_polishes=2, polish_evals=11, newton_iters=4851,
                                 stale_jac_failures=21, slow_failures=21)
+    assert stats.newton_failures == 21
     assert stats.steps == len(cycle_1e3.trajectory.t) - 1
 
 
@@ -190,17 +193,18 @@ def test_cycle_counts_where_the_newton_work_goes(cycle_1e3):
     # every one of the 21 failures came with a stale Jacobian and was predicted too slow
     stats = cycle_1e3.trajectory.stats
     assert dataclasses.astuple(stats) == dataclasses.astuple(SolverStats(
-        steps=2251, nfev=16808, njev=62, nlu=358, rejected=39, newton_failures=21,
-        event_polishes=2, polish_evals=11, newton_iters=4851, stale_jac_failures=21,
-        slow_failures=21))
+        steps=2251, nfev=16808, njev=62, nlu=358, rejected=39, event_polishes=2,
+        polish_evals=11, newton_iters=4851, stale_jac_failures=21, slow_failures=21))
+    assert (stats.newton_failures, stats.diverged_failures) == (21, 0)
 
 
 def test_cycle_counts_the_transients_work(cycle_1e3, cycle_1e4):
     # the approach leg and the 2 transient periods: 5 half-legs, one hit each
-    assert dataclasses.astuple(cycle_1e3.transient_stats) == dataclasses.astuple(SolverStats(
-        steps=4706, nfev=34974, njev=122, nlu=714, rejected=78, newton_failures=34,
-        event_polishes=5, polish_evals=29, newton_iters=10086, stale_jac_failures=34,
-        slow_failures=34))
+    transient = cycle_1e3.transient_stats
+    assert dataclasses.astuple(transient) == dataclasses.astuple(SolverStats(
+        steps=4706, nfev=34974, njev=122, nlu=714, rejected=78, event_polishes=5,
+        polish_evals=29, newton_iters=10086, stale_jac_failures=34, slow_failures=34))
+    assert (transient.newton_failures, transient.diverged_failures) == (34, 0)
     # the seed-0 timescales job's rows: the traced benchmark counts 17,955
     # accepted steps and 140,299 field calls over every integration
     reports = (cycle_1e3, cycle_1e4)
@@ -433,6 +437,61 @@ def test_segment_times_need_exactly_one_hit_per_section():
     traj = integrate(rotation, (1.0, 0.0), (0.0, 1.0))
     with pytest.raises(MalformedCycleError):
         segment_times(traj)
+
+
+# --- Floquet exponent ---------------------------------------------------------------
+
+def radial(t, y):
+    """r' = r(1 - r^2), theta' = 1 in Cartesian form: the unit circle attracts."""
+    x, v = y[0], y[1]
+    shrink = 1.0 - x * x - v * v
+    return x * shrink - v, v * shrink + x
+
+
+radial.jac = lambda t, y: np.array([[1.0 - 3.0 * y[0] ** 2 - y[1] ** 2, -2.0 * y[0] * y[1] - 1.0],
+                                    [1.0 - 2.0 * y[0] * y[1], 1.0 - y[0] ** 2 - 3.0 * y[1] ** 2]])
+
+
+def _gauss_legendre_sum(traj, field, n):
+    """The divergence integral with numpy's n-point Gauss-Legendre rule on every step."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    total = 0.0
+    for seg, t0, t1 in zip(traj.segments, traj.t[:-1], traj.t[1:]):
+        ts = t0 + (t1 - t0) * 0.5 * (1.0 + x)
+        traces = [np.trace(field.jac(tk, y)) for tk, y in zip(ts, seg(ts).T)]
+        total += 0.5 * (t1 - t0) * float(np.dot(w, traces))
+    return total
+
+
+def test_floquet_exponent_of_the_unit_circle_is_minus_four_pi():
+    # trace J = 2 - 4 r^2 is -2 on r = 1, so one turn gives -4 pi exactly
+    traj = integrate(radial, (1.0, 0.0), (0.0, 2.0 * math.pi))
+    assert math.isclose(floquet_exponent(traj, radial), -4.0 * math.pi, rel_tol=1e-10)
+
+
+def test_floquet_rule_is_gauss_legendre_on_the_unit_interval():
+    x, w = np.polynomial.legendre.leggauss(5)
+    np.testing.assert_allclose(_GL5_NODES, 0.5 * (1.0 + x), rtol=0.0, atol=1e-15)
+    np.testing.assert_allclose(_GL5_WEIGHTS, 0.5 * w, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("eps, fixture, expect", [
+    (1e-3, "cycle_1e3", -54.1074240761), (1e-4, "cycle_1e4", -157.001433093)])
+def test_floquet_exponent_of_the_cycle_matches_other_gauss_rules(request, dp, es, eps, fixture,
+                                                                 expect):
+    # the multiplier exp(-54.1) = 3e-24 at eps = 1e-3: the cycle attracts strongly
+    traj = request.getfixturevalue(fixture).trajectory
+    field = make_field(split_dimless(dp, es.at_eps(eps)))
+    exponent = floquet_exponent(traj, field)
+    assert math.isclose(exponent, expect, rel_tol=1e-10)
+    for n in (3, 7):
+        assert math.isclose(_gauss_legendre_sum(traj, field, n), exponent, rel_tol=1e-12), n
+
+
+def test_floquet_exponent_needs_dense_output():
+    traj = integrate(radial, (1.0, 0.0), (0.0, 2.0 * math.pi), keep_dense=False)
+    with pytest.raises(DomainError, match="dense output"):
+        floquet_exponent(traj, radial)
 
 
 # --- comparison table -----------------------------------------------------------------

@@ -251,9 +251,9 @@ def test_single_sample_trajectory():
 
 def test_single_sample_trajectory_did_no_work():
     traj = Trajectory.single(2.0, np.array([0.3, 0.4]), ("s", "h"))
-    assert traj.stats == SolverStats(steps=0, nfev=0, njev=0, nlu=0,
-                                     rejected=0, newton_failures=0,
+    assert traj.stats == SolverStats(steps=0, nfev=0, njev=0, nlu=0, rejected=0,
                                      event_polishes=0, polish_evals=0)
+    assert traj.stats.newton_failures == traj.stats.diverged_failures == 0
 
 
 def test_stats_count_accepted_steps_and_radau_work():
@@ -272,10 +272,13 @@ def test_stats_count_rejections_and_newton_failures(dp, es):
 
 
 def test_stats_add_fieldwise():
-    total = SolverStats(1, 2, 3, 4, 5, 6, 7, 8) + SolverStats(10, 20, 30, 40, 50, 60, 70, 80)
-    assert total == SolverStats(steps=11, nfev=22, njev=33, nlu=44,
-                                rejected=55, newton_failures=66,
-                                event_polishes=77, polish_evals=88)
+    total = (SolverStats(1, 2, 3, 4, 5, 7, 8, fresh_jac_failures=4, stale_jac_failures=2)
+             + SolverStats(10, 20, 30, 40, 50, 70, 80, fresh_jac_failures=40,
+                           stale_jac_failures=20))
+    assert total == SolverStats(steps=11, nfev=22, njev=33, nlu=44, rejected=55,
+                                event_polishes=77, polish_evals=88,
+                                fresh_jac_failures=44, stale_jac_failures=22)
+    assert total.newton_failures == 66
 
 
 def test_t_span_must_increase():
@@ -423,9 +426,9 @@ def _stock_and_direct(monkeypatch, *args, **kwargs):
     stale = sum(log[i + 1:i + 2] == ["jac"] for i in failed)
     diverged = sum(e[2] for e in log if e != "jac")
     stock.stats = dataclasses.replace(
-        stock.stats, rejected=calls["predict"] - stock.stats.steps, newton_failures=len(failed),
+        stock.stats, rejected=calls["predict"] - stock.stats.steps,
         newton_iters=sum(e[1] for e in log if e != "jac"), fresh_jac_failures=len(failed) - stale,
-        stale_jac_failures=stale, diverged_failures=diverged, slow_failures=len(failed) - diverged)
+        stale_jac_failures=stale, slow_failures=len(failed) - diverged)
     return stock, integrate(*args, **kwargs)
 
 
