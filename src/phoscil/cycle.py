@@ -198,11 +198,11 @@ def _event_pair(dp_eps: DimlessParams) -> tuple[EventSpec, EventSpec]:
 
 
 def _merge_halves(first: Trajectory, second: Trajectory) -> Trajectory:
-    """Glue the s-max -> s-min and s-min -> s-max halves of one period.
+    """Glue the out and back halves of one period of the section loop.
 
     The halves share their junction sample and each ends on its one
-    terminal hit; the merged trajectory labels the hits with the canonical
-    indices 0 = s-maximum, 1 = s-minimum, and sums the halves' stats.
+    terminal hit; the merged trajectory labels these hits 1 and 0 (on the
+    model the canonical s-minimum and s-maximum) and sums their stats.
     """
     return Trajectory(np.concatenate([first.t, second.t[1:]]),
                       np.vstack([first.states, second.states[1:]]),
@@ -228,9 +228,10 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
     transient period, so its length is the number of transient periods.
     ``transient_stats`` sums the work of every half-leg outside
     ``recorded``.  For "limit_cycle", recorded = (tau_out, tau_back,
-    out_leg, back_leg) with the two half-leg times and results; it is
-    None for "equilibrium" (the orbit stops returning at rest, or the
-    recorded y0-amplitude falls below EQUILIBRIUM_AMPLITUDE) and for
+    period): the half-leg times and the merged period, whose ``events``
+    are the out hit (index 1) and the back hit (index 0).  It is None for
+    "equilibrium" (the orbit stops returning at rest, or the recorded
+    y0-amplitude falls below EQUILIBRIUM_AMPLITUDE) and for
     "no_convergence" (any other lost return, or TRANSIENT_BUDGET periods
     without agreement).
     """
@@ -245,31 +246,29 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
 
     def half_leg(x, t_start: float, event: EventSpec, keep_dense: bool):
         nonlocal work
-        res = integrate_until_event(field, np.asarray(x, dtype=float), event, cfg,
+        leg = integrate_until_event(field, np.asarray(x, dtype=float), event, cfg,
                                     t_max=t_start + leg_budget, t0=t_start,
                                     keep_dense=keep_dense)
-        work += res.trajectory.stats
-        return res
+        work += leg.stats
+        return (leg.events[-1] if leg.events else None), leg
 
-    res = half_leg(start, 0.0, back_ev, False)
-    if not res.hit:
-        return no_cycle(res.trajectory.states[-1])
-    x = np.asarray(res.state_hit, dtype=float)
-    t_now = float(res.t_hit)
+    hit, leg = half_leg(start, 0.0, back_ev, False)
+    if hit is None:
+        return no_cycle(leg.states[-1])
+    x, t_now = hit.state, float(hit.t)
     prev_return = np.array([scale * x[0], x[1]])
 
     recording = False
     while True:
-        out = half_leg(x, t_now, out_ev, recording)
-        if not out.hit:
-            return no_cycle(out.trajectory.states[-1])
-        back = half_leg(out.state_hit, float(out.t_hit), back_ev, recording)
-        if not back.hit:
-            return no_cycle(back.trajectory.states[-1])
+        out, out_leg = half_leg(x, t_now, out_ev, recording)
+        if out is None:
+            return no_cycle(out_leg.states[-1])
+        back, back_leg = half_leg(out.state, float(out.t), back_ev, recording)
+        if back is None:
+            return no_cycle(back_leg.states[-1])
         if recording:
             break
-        x = np.asarray(back.state_hit, dtype=float)
-        t_now = float(back.t_hit)
+        x, t_now = back.state, float(back.t)
         this_return = np.array([scale * x[0], x[1]])
         distances.append(float(np.max(np.abs(this_return - prev_return))))
         recording = distances[-1] < TRANSIENT_TOL
@@ -277,10 +276,10 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
             return no_cycle()
         prev_return, transient = this_return, work
 
-    if abs(float(back.state_hit[0]) - float(out.state_hit[0])) < EQUILIBRIUM_AMPLITUDE:
-        return no_cycle(back.state_hit)
+    if abs(float(back.state[0]) - float(out.state[0])) < EQUILIBRIUM_AMPLITUDE:
+        return no_cycle(back.state)
     return ("limit_cycle", tuple(distances),
-            (out.t_hit - t_now, back.t_hit - out.t_hit, out, back), transient)
+            (out.t - t_now, back.t - out.t, _merge_halves(out_leg, back_leg)), transient)
 
 
 def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
@@ -312,13 +311,13 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     if recorded is None:
         return CycleReport(period=math.nan, tau_B_to_A=math.nan, tau_A_to_B=math.nan,
                            turning_points=None, converged=False, trajectory=None, **outcome)
-    tau_A_to_B, tau_B_to_A, mid, back = recorded
+    tau_A_to_B, tau_B_to_A, period = recorded
+    s_min, s_max = period.events
     return CycleReport(period=tau_B_to_A + tau_A_to_B,
                        tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
-                       turning_points=(tuple(float(v) for v in back.state_hit),
-                                       tuple(float(v) for v in mid.state_hit)),
-                       converged=True,
-                       trajectory=_merge_halves(mid.trajectory, back.trajectory), **outcome)
+                       turning_points=(tuple(float(v) for v in s_max.state),
+                                       tuple(float(v) for v in s_min.state)),
+                       converged=True, trajectory=period, **outcome)
 
 
 def segment_times(traj: Trajectory) -> tuple[float, float]:

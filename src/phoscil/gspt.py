@@ -499,13 +499,13 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     entries, stats = [], []
     for eps in eps_arr:
         field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
-        res = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
-        if not res.hit:
+        traj = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
+        if not traj.events:
             raise SectionNoHitError(
                 f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")
-        offset = abs(float(res.state_hit[0]) - fold_slow)
+        offset = abs(float(traj.events[-1].state[0]) - fold_slow)
         entries.append((eps, offset))
-        stats.append(res.trajectory.stats)
+        stats.append(traj.stats)
 
     logs = np.log(np.asarray(entries))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])

@@ -4,6 +4,8 @@ The solver is Radau IIA (order 5, L-stable) with adaptive step control;
 the wrapper adds a hard accepted-step budget, per-step dense output and
 event localization by bracketing plus Brent polishing on the dense output,
 so event timing does not degrade when steps grow large on slow manifolds.
+Each hit is kept once, in the trajectory's ``events``: the trajectory of
+``integrate_until_event`` holds its one terminal hit, or none at t_max.
 A trajectory's dense output is its per-step interpolants, evaluated as
 scipy's ``OdeSolution(alt_segment=True)`` does; without them it answers
 only at its recorded sample times.
@@ -40,7 +42,6 @@ __all__ = [
     "IntegratorConfig",
     "EventSpec",
     "EventHit",
-    "EventHitResult",
     "SolverStats",
     "Trajectory",
     "integrate",
@@ -208,19 +209,6 @@ class Trajectory:
         out[order] = np.hstack([self.segments[steps[a]](t_sorted[a:b])
                                 for a, b in zip(bounds, bounds[1:])]).T
         return out
-
-
-@dataclass(frozen=True)
-class EventHitResult:
-    """First-hit outcome; ``t_hit is None`` reports a no-hit at t_max."""
-
-    t_hit: float | None
-    state_hit: np.ndarray | None
-    trajectory: Trajectory
-
-    @property
-    def hit(self) -> bool:
-        return self.t_hit is not None
 
 
 def _crossed(g_old: float, g_new: float, direction: str) -> bool:
@@ -871,22 +859,15 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
 
 
 def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | None = None, *,
-                          t_max: float, t0: float = 0.0,
-                          keep_dense: bool = True) -> EventHitResult:
+                          t_max: float, t0: float = 0.0, keep_dense: bool = True) -> Trajectory:
     """Run until the first hit of ``event`` (made terminal), or to t_max.
 
-    A trajectory that reaches t_max without a hit yields a no-hit result,
-    not an exception.  The event must not already be zero at x0 in the
-    requested direction.
+    The trajectory's ``events`` holds that one hit, or is empty when the
+    run reaches t_max: a no-hit is a result, not an exception.  The event
+    must not already be zero at x0 in the requested direction.
     """
-    if not (math.isfinite(t_max) and t_max > t0):
-        raise DomainError(f"t_max must be finite and exceed t0, got {t_max!r}")
     terminal = EventSpec(func=event.func, direction=event.direction, terminal=True)
-    traj = integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense)
-    if traj.events:
-        last = traj.events[-1]
-        return EventHitResult(t_hit=last.t, state_hit=last.state, trajectory=traj)
-    return EventHitResult(t_hit=None, state_hit=None, trajectory=traj)
+    return integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense)
 
 
 def export_trajectory(traj: Trajectory, csv_path: str | Path,

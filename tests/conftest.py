@@ -99,7 +99,7 @@ def reference_period(phys):
         (EventSpec(func=s_rate, direction="rising"), EventSpec(func=s_rate, direction="falling")),
         2.0e4, 1.0)
     assert terminus == "limit_cycle", f"reference run ended in {terminus}"
-    tau_out, tau_back, _, _ = recorded
+    tau_out, tau_back, _ = recorded
     return tau_back + tau_out
 
 

@@ -42,11 +42,6 @@ def _rel(x: float, ref: float) -> float:
 
 
 @pytest.fixture(scope="module")
-def cycle_1e4(dp, es):
-    return find_limit_cycle(dp, es.at_eps(1e-4))
-
-
-@pytest.fixture(scope="module")
 def cycle_1e5(dp, es):
     return find_limit_cycle(dp, es.at_eps(1e-5))
 

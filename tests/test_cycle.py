@@ -257,11 +257,11 @@ def test_merged_period_sums_the_stats_of_its_halves():
     first = integrate_until_event(rotation, (1.0, 0.0),
                                   EventSpec(func=lambda t, y: y[1], direction="falling"),
                                   t_max=10.0)
-    second = integrate_until_event(rotation, first.state_hit,
+    second = integrate_until_event(rotation, first.events[-1].state,
                                    EventSpec(func=lambda t, y: y[1], direction="rising"),
-                                   t_max=20.0, t0=first.t_hit)
-    merged = _merge_halves(first.trajectory, second.trajectory)
-    assert merged.stats == first.trajectory.stats + second.trajectory.stats
+                                   t_max=20.0, t0=first.events[-1].t)
+    merged = _merge_halves(first, second)
+    assert merged.stats == first.stats + second.stats
     assert merged.stats.steps == len(merged.t) - 1
 
 
@@ -288,11 +288,12 @@ def test_section_loop_times_the_period_of_a_rotation():
     assert len(distances) == 1 and distances[0] < TRANSIENT_TOL
     # the approach leg and one transient period, but not the recorded one
     assert transient.event_polishes == 3
-    tau_out, tau_back, out, back = recorded
+    tau_out, tau_back, period = recorded
     assert abs(tau_out + tau_back - 2.0 * math.pi) < 1e-9
     assert abs(tau_out - math.pi) < 1e-9 and abs(tau_back - math.pi) < 1e-9
-    np.testing.assert_allclose(out.state_hit, [-1.0, 0.0], atol=1e-9)
-    np.testing.assert_allclose(back.state_hit, [1.0, 0.0], atol=1e-9)
+    out, back = period.events
+    np.testing.assert_allclose(out.state, [-1.0, 0.0], atol=1e-9)
+    np.testing.assert_allclose(back.state, [1.0, 0.0], atol=1e-9)
 
 
 def test_section_loop_classifies_a_strongly_damped_spiral_as_equilibrium():

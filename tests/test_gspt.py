@@ -556,14 +556,14 @@ def test_default_path_keeps_the_chart_b_passage_work(dp, es, scipy_newton):
     # scipy's step (kappa = 0): the counters and offset bits of the
     # eps = 1e-5 passage before the zero restart and the floor stop existed
     field, x0, event, t_max, _ = gspt._fold_passage("B", es.at_eps(DEFAULT_EPS_B[-1]), dp)
-    res = integrate_until_event(field, x0, event, t_max=t_max, keep_dense=False)
-    stats = res.trajectory.stats
+    traj = integrate_until_event(field, x0, event, t_max=t_max, keep_dense=False)
+    stats = traj.stats
     assert stats == SolverStats(steps=900, nfev=6_482, njev=11, nlu=86, rejected=18,
                                 event_polishes=1, polish_evals=6, newton_iters=1860,
                                 fresh_jac_failures=1, stale_jac_failures=4, slow_failures=5)
     assert (stats.newton_failures, stats.diverged_failures) == (5, 0)
     s_B, _ = fold_location_B(es.at_eps(DEFAULT_EPS_B[-1]), dp)
-    assert abs(float(res.state_hit[0]) - s_B) == 0.0005308805190087744
+    assert abs(float(traj.events[-1].state[0]) - s_B) == 0.0005308805190087744
 
 
 @pytest.mark.parametrize("kappa", [0.1, 0.0])

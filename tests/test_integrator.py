@@ -175,16 +175,17 @@ def test_event_indices_follow_spec_order():
 
 def test_until_event_returns_first_hit():
     ev = EventSpec(func=lambda t, y: y[1], direction="rising")
-    res = integrate_until_event(rotation, (1.0, 0.0), ev, t_max=50.0)
-    assert res.hit and abs(res.t_hit - 2.0 * math.pi) < 1e-9
-    assert res.trajectory.t[-1] == res.t_hit
+    traj = integrate_until_event(rotation, (1.0, 0.0), ev, t_max=50.0)
+    [hit] = traj.events
+    assert abs(hit.t - 2.0 * math.pi) < 1e-9
+    assert traj.t[-1] == hit.t
 
 
 def test_until_event_no_hit_is_a_result_not_an_error():
     ev = EventSpec(func=lambda t, y: y[0], direction="rising")  # y0 stays positive
-    res = integrate_until_event(decay, (1.0, 1.0), ev, t_max=1.0)
-    assert not res.hit and res.t_hit is None and res.state_hit is None
-    assert math.isclose(res.trajectory.t[-1], 1.0, rel_tol=1e-12)
+    traj = integrate_until_event(decay, (1.0, 1.0), ev, t_max=1.0)
+    assert traj.events == []
+    assert math.isclose(traj.t[-1], 1.0, rel_tol=1e-12)
 
 
 def test_until_event_requires_finite_horizon():
