@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -101,15 +101,16 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class EventSpec:
-    """Scalar event function of (t, state) with crossing semantics."""
+    """Scalar event function of (t, state), hit where it crosses zero in one
+    direction: ``"rising"`` (from < 0 to >= 0) or ``"falling"`` (> 0 to <= 0)."""
 
     func: Callable[[float, np.ndarray], float]
-    direction: str = "both"  # rising | falling | both
+    direction: str
     terminal: bool = False
 
     def __post_init__(self) -> None:
-        if self.direction not in ("rising", "falling", "both"):
-            raise DomainError(f"direction must be rising/falling/both, got {self.direction!r}")
+        if self.direction not in ("rising", "falling"):
+            raise DomainError(f"direction must be rising or falling, got {self.direction!r}")
 
 
 @dataclass(frozen=True)
@@ -212,25 +213,16 @@ class Trajectory:
 
 
 def _crossed(g_old: float, g_new: float, direction: str) -> bool:
-    if g_old == 0.0 or g_old * g_new > 0.0:
-        return False
-    rising = g_old < 0.0 <= g_new
-    falling = g_old > 0.0 >= g_new
     if direction == "rising":
-        return rising
-    if direction == "falling":
-        return falling
-    return rising or falling
+        return g_old < 0.0 <= g_new
+    return g_old > 0.0 >= g_new
 
 
 def _locate(ev: EventSpec, dense, t_lo: float, t_hi: float,
-            g_lo: float, g_hi: float, t_scale: float) -> tuple[float, int]:
-    """(event time, event-function calls) on one bracketing step."""
+            g_hi: float, t_scale: float) -> tuple[float, int]:
+    """(event time, event-function calls) on a step where :func:`_crossed` holds."""
     if g_hi == 0.0:
         return t_hi, 0
-    if g_lo * g_hi > 0.0:
-        raise EventBracketError(
-            f"sign change reported on [{t_lo}, {t_hi}] but endpoints do not bracket")
     try:
         return _brentq(lambda tt: ev.func(tt, dense(tt)), t_lo, t_hi,
                        xtol=1e-12 * t_scale, rtol=4.0 * _MACH_EPS)
@@ -771,10 +763,12 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     analytic Jacobian ``field.jac(t, y)``, a 2 x 2 array.  Local error per
     step is bounded by atol + rtol*|state| (Radau IIA, order 5).  Events
     are detected on accepted steps and polished on the step's dense
-    output to |dt| <= 1e-12 * t_scale; terminal events truncate the
-    trajectory at the hit.  ``keep_dense=False`` drops the per-step
-    interpolants after event processing to bound memory on very long runs
-    (the returned trajectory then answers only at its samples).
+    output to |dt| <= 1e-12 * t_scale, where t_scale = max(1, |t0|, |t1|)
+    is the horizon: a longer horizon can move an event time within that
+    tolerance.  A terminal event truncates the trajectory at its hit, whose
+    state is the trajectory's last.  ``keep_dense=False`` drops the
+    per-step interpolants after event processing to bound memory on very
+    long runs (the returned trajectory then answers only at its samples).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
     t0, t1 = (float(t_span[0]), float(t_span[1]))
@@ -797,10 +791,10 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     segments: list = []
     hits: list[EventHit] = []
     g_old = [float(ev.func(t0, y0)) for ev in events]
-    n_steps = polishes = polish_evals = 0
+    polishes = polish_evals = 0
 
     while solver.status == "running":
-        if n_steps >= MAX_STEPS:
+        if len(ts) > MAX_STEPS:
             raise BudgetError(f"MAX_STEPS = {MAX_STEPS} exhausted at t = {solver.t}")
         try:
             message = solver.step()
@@ -810,50 +804,44 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
             # a non-finite Jacobian or stage (e.g. a field that is NaN past
             # its domain) fails the finite check of the LU factor or solve
             raise DomainError(f"step failed at t = {solver.t}: {exc}") from exc
-        n_steps += 1
         if solver.status == "failed":
             raise StiffnessError(f"step size underflow at t = {solver.t}: {message}")
         dense = solver.sol
         t_new = float(solver.t)
         y_new = np.array(solver.y, dtype=float)
 
-        terminal_t: float | None = None
+        terminal: EventHit | None = None
         if events:
             g_new = [float(ev.func(t_new, y_new)) for ev in events]
             step_hits: list[tuple[float, int]] = []
             for i, ev in enumerate(events):
                 if _crossed(g_old[i], g_new[i], ev.direction):
-                    t_hit, n_evals = _locate(ev, dense, ts[-1], t_new, g_old[i], g_new[i],
-                                             t_scale)
+                    t_hit, n_evals = _locate(ev, dense, ts[-1], t_new, g_new[i], t_scale)
                     polishes += 1
                     polish_evals += n_evals
                     step_hits.append((t_hit, i))
             step_hits.sort()
             for t_hit, i in step_hits:
-                if terminal_t is not None and t_hit > terminal_t:
+                if terminal is not None and t_hit > terminal.t:
                     break
                 hits.append(EventHit(t=t_hit, state=np.asarray(dense(t_hit), dtype=float), index=i))
-                if events[i].terminal and terminal_t is None:
-                    terminal_t = t_hit
+                if events[i].terminal and terminal is None:
+                    terminal = hits[-1]
             g_old = g_new
 
-        if terminal_t is not None:
-            t_new = max(terminal_t, np.nextafter(ts[-1], t_new))
-            y_new = np.asarray(dense(terminal_t), dtype=float)
+        if terminal is not None:
+            t_new = max(terminal.t, np.nextafter(ts[-1], t_new))
+            y_new = terminal.state
         if keep_dense:
             segments.append(dense)
         ts.append(t_new)
         ys.append(y_new)
-        if terminal_t is not None:
+        if terminal is not None:
             break
 
-    stats = SolverStats(steps=n_steps, nfev=solver.nfev, njev=solver.njev, nlu=solver.nlu,
-                        rejected=solver.rejected, event_polishes=polishes,
-                        polish_evals=polish_evals, floor_accepts=solver.floor_accepts,
-                        newton_iters=solver.newton_iters,
-                        fresh_jac_failures=solver.fresh_jac_failures,
-                        stale_jac_failures=solver.stale_jac_failures,
-                        slow_failures=solver.slow_failures)
+    counts = {"steps": len(ts) - 1, "event_polishes": polishes, "polish_evals": polish_evals}
+    stats = SolverStats(**{f.name: counts[f.name] if f.name in counts else getattr(solver, f.name)
+                           for f in fields(SolverStats)})
     return Trajectory(np.array(ts), np.vstack(ys), segments, hits,
                       tuple(getattr(field, "names", ("y0", "y1"))), stats)
 

@@ -147,20 +147,12 @@ def test_event_direction_falling_picks_the_other_crossing():
     assert abs(traj.events[0].t - math.pi) < 1e-9
 
 
-def test_event_direction_both_sees_every_crossing():
-    ev = EventSpec(func=lambda t, y: y[1], direction="both")
-    traj = integrate(rotation, (1.0, 0.0), (0.0, 6.0 * math.pi + 1.0), events=[ev])
-    expect = [math.pi, 2 * math.pi, 3 * math.pi, 4 * math.pi, 5 * math.pi, 6 * math.pi]
-    assert len(traj.events) == len(expect)
-    for hit, t_true in zip(traj.events, expect):
-        assert abs(hit.t - t_true) < 1e-9
-
-
 def test_terminal_event_truncates_the_run():
     ev = EventSpec(func=lambda t, y: y[1], direction="rising", terminal=True)
     traj = integrate(rotation, (1.0, 0.0), (0.0, 100.0), events=[ev])
     assert abs(traj.t[-1] - 2.0 * math.pi) < 1e-9
     assert traj.events[-1].t == traj.t[-1]
+    assert np.array_equal(traj.states[-1], traj.events[-1].state)
 
 
 def test_event_indices_follow_spec_order():
@@ -195,8 +187,14 @@ def test_until_event_requires_finite_horizon():
 
 
 def test_event_spec_rejects_unknown_direction():
-    with pytest.raises(DomainError):
-        EventSpec(func=lambda t, y: y[0], direction="upward")
+    for direction in ("upward", "both"):
+        with pytest.raises(DomainError):
+            EventSpec(func=lambda t, y: y[0], direction=direction)
+
+
+def test_event_spec_needs_a_direction():
+    with pytest.raises(TypeError):
+        EventSpec(func=lambda t, y: y[0])
 
 
 # --- trajectory container ----------------------------------------------------------
@@ -973,8 +971,9 @@ def test_a_bad_initial_state_is_a_domain_error(x0):
 
 
 def test_event_polish_counts_its_brackets_and_calls():
-    ev = EventSpec(func=lambda t, y: y[1], direction="both")
-    traj = integrate(rotation, (1.0, 0.0), (0.0, 6.0 * math.pi + 1.0), events=[ev])
+    events = [EventSpec(func=lambda t, y: y[1], direction="rising"),
+              EventSpec(func=lambda t, y: y[1], direction="falling")]
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 6.0 * math.pi + 1.0), events=events)
     stats = traj.stats
     assert stats.event_polishes == len(traj.events) == 6
     assert stats.polish_evals >= 2 * stats.event_polishes
