@@ -9,6 +9,11 @@ C and A are fixed, so fold locations and layer problems do not move as
 eps is varied; only the perturbed passage does, with the slow coordinate
 overshooting the fold by O(eps^(2/3)).  How strongly the cycle attracts
 is read from its recorded period by ``cycle.floquet_exponent``.
+
+Each public evaluator of a coordinate checks it once, at entry, by the
+model's rule: finite and inside the bound it states, else a DomainError
+naming the function or chart.  The slow flows also raise
+FoldSingularityError at their fold.
 """
 from __future__ import annotations
 
@@ -30,16 +35,18 @@ from .errors import (
 )
 from .integrator import EventSpec, IntegratorConfig, SolverStats, _brentq, integrate_until_event
 from .model import (
+    _arg,
     _chart_A,
     _chart_B,
     _jacobian_rows,
     _monic_root,
+    _out,
     _rate,
+    _rate_hat,
     _root_slopes,
     make_field_chart_A,
     make_field_chart_B,
     rate_r,
-    rate_r_hat,
     rhs,
     rhs_jacobian,
 )
@@ -116,10 +123,10 @@ def fixed_point(dp: DimlessParams) -> FixedPoint:
 
 
 def nullclines(dp: DimlessParams, h_grid) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of n_s(h) = K_s/r(h) and n_h(h) = alpha*K_h*(1-h)/r(h)."""
-    h = np.asarray(h_grid, dtype=float)
-    r = rate_r(h, dp)
-    return dp.K_s / r, dp.alpha * dp.K_h * (1.0 - h) / r
+    """Samples of n_s(h) = K_s/r(h) and n_h(h) = alpha*K_h*(1-h)/r(h), for h > 0."""
+    h = _arg("nullclines", h_grid, "h > 0")
+    r = _rate(h, dp)
+    return _out(dp.K_s / r, dp.alpha * dp.K_h * (1.0 - h) / r)
 
 
 def _trace_det_grid(dp: DimlessParams, K_h, alpha):
@@ -220,10 +227,8 @@ def stability_scan(dp: DimlessParams,
     nx, ny = shape
     if nx < 2 or ny < 2:
         raise DomainError(f"grid shape must be at least 2x2, got {shape!r}")
-    xs = np.linspace(kh_over_ks[0], kh_over_ks[1], nx)
-    ys = np.linspace(inv_alpha[0], inv_alpha[1], ny)
-    if np.any(xs <= 0.0) or np.any(ys <= 0.0):
-        raise DomainError("scan ranges must be strictly positive")
+    xs = np.linspace(*_arg("stability_scan", kh_over_ks, "kh_over_ks > 0"), nx)
+    ys = np.linspace(*_arg("stability_scan", inv_alpha, "inv_alpha > 0"), ny)
 
     admissible = xs[:, None] > ys[None, :]
     K_h, alpha = (xs * dp.K_s)[:, None], (1.0 / ys)[None, :]
@@ -262,45 +267,33 @@ def fold_location_B(es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
 
 
 def manifold_A(h, es: EpsSplit, dp: DimlessParams):
-    """phi(h) = (alpha*beta*K_h/C) h(1-h), the chart-A critical manifold."""
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0) or np.any(h_arr >= 1.0):
-        raise DomainError("manifold_A requires h in (0, 1)")
-    out = (dp.alpha * dp.beta * dp.K_h / es.C) * h_arr * (1.0 - h_arr)
-    return float(out) if out.ndim == 0 else out
+    """phi(h) = (alpha*beta*K_h/C) h(1-h), the chart-A critical manifold, for h in (0, 1)."""
+    h = _arg("manifold_A", h, "h in (0, 1)")
+    return _out((dp.alpha * dp.beta * dp.K_h / es.C) * h * (1.0 - h))
 
 
 def manifold_B(eta, es: EpsSplit, dp: DimlessParams):
-    """psi(eta) = alpha*K_h/r_hat(eta), the chart-B critical manifold."""
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(eta_arr <= 0.0):
-        raise DomainError("manifold_B requires eta > 0")
-    out = dp.alpha * dp.K_h * (dp.beta * es.C / eta_arr + 1.0 + (dp.beta / es.C) * eta_arr)
-    return float(out) if out.ndim == 0 else out
+    """psi(eta) = alpha*K_h/r_hat(eta), the chart-B critical manifold, for eta > 0."""
+    eta = _arg("manifold_B", eta, "eta > 0")
+    return _out(dp.alpha * dp.K_h * (dp.beta * es.C / eta + 1.0 + (dp.beta / es.C) * eta))
 
 
 def manifold_A_stability(h, es: EpsSplit, dp: DimlessParams):
     """d(g0)/dh on the chart-A manifold: -2 K_h (h - 1/2)/h.
 
     Negative values mark the attracting branch (h > 1/2), positive the
-    repelling one.
+    repelling one.  h lies in (0, 1).
     """
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr <= 0.0) or np.any(h_arr >= 1.0):
-        raise DomainError("manifold_A_stability requires h in (0, 1)")
-    out = -2.0 * dp.K_h * (h_arr - 0.5) / h_arr
-    return float(out) if out.ndim == 0 else out
+    h = _arg("manifold_A_stability", h, "h in (0, 1)")
+    return _out(-2.0 * dp.K_h * (h - 0.5) / h)
 
 
 def manifold_B_stability(eta, es: EpsSplit, dp: DimlessParams):
-    """d(g0)/deta on the chart-B manifold; negative (attracting) for eta < C."""
-    eta_arr = np.asarray(eta, dtype=float)
-    if np.any(eta_arr <= 0.0):
-        raise DomainError("manifold_B_stability requires eta > 0")
+    """d(g0)/deta on the chart-B manifold, eta > 0; negative (attracting) for eta < C."""
+    eta = _arg("manifold_B_stability", eta, "eta > 0")
     eta_B = es.C
-    out = (dp.beta / es.C) * dp.K_h * rate_r_hat(eta_arr, es, dp) \
-        * (eta_arr ** 2 - eta_B ** 2) / (eta_arr ** 2 + dp.K_h / (dp.alpha * es.A * dp.K))
-    return float(out) if out.ndim == 0 else out
+    return _out((dp.beta / es.C) * dp.K_h * _rate_hat(eta, es, dp)
+                * (eta ** 2 - eta_B ** 2) / (eta ** 2 + dp.K_h / (dp.alpha * es.A * dp.K)))
 
 
 def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
@@ -317,22 +310,20 @@ def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
 
 
 def slow_flow_A(h, es: EpsSplit, dp: DimlessParams):
-    """Reduced flow dh/dtau = -C h_A (h - h_star) / (beta (h - h_A))."""
-    h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr == 0.5):
+    """Reduced flow dh/dtau = -C h_A (h - h_star) / (beta (h - h_A)), for finite h."""
+    h = _arg("slow_flow_A", h, "h")
+    if np.any(h == 0.5):
         raise FoldSingularityError("slow_flow_A is singular at the fold h = 1/2")
-    out = -es.C * 0.5 * (h_arr - dp.h_star) / (dp.beta * (h_arr - 0.5))
-    return float(out) if out.ndim == 0 else out
+    return _out(-es.C * 0.5 * (h - dp.h_star) / (dp.beta * (h - 0.5)))
 
 
 def slow_flow_B(eta, es: EpsSplit, dp: DimlessParams):
-    """Reduced flow deta/dt = (C h_star / beta) eta^2 / (eta_B^2 - eta^2)."""
-    eta_arr = np.asarray(eta, dtype=float)
+    """Reduced flow deta/dt = (C h_star / beta) eta^2 / (eta_B^2 - eta^2), for finite eta."""
+    eta = _arg("slow_flow_B", eta, "eta")
     eta_B = es.C
-    if np.any(eta_arr == eta_B):
+    if np.any(eta == eta_B):
         raise FoldSingularityError("slow_flow_B is singular at the fold eta = C")
-    out = (es.C * dp.h_star / dp.beta) * eta_arr ** 2 / (eta_B ** 2 - eta_arr ** 2)
-    return float(out) if out.ndim == 0 else out
+    return _out((es.C * dp.h_star / dp.beta) * eta ** 2 / (eta_B ** 2 - eta ** 2))
 
 
 # --- generic-fold verification -------------------------------------------------
@@ -547,20 +538,17 @@ def invariant_region_check(dp: DimlessParams) -> RegionReport:
     h_nul, _ = _brentq(lambda h: rate_r(h, dp) - r_target, 1e-30, dp.eps1,
                        xtol=1e-30, rtol=8.0 * np.finfo(float).eps)
 
-    violations: list[tuple[str, float, float, float]] = []
+    # one array call of rhs per side
     h_line = np.linspace(h_nul, h_top, samples)
-    for h in h_line:
-        ds = rhs((0.0, float(h)), dp)[0]
-        if not ds > 0.0:
-            violations.append(("s=0", 0.0, float(h), float(ds)))
-    for h in np.linspace(h_nul, h_top, samples + 1)[1:]:
-        ds = rhs((s_nul, float(h)), dp)[0]
-        if not ds < 0.0:
-            violations.append(("s=s_nul", s_nul, float(h), float(ds)))
+    ds = rhs((0.0, h_line), dp)[0].tolist()
+    violations = [("s=0", 0.0, h, v) for h, v in zip(h_line.tolist(), ds) if not v > 0.0]
+    h_line = np.linspace(h_nul, h_top, samples + 1)[1:]
+    ds = rhs((s_nul, h_line), dp)[0].tolist()
+    violations += [("s=s_nul", s_nul, h, v) for h, v in zip(h_line.tolist(), ds) if not v < 0.0]
     cap = dp.K_h * (1.0 - h_top)
-    for s in np.linspace(0.0, s_nul, samples):
-        dh = rhs((float(s), h_top), dp)[1]
-        if not (dh <= cap < 0.0):
-            violations.append(("h=h_top", float(s), h_top, float(dh)))
+    s_line = np.linspace(0.0, s_nul, samples)
+    dh = rhs((s_line, h_top), dp)[1].tolist()
+    violations += [("h=h_top", s, h_top, v) for s, v in zip(s_line.tolist(), dh)
+                   if not v <= cap < 0.0]
     return RegionReport(ok=not violations, h_nul=h_nul, h_top=h_top, s_nul=s_nul,
                         violations=tuple(violations))

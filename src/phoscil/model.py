@@ -25,7 +25,11 @@ The coordinate maps (to_/from_chart_A, to_/from_chart_B, to_/from_log)
 return plain (float, float) pairs.  Each s, h, sigma and eta they return
 is checked finite and non-negative; to_log needs s > 0 and h > 0.
 
-All evaluators are pure and accept scalars or numpy arrays.
+All evaluators are pure and accept scalars or numpy arrays.  Each public
+one checks its arguments once, at entry: every entry must be finite and
+inside the bound it states (h > 0, s >= 0, ...), or a DomainError names
+the function, or the chart for the chart fields.  Past that check only
+unchecked kernels run; a 0-d result comes back as a float.
 """
 from __future__ import annotations
 
@@ -61,6 +65,28 @@ __all__ = [
 ]
 
 
+#: the bounds an argument may state, by their text
+_BOUNDS = {"": lambda x: True, "> 0": lambda x: x > 0.0, ">= 0": lambda x: x >= 0.0,
+           "in (0, 1)": lambda x: (x > 0.0) & (x < 1.0)}
+
+
+def _arg(where: str, value, spec: str) -> np.ndarray:
+    """``value`` as a float array whose entries are finite and inside the bound ``spec``
+    states ("h > 0", "s >= 0", "h in (0, 1)" or a bare name), else a DomainError that
+    names ``where``, the function or chart the caller asked for."""
+    x = np.asarray(value, dtype=float)
+    ok = np.isfinite(x) & _BOUNDS[spec.partition(" ")[2]](x)
+    if not ok.all():
+        raise DomainError(f"{where} requires finite {spec}, got {float(x[~ok][0])!r}")
+    return x
+
+
+def _out(*values):
+    """Each 0-d result as a float, arrays as they are; one result alone, several as a tuple."""
+    out = tuple(float(v) if np.ndim(v) == 0 else v for v in values)
+    return out if len(out) > 1 else out[0]
+
+
 def _check_coord(name: str, value: float) -> float:
     value = float(value)
     if not (math.isfinite(value) and value >= 0.0):
@@ -81,11 +107,7 @@ def rate_r(h, dp: DimlessParams):
     h = 0 is a domain error: the factor beta*eps1/h is singular there and
     the h -> 0 limit (zero) is the caller's business.
     """
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
-        raise DomainError("rate_r requires h > 0")
-    out = _rate(h, dp)
-    return float(out) if out.ndim == 0 else out
+    return _out(_rate(_arg("rate_r", h, "h > 0"), dp))
 
 
 def _rate_slope(h, r, dp: DimlessParams):
@@ -95,11 +117,8 @@ def _rate_slope(h, r, dp: DimlessParams):
 
 def rate_r_prime(h, dp: DimlessParams):
     """dr/dh, from r' = (beta*eps1/h^2 - beta/eps1) r^2."""
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
-        raise DomainError("rate_r_prime requires h > 0")
-    out = _rate_slope(h, _rate(h, dp), dp)
-    return float(out) if out.ndim == 0 else out
+    h = _arg("rate_r_prime", h, "h > 0")
+    return _out(_rate_slope(h, _rate(h, dp), dp))
 
 
 def _rate_hat(eta, es: EpsSplit, dp: DimlessParams):
@@ -110,11 +129,7 @@ def _rate_hat(eta, es: EpsSplit, dp: DimlessParams):
 
 def rate_r_hat(eta, es: EpsSplit, dp: DimlessParams):
     """Chart-B rate r_hat(eta) = 1/(beta*C/eta + 1 + (beta/C)*eta); eps-free."""
-    eta = np.asarray(eta, dtype=float)
-    if np.any(eta <= 0.0):
-        raise DomainError("rate_r_hat requires eta > 0")
-    out = _rate_hat(eta, es, dp)
-    return float(out) if out.ndim == 0 else out
+    return _out(_rate_hat(_arg("rate_r_hat", eta, "eta > 0"), es, dp))
 
 
 def _monic_root(v: float, w: float) -> float:
@@ -151,22 +166,16 @@ def q_func(s, h, dp: DimlessParams):
     (sqrt(v^2+4w) - v)/2 when v <= 0, the conjugate 2w/(v + sqrt(v^2+4w))
     when v > 0.  Relative residual of the quadratic stays below 1e-10.
     """
-    s = np.asarray(s, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(s < 0.0):
-        raise DomainError("q_func requires s >= 0")
-    if np.any(h <= 0.0):
-        raise DomainError("q_func requires h > 0")
-    out = _monic_root_array(_v_of(h, dp), _w_of(s, h, dp))
-    return float(out) if out.ndim == 0 else out
+    s, h = _arg("q_func", s, "s >= 0"), _arg("q_func", h, "h > 0")
+    return _out(_monic_root_array(_v_of(h, dp), _w_of(s, h, dp)))
 
 
 def rhs(state, dp: DimlessParams):
-    """(ds/dt, dh/dt) of the reduced model."""
+    """(ds/dt, dh/dt) of the reduced model, for s >= 0 and h > 0."""
     s, h = state
-    f = -rate_r(h, dp) * s + dp.K_s
-    g = -q_func(s, h, dp) + dp.K_h * (1.0 - h)
-    return (f, g)
+    s, h = _arg("rhs", s, "s >= 0"), _arg("rhs", h, "h > 0")
+    return _out(-_rate(h, dp) * s + dp.K_s,
+                -_monic_root_array(_v_of(h, dp), _w_of(s, h, dp)) + dp.K_h * (1.0 - h))
 
 
 def _root_slopes(q, denom, w_s, w_h, v_h):
@@ -191,9 +200,10 @@ def _jacobian_rows(s, h, r, q, v, alpha, K_h, dp: DimlessParams):
 
 
 def rhs_jacobian(state, dp: DimlessParams):
-    """Analytic Jacobian of ``rhs`` with respect to (s, h)."""
+    """Analytic Jacobian of ``rhs`` with respect to (s, h), on rhs's domain."""
     s, h = state
-    r = rate_r(h, dp)
+    s, h = _arg("rhs_jacobian", s, "s >= 0"), _arg("rhs_jacobian", h, "h > 0")
+    r = _rate(h, dp)
     v = _v_of(h, dp)
     q = _monic_root_array(v, dp.K / dp.eps2 * r * h * h * s)
     f_s, f_h, g_s, g_h = _jacobian_rows(s, h, r, q, v, dp.alpha, dp.K_h, dp)
@@ -217,12 +227,12 @@ def q_tilde_eps(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = 
     it the conjugate form.  ``branch`` forces one of {"low", "seam",
     "high"} for seam-consistency checks; the default picks by key.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(sigma < 0.0):
-        raise DomainError("q_tilde_eps requires sigma >= 0")
-    if np.any(h <= 0.0):
-        raise DomainError("q_tilde_eps requires h > 0")
+    sigma, h = _arg("q_tilde_eps", sigma, "sigma >= 0"), _arg("q_tilde_eps", h, "h > 0")
+    return _out(_q_tilde(sigma, h, es, dp, branch))
+
+
+def _q_tilde(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = None):
+    """:func:`q_tilde_eps` on arrays, unchecked."""
     e = es.eps
     aAK = dp.alpha * es.A * dp.K
     v = aAK * h * h - e * e * dp.K_h * (1.0 - h)
@@ -248,20 +258,17 @@ def q_tilde_eps(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = 
             out = high
     else:
         raise DomainError(f"unknown branch {branch!r}")
-    return float(out) if out.ndim == 0 else out
+    return out
 
 
 def _chart_A(sigma, h, es: EpsSplit, dp: DimlessParams):
-    """(f_tilde, g_tilde) at (sigma, h), h > 0: finite at eps = 0, where it is the layer problem."""
-    sigma = np.asarray(sigma, dtype=float)
-    h = np.asarray(h, dtype=float)
-    if np.any(h <= 0.0):
-        raise DomainError("chart A requires h > 0")
+    """(f_tilde, g_tilde) at sigma >= 0, h > 0: finite at eps = 0, where it is the layer problem."""
+    sigma, h = _arg("chart A", sigma, "sigma >= 0"), _arg("chart A", h, "h > 0")
     e = es.eps
     r_tilde = 1.0 / (e * e * dp.beta * es.C / h + e + (dp.beta / es.C) * h)
     f_tilde = -r_tilde * sigma + dp.K_s
-    g_tilde = -q_tilde_eps(sigma, h, es, dp) + dp.K_h * (1.0 - h)
-    return (float(f_tilde), float(g_tilde)) if np.ndim(f_tilde) == 0 else (f_tilde, g_tilde)
+    g_tilde = -_q_tilde(sigma, h, es, dp) + dp.K_h * (1.0 - h)
+    return _out(f_tilde, g_tilde)
 
 
 def rhs_chart_A(x, es: EpsSplit, dp: DimlessParams):
@@ -277,17 +284,14 @@ def rhs_chart_A(x, es: EpsSplit, dp: DimlessParams):
 
 def _chart_B(s, eta, es: EpsSplit, dp: DimlessParams):
     """(f_hat, g_hat) at (s, eta), s, eta >= 0: finite at eps = 0, where it is the layer problem."""
-    s = np.asarray(s, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if np.any(s < 0.0) or np.any(eta < 0.0):
-        raise DomainError("chart B requires s >= 0 and eta >= 0")
+    s, eta = _arg("chart B", s, "s >= 0"), _arg("chart B", eta, "eta >= 0")
     inflow = dp.K_h * (1.0 - es.eps * eta)
     v = dp.alpha * es.A * dp.K * eta * eta - inflow
     # r_hat*eta^2 = eta^3/(beta*C + eta + (beta/C) eta^2): finite at eta = 0
     rh2 = eta ** 3 / (dp.beta * es.C + eta + (dp.beta / es.C) * eta * eta)
     f_hat = -_rate_hat(eta, es, dp) * s + dp.K_s
     g_hat = -_monic_root_array(v, es.A * dp.K * rh2 * s) + inflow
-    return (float(f_hat), float(g_hat)) if np.ndim(f_hat) == 0 else (f_hat, g_hat)
+    return _out(f_hat, g_hat)
 
 
 def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):

@@ -254,6 +254,17 @@ def test_fold_scaling_quick_window(tmp_path):
     assert math.isclose(slope, 0.61130810056059381, rel_tol=1e-9)
 
 
+def test_fold_scaling_json_carries_the_csvs_entries_and_slope(tmp_path):
+    argv = ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,1e-5,1e-4"]
+    assert main(argv + ["--out", str(tmp_path / "csv")]) == EXIT_OK
+    assert main(argv + ["--format", "json", "--out", str(tmp_path / "json")]) == EXIT_OK
+    comments, _, rows = read_csv_rows(tmp_path / "csv" / "fold_scaling_a.csv")
+    payload = json.loads((tmp_path / "json" / "fold_scaling_a.json").read_text())
+    assert payload["chart"] == "A"
+    assert payload["entries"] == [[float(e), float(o)] for e, o in rows]
+    assert f"# slope = {fmt17(payload['slope'])}" in comments
+
+
 # --- parameter files ----------------------------------------------------------------
 
 def test_params_file_override_changes_results(tmp_path):
@@ -387,6 +398,20 @@ def test_a_start_off_the_log_chart_is_a_usage_error(tmp_path, x0):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["cycle", "--eps", "abc"], "eps must be a number, got 'abc'"),
+    (["cycle", "--eps", "0"], "eps must be positive, got '0'"),
+    (["timescales", "--eps-list", ","], "eps list must not be empty"),
+], ids=["eps-abc", "eps-0", "eps-list-empty"])
+def test_a_bad_eps_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_workers_flag_is_a_usage_error(tmp_path):
     # every subcommand runs in one thread; there is no worker count to set
     with pytest.raises(SystemExit) as exc:
@@ -400,6 +425,33 @@ def test_bad_parameter_file_is_a_usage_error(tmp_path, capsys):
     code = main(["fixed-point", "--params", str(params), "--out", str(tmp_path)])
     assert code == EXIT_USAGE
     assert "parameter file error" in capsys.readouterr().err
+
+
+def _params_text(values):
+    return "\n".join(f"{k} = {v!r}" for k, v in values.items()) + "\n"
+
+
+_REFERENCE = {k: getattr(UREASE_VESICLE, k) for k in PARAM_KEYS}
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("bad.json", "{not json", "invalid JSON"),
+    ("list.json", json.dumps(list(_REFERENCE.values())), "expected a JSON object"),
+    ("true.json", json.dumps({**_REFERENCE, "k_S": True}), "value for 'k_S' is not a number"),
+    ("negative.json", json.dumps({**_REFERENCE, "k_S": -1.0}), "k_S must be positive, got -1.0"),
+    ("nan.json", json.dumps({**_REFERENCE, "k_S": math.nan}), "k_S must be positive, got nan"),
+    ("negative.txt", _params_text({**_REFERENCE, "k_S": -1.0}), "k_S must be positive, got -1.0"),
+    ("nan.txt", _params_text({**_REFERENCE, "k_S": math.nan}), "k_S must be positive, got nan"),
+], ids=["invalid-json", "json-list", "json-true", "json-negative", "json-nan", "text-negative",
+        "text-nan"])
+def test_a_rejected_parameter_file_is_a_usage_error_and_writes_nothing(tmp_path, capsys, name,
+                                                                       text, message):
+    params, out = tmp_path / name, tmp_path / "out"
+    params.write_text(text)
+    assert main(["fixed-point", "--params", str(params), "--out", str(out)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"phoscil: parameter file error: {params}: ") and message in err
+    assert not out.exists()
 
 
 def test_missing_parameter_file_is_an_io_error(tmp_path, capsys):

@@ -29,6 +29,7 @@ from phoscil.cycle import (
 from phoscil.errors import DomainError, MalformedCycleError
 from phoscil.gspt import fixed_point
 from phoscil.integrator import (
+    EventHit,
     EventSpec,
     IntegratorConfig,
     SolverStats,
@@ -438,6 +439,23 @@ def test_segment_times_need_exactly_one_hit_per_section():
     traj = integrate(rotation, (1.0, 0.0), (0.0, 1.0))
     with pytest.raises(MalformedCycleError):
         segment_times(traj)
+
+
+def _turning_trajectory(t):
+    """Samples at times ``t`` from t[0] on an s-minimum; s-maximum hit at 1.5, s-minimum at 4."""
+    hits = [EventHit(t=1.5, state=np.array([2.0, 0.1]), index=0),
+            EventHit(t=4.0, state=np.array([1.0, 0.9]), index=1)]
+    return Trajectory(np.array(t), np.zeros((len(t), 2)), [], hits, ("s", "h"))
+
+
+def test_segment_times_of_a_period_that_starts_on_the_s_minimum():
+    # (tau_B_to_A, tau_A_to_B) = (t_max - t0, t_min - t_max)
+    assert segment_times(_turning_trajectory([0.5, 1.5, 4.0])) == (1.0, 2.5)
+
+
+def test_segment_times_need_the_last_hit_at_the_trajectory_end():
+    with pytest.raises(MalformedCycleError, match="does not end on its terminal turning point"):
+        segment_times(_turning_trajectory([0.5, 1.5, 4.0, 5.0]))
 
 
 # --- Floquet exponent ---------------------------------------------------------------

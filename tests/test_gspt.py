@@ -497,6 +497,24 @@ def test_region_check_passes_for_reference_parameters(dp):
     assert math.isclose(dp.K_s / rate_r(rep.h_nul, dp), rep.s_nul, rel_tol=1e-9)
 
 
+def test_region_check_reports_every_outward_sample_as_a_scalar_loop_would(monkeypatch, dp):
+    # the reversed field points outward on every side; each side's one array call of rhs
+    # must report exactly the samples and values of a loop of scalar calls
+    def reversed_rhs(state, dp):
+        return tuple(-np.asarray(v) for v in rhs(state, dp))
+
+    monkeypatch.setattr(gspt, "rhs", reversed_rhs)
+    rep = invariant_region_check(dp)
+    h_nul, h_top, s_nul = rep.h_nul, rep.h_top, rep.s_nul
+    expected = [("s=0", 0.0, h, -rhs((0.0, h), dp)[0])
+                for h in np.linspace(h_nul, h_top, 200).tolist()]
+    expected += [("s=s_nul", s_nul, h, -rhs((s_nul, h), dp)[0])
+                 for h in np.linspace(h_nul, h_top, 201)[1:].tolist()]
+    expected += [("h=h_top", s, h_top, -rhs((s, h_top), dp)[1])
+                 for s in np.linspace(0.0, s_nul, 200).tolist()]
+    assert not rep.ok and rep.violations == tuple(expected)
+
+
 def test_region_check_preconditions(dp):
     # K_s and K_h 100 times larger put the fixed point at s_* = 7.6 and the
     # s-nullcline at h_top at s = 73, right of the region's side s = 10

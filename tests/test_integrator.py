@@ -5,6 +5,7 @@ import ctypes.util
 import dataclasses
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,7 @@ from scipy.sparse import csc_matrix
 from phoscil import integrator
 from phoscil._fmt import fmt17, write_csv
 from phoscil.cycle import _event_pair
-from phoscil.errors import BudgetError, DomainError
+from phoscil.errors import BudgetError, DomainError, StiffnessError
 from phoscil.gspt import _eta_start_B, fold_location_B, manifold_B
 from phoscil.integrator import (
     EventSpec,
@@ -335,6 +336,36 @@ def test_a_jacobian_that_is_not_a_dense_n_by_n_array_is_a_domain_error(J):
 def test_a_field_without_a_jacobian_is_a_domain_error():
     with pytest.raises(DomainError, match="analytic Jacobian"):
         integrate(lambda t, y: (-y[0], -y[1]), (1.0, 0.0), (0.0, 1.0))
+
+
+@_with_jac(decay.jac)
+def nan_past_one(t, y):
+    """decay until t = 1 and NaN after it; its Jacobian stays finite."""
+    return (math.nan, math.nan) if t > 1.0 else decay(t, y)
+
+
+@_with_jac(lambda t, y: np.array([[2.0 * y[0], 0.0], [0.0, 0.0]]))
+def square_blowup(t, y):
+    """y0' = y0^2 from y0(0) = 1: y0 = 1/(1 - t) blows up at t = 1."""
+    return y[0] * y[0], 0.0
+
+
+@pytest.mark.parametrize("field", [nan_past_one, square_blowup], ids=["nan", "blowup"])
+def test_a_step_size_that_underflows_near_t_1_is_a_stiffness_error(field):
+    # every step past t = 1 (or into the pole) is rejected until the step is below
+    # ten ulps of t
+    with pytest.raises(StiffnessError, match="^step size underflow at t = ") as info:
+        integrate(field, (1.0, 1.0), (0.0, 2.0))
+    t_fail = float(re.match(r"step size underflow at t = (\S+):", str(info.value)).group(1))
+    assert abs(t_fail - 1.0) < 1e-12
+
+
+def test_an_event_that_is_exactly_zero_at_a_step_end_needs_no_polish():
+    # the last step ends at t = 1.0, where t - 1 is exactly 0: a rising hit there
+    traj = integrate(decay, (1.0, 1.0), (0.0, 1.0),
+                     events=[EventSpec(func=lambda t, y: t - 1.0, direction="rising")])
+    assert [hit.t for hit in traj.events] == [1.0]
+    assert traj.stats.event_polishes == 1 and traj.stats.polish_evals == 0
 
 
 # --- stiff model runs ----------------------------------------------------------------

@@ -162,6 +162,16 @@ def test_field_object_agrees_with_rhs(dp):
     assert field.names == ("s", "h")
 
 
+def test_field_object_stops_at_the_rational_pole(dp):
+    # h = -2 beta eps1 makes beta eps1 + h + beta h^2/eps1 = beta eps1 (4 beta^2 - 1) < 0
+    # (beta = 0.02): stage probes may cross h = 0, but not the pole of r(h)
+    field, y = make_field(dp), np.array([0.5, -2.0 * dp.beta * dp.eps1])
+    with pytest.raises(DomainError, match="^field evaluated beyond its rational pole"):
+        field(0.0, y)
+    with pytest.raises(DomainError, match="^Jacobian evaluated beyond its rational pole"):
+        field.jac(0.0, y)
+
+
 def test_supply_dominates_at_zero_substrate(dp):
     f, _ = rhs((0.0, 0.4), dp)
     assert f == dp.K_s
