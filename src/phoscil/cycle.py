@@ -83,8 +83,9 @@ class CycleReport:
 
     ``terminus`` is "limit_cycle" for a converged oscillation,
     "equilibrium" when the orbit lands on the fixed point instead, and
-    "no_convergence" when the transient budget runs out.  ``period`` is
-    tau_B_to_A + tau_A_to_B exactly (same floats, same event hits).
+    "no_convergence" when the transient budget runs out.  ``trajectory`` is
+    the recorded period, timed by ``segment_times``: ``period`` is
+    tau_B_to_A + tau_A_to_B, and all three are NaN without a trajectory.
     ``transient_stats`` counts the work of every half-leg outside ``trajectory``.
     ``return_distances`` holds, for each transient period, the largest
     coordinate gap between its back-section return and the one before:
@@ -227,10 +228,11 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
     ``return_distances`` holds max|this_return - prev_return| of each
     transient period, so its length is the number of transient periods.
     ``transient_stats`` sums the work of every half-leg outside
-    ``recorded``.  For "limit_cycle", recorded = (tau_out, tau_back,
-    period): the half-leg times and the merged period, whose ``events``
-    are the out hit (index 1) and the back hit (index 0).  It is None for
-    "equilibrium" (the orbit stops returning at rest, or the recorded
+    ``recorded``.  For "limit_cycle", ``recorded`` is the period
+    trajectory: the out and back half-legs merged, whose ``events`` are
+    the out hit (index 1) and the back hit (index 0), so
+    ``segment_times(recorded)`` gives (tau_back, tau_out).  It is None
+    for "equilibrium" (the orbit stops returning at rest, or the recorded
     y0-amplitude falls below EQUILIBRIUM_AMPLITUDE) and for
     "no_convergence" (any other lost return, or TRANSIENT_BUDGET periods
     without agreement).
@@ -278,8 +280,7 @@ def _section_returns(field, start, events: tuple[EventSpec, EventSpec],
 
     if abs(float(back.state[0]) - float(out.state[0])) < EQUILIBRIUM_AMPLITUDE:
         return no_cycle(back.state)
-    return ("limit_cycle", tuple(distances),
-            (out.t - t_now, back.t - out.t, _merge_halves(out_leg, back_leg)), transient)
+    return "limit_cycle", tuple(distances), _merge_halves(out_leg, back_leg), transient
 
 
 def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
@@ -289,12 +290,11 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     The section-return loop starts at (s_*, 2 h_*) of the split system,
     returns on the s-maximum section and goes out to the s-minimum, so
     the transient ends when two returns agree in chart-A coordinates
-    (sigma, h) = (eps*s, h), and the out and back half-legs of the
-    recorded period are tau_A_to_B and tau_B_to_A.  Equilibrium and
-    non-converged outcomes yield reports, never raise.  Parameters
-    without a positive equilibrium raise NoPositiveEquilibriumError.  The
-    analytic companions are NaN where their formulas do not hold
-    (h_* >= 1/2).
+    (sigma, h) = (eps*s, h), and ``segment_times`` times the recorded
+    period.  Equilibrium and non-converged outcomes yield reports, never
+    raise.  Parameters without a positive equilibrium raise
+    NoPositiveEquilibriumError.  The analytic companions are NaN where
+    their formulas do not hold (h_* >= 1/2).
     """
     dp_eps = split_dimless(dp, es)
     start = _start_point(dp_eps)
@@ -306,18 +306,15 @@ def find_limit_cycle(dp: DimlessParams, es: EpsSplit,
     s_max_ev, s_min_ev = _event_pair(dp_eps)
     terminus, distances, recorded, transient = _section_returns(
         make_field(dp_eps), start, (s_min_ev, s_max_ev), leg_budget, es.eps, cfg)
-    outcome = dict(eps=es.eps, analytic=analytic, n_transient_periods=len(distances),
-                   terminus=terminus, transient_stats=transient, return_distances=distances)
-    if recorded is None:
-        return CycleReport(period=math.nan, tau_B_to_A=math.nan, tau_A_to_B=math.nan,
-                           turning_points=None, converged=False, trajectory=None, **outcome)
-    tau_A_to_B, tau_B_to_A, period = recorded
-    s_min, s_max = period.events
-    return CycleReport(period=tau_B_to_A + tau_A_to_B,
-                       tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
-                       turning_points=(tuple(float(v) for v in s_max.state),
-                                       tuple(float(v) for v in s_min.state)),
-                       converged=True, trajectory=period, **outcome)
+    tau_B_to_A, tau_A_to_B = (math.nan, math.nan) if recorded is None else segment_times(recorded)
+    return CycleReport(
+        eps=es.eps, period=tau_B_to_A + tau_A_to_B, tau_B_to_A=tau_B_to_A, tau_A_to_B=tau_A_to_B,
+        # recorded.events is (s-min, s-max); the report lists s-max first
+        turning_points=None if recorded is None else tuple(
+            tuple(float(v) for v in hit.state) for hit in reversed(recorded.events)),
+        analytic=analytic, converged=recorded is not None, n_transient_periods=len(distances),
+        terminus=terminus, trajectory=recorded, transient_stats=transient,
+        return_distances=distances)
 
 
 def segment_times(traj: Trajectory) -> tuple[float, float]:
@@ -437,14 +434,9 @@ class CompareTable:
                           "rows": [r.to_json_dict() for r in self.rows]})
 
     def format_text(self) -> str:
-        headers = _COMPARE_COLUMNS
-        lines = ["  ".join(f"{h:>12s}" for h in headers)]
+        lines = ["  ".join(f"{c:>12s}" for c in _COMPARE_COLUMNS)]
         for row in self.rows:
-            cells = []
-            for c in headers:
-                v = getattr(row, c)
-                cells.append(f"{v:>12.6g}")
-            line = "  ".join(cells)
+            line = "  ".join(f"{getattr(row, c):>12.6g}" for c in _COMPARE_COLUMNS)
             if row.error is not None:
                 line += f"  ! {row.error}"
             lines.append(line)
@@ -462,19 +454,16 @@ def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None) -> 
         raise DomainError("es_list must not be empty")
 
     def run_row(es: EpsSplit) -> CompareRow:
-        ts = _analytic_or_nan(dp, es)
-        fields = dict(eps=es.eps, T_acid=ts.T_acid, T_basic=ts.T_basic,
-                      T_analytic=ts.T_total, ratio_analytic=ts.ratio,
-                      tau_B_to_A=math.nan, tau_A_to_B=math.nan, period=math.nan,
-                      ratio_measured=math.nan)
         try:
             rep = find_limit_cycle(dp, es, cfg=cfg)
         except PhoscilError as exc:
-            return CompareRow(**fields, error=f"{type(exc).__name__}: {exc}")
-        if rep.terminus != "limit_cycle":
-            return CompareRow(**fields, error=f"no limit cycle: {rep.terminus}")
-        fields.update(tau_B_to_A=rep.tau_B_to_A, tau_A_to_B=rep.tau_A_to_B,
-                      period=rep.period, ratio_measured=rep.tau_A_to_B / rep.tau_B_to_A)
-        return CompareRow(**fields)
+            ts, tau_b, tau_a = _analytic_or_nan(dp, es), math.nan, math.nan
+            error = f"{type(exc).__name__}: {exc}"
+        else:
+            ts, tau_b, tau_a = rep.analytic, rep.tau_B_to_A, rep.tau_A_to_B
+            error = None if rep.converged else f"no limit cycle: {rep.terminus}"
+        return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=tau_b, T_basic=ts.T_basic,
+                          tau_A_to_B=tau_a, T_analytic=ts.T_total, period=tau_b + tau_a,
+                          ratio_analytic=ts.ratio, ratio_measured=tau_a / tau_b, error=error)
 
     return CompareTable(rows=tuple(run_row(es) for es in es_list))

@@ -34,6 +34,19 @@ __all__ = [
 ]
 
 
+def _store_float(obj, label: str, name: str, floor: str = "positive") -> None:
+    """Store field ``name`` of a frozen dataclass as a plain float, or raise DomainError.
+
+    The value must be finite and ``floor``: "positive" (> 0) or
+    "non-negative" (>= 0).  Plain floats keep their bits and keep numpy
+    scalars out of later messages.
+    """
+    value = getattr(obj, name)
+    if not ((value > 0.0 or floor == "non-negative" and value == 0.0) and math.isfinite(value)):
+        raise DomainError(f"{label}{name} must be {floor} and finite, got {value!r}")
+    object.__setattr__(obj, name, float(value))
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Rate constants and concentrations of the vesicle system (M, 1/s)."""
@@ -52,9 +65,8 @@ class PhysicalParams:
     k_plus: float  # ammonium loss rate (1/s)
 
     def __post_init__(self) -> None:
-        for name, value in dataclasses.asdict(self).items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"physical parameter {name} must be positive, got {value!r}")
+        for f in dataclasses.fields(self):
+            _store_float(self, "physical parameter ", f.name)
 
     @property
     def k_prime(self) -> float:
@@ -80,12 +92,8 @@ class DimlessParams:
     eps2: float
 
     def __post_init__(self) -> None:
-        # stored as plain floats (same bits), so numpy scalars cannot leak into messages
-        for name, value in dataclasses.asdict(self).items():
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(
-                    f"dimensionless parameter {name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        for f in dataclasses.fields(self):
+            _store_float(self, "dimensionless parameter ", f.name)
 
     @property
     def admissible(self) -> bool:
@@ -107,12 +115,9 @@ class EpsSplit:
     A: float
 
     def __post_init__(self) -> None:
-        if not (self.eps >= 0.0 and math.isfinite(self.eps)):
-            raise DomainError(f"eps must be non-negative, got {self.eps!r}")
-        for name in ("C", "A"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise DomainError(f"split constant {name} must be positive, got {value!r}")
+        _store_float(self, "", "eps", floor="non-negative")
+        _store_float(self, "split constant ", "C")
+        _store_float(self, "split constant ", "A")
 
     @property
     def eps1(self) -> float:
@@ -225,7 +230,10 @@ def _load_json(path: Path) -> PhysicalParams:
     for name, value in obj.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterFileError(f"{path}: value for {name!r} is not a number")
-        values[name] = float(value)
+        try:
+            values[name] = float(value)
+        except OverflowError as exc:
+            raise ParameterFileError(f"{path}: value for {name!r} overflows a float") from exc
     return _build_physical(values, str(path))
 
 

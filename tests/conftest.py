@@ -87,7 +87,7 @@ def reference_period(phys):
     most 2e4 s, and the return test on unscaled (s, h); it needs 1
     transient period.  Times are single runs on a 2-core VM.
     """
-    from phoscil.cycle import _section_returns
+    from phoscil.cycle import _section_returns, segment_times
     from phoscil.integrator import EventSpec
     from phoscil.model import make_field_reference, rhs_reference
 
@@ -99,7 +99,7 @@ def reference_period(phys):
         (EventSpec(func=s_rate, direction="rising"), EventSpec(func=s_rate, direction="falling")),
         2.0e4, 1.0)
     assert terminus == "limit_cycle", f"reference run ended in {terminus}"
-    tau_out, tau_back, _ = recorded
+    tau_back, tau_out = segment_times(recorded)
     return tau_back + tau_out
 
 

@@ -438,12 +438,20 @@ _REFERENCE = {k: getattr(UREASE_VESICLE, k) for k in PARAM_KEYS}
     ("bad.json", "{not json", "invalid JSON"),
     ("list.json", json.dumps(list(_REFERENCE.values())), "expected a JSON object"),
     ("true.json", json.dumps({**_REFERENCE, "k_S": True}), "value for 'k_S' is not a number"),
-    ("negative.json", json.dumps({**_REFERENCE, "k_S": -1.0}), "k_S must be positive, got -1.0"),
-    ("nan.json", json.dumps({**_REFERENCE, "k_S": math.nan}), "k_S must be positive, got nan"),
-    ("negative.txt", _params_text({**_REFERENCE, "k_S": -1.0}), "k_S must be positive, got -1.0"),
-    ("nan.txt", _params_text({**_REFERENCE, "k_S": math.nan}), "k_S must be positive, got nan"),
-], ids=["invalid-json", "json-list", "json-true", "json-negative", "json-nan", "text-negative",
-        "text-nan"])
+    ("negative.json", json.dumps({**_REFERENCE, "k_S": -1.0}),
+     "k_S must be positive and finite, got -1.0"),
+    ("nan.json", json.dumps({**_REFERENCE, "k_S": math.nan}),
+     "k_S must be positive and finite, got nan"),
+    ("huge-int.json", json.dumps({**_REFERENCE, "k_S": 10 ** 400}),
+     "value for 'k_S' overflows a float"),
+    ("negative.txt", _params_text({**_REFERENCE, "k_S": -1.0}),
+     "k_S must be positive and finite, got -1.0"),
+    ("nan.txt", _params_text({**_REFERENCE, "k_S": math.nan}),
+     "k_S must be positive and finite, got nan"),
+    ("inf.txt", _params_text({**_REFERENCE, "k_S": math.inf}),
+     "k_S must be positive and finite, got inf"),
+], ids=["invalid-json", "json-list", "json-true", "json-negative", "json-nan", "json-huge-int",
+        "text-negative", "text-nan", "text-inf"])
 def test_a_rejected_parameter_file_is_a_usage_error_and_writes_nothing(tmp_path, capsys, name,
                                                                        text, message):
     params, out = tmp_path / name, tmp_path / "out"

@@ -289,10 +289,10 @@ def test_section_loop_times_the_period_of_a_rotation():
     assert len(distances) == 1 and distances[0] < TRANSIENT_TOL
     # the approach leg and one transient period, but not the recorded one
     assert transient.event_polishes == 3
-    tau_out, tau_back, period = recorded
+    tau_back, tau_out = segment_times(recorded)
     assert abs(tau_out + tau_back - 2.0 * math.pi) < 1e-9
     assert abs(tau_out - math.pi) < 1e-9 and abs(tau_back - math.pi) < 1e-9
-    out, back = period.events
+    out, back = recorded.events
     np.testing.assert_allclose(out.state, [-1.0, 0.0], atol=1e-9)
     np.testing.assert_allclose(back.state, [1.0, 0.0], atol=1e-9)
 
@@ -520,7 +520,9 @@ def test_compare_single_row_matches_the_cycle_report(dp, es, cycle_1e3):
     assert len(table.rows) == 1
     row = table.rows[0]
     assert row.error is None
-    assert math.isclose(row.period, cycle_1e3.period, rel_tol=1e-12)
+    # bit for bit: the row takes its segment times from the report
+    assert (row.period, row.tau_B_to_A, row.tau_A_to_B) == (
+        cycle_1e3.period, cycle_1e3.tau_B_to_A, cycle_1e3.tau_A_to_B)
     assert math.isclose(row.ratio_measured, 2.9174316720628597, rel_tol=1e-9)
     assert math.isclose(row.ratio_analytic, RATIO_ANALYTIC, rel_tol=1e-13)
     assert row.tau_A_to_B > row.tau_B_to_A
@@ -532,6 +534,18 @@ def test_compare_isolates_failed_rows(dp, es):
     assert row.error == "no limit cycle: equilibrium"
     assert math.isnan(row.period) and math.isnan(row.ratio_measured)
     assert math.isclose(row.T_acid, 11.575499301287192, rel_tol=1e-6)
+
+
+def test_compare_reports_a_raised_cycle_detection_as_an_all_nan_row(phys, es):
+    # k_H = 1e-3 gives alpha*K_h <= K_s: no positive equilibrium and no analytic formulas
+    calm = derive_dimensionless(dataclasses.replace(phys, k_H=1e-3))
+    row = compare(calm, [es.at_eps(1e-3)]).rows[0]
+    assert row.error == ("NoPositiveEquilibriumError: cycle detection needs a positive"
+                         " equilibrium (alpha*K_h > K_s)")
+    assert row.eps == 1e-3
+    numeric = [getattr(row, f.name) for f in dataclasses.fields(CompareRow)
+               if f.name not in ("eps", "error")]
+    assert len(numeric) == 8 and all(math.isnan(v) for v in numeric)
 
 
 def test_compare_is_deterministic(dp, es, tmp_path):
