@@ -22,8 +22,10 @@ The full reference kinetics in physical time is kept alongside for
 cross-validation of the reduction.
 
 The coordinate maps (to_/from_chart_A, to_/from_chart_B, to_/from_log)
-return plain (float, float) pairs.  Each s, h, sigma and eta they return
-is checked finite and non-negative; to_log needs s > 0 and h > 0.
+return plain (float, float) pairs.  Each coordinate a chart map takes or
+returns must be finite and >= 0, where one divided by eps = 0 (the layer
+limit) is infinite; the log maps need s*S_ext, h*H_ext and s, h finite
+and > 0.  A DomainError names the coordinate that fails.
 
 All evaluators are pure and accept scalars or numpy arrays.  Each public
 one checks its arguments once, at entry: every entry must be finite and
@@ -87,10 +89,10 @@ def _out(*values):
     return out if len(out) > 1 else out[0]
 
 
-def _check_coord(name: str, value: float) -> float:
+def _check_coord(name: str, value: float, floor: str = "non-negative") -> float:
     value = float(value)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise DomainError(f"{name} must be finite and non-negative, got {value!r}")
+    if not (math.isfinite(value) and (value > 0.0 if floor == "positive" else value >= 0.0)):
+        raise DomainError(f"{name} must be finite and {floor}, got {value!r}")
     return value
 
 
@@ -347,37 +349,39 @@ def rhs_reference(state, phys: PhysicalParams):
 def to_chart_A(state, es: EpsSplit) -> tuple[float, float]:
     """(sigma, h) with sigma = eps*s."""
     s, h = state
-    return _check_coord("sigma", es.eps * s), _check_coord("h", h)
+    return _check_coord("sigma", es.eps * _check_coord("s", s)), _check_coord("h", h)
 
 
 def from_chart_A(x, es: EpsSplit) -> tuple[float, float]:
     sigma, h = x
-    return _check_coord("s", sigma / es.eps), _check_coord("h", h)
+    return _check_coord("s", sigma / es.eps if es.eps else math.inf), _check_coord("h", h)
 
 
 def to_chart_B(state, es: EpsSplit) -> tuple[float, float]:
     """(s, eta) with eta = h/eps."""
     s, h = state
-    return _check_coord("s", s), _check_coord("eta", h / es.eps)
+    return _check_coord("s", s), _check_coord("eta", h / es.eps if es.eps else math.inf)
 
 
 def from_chart_B(x, es: EpsSplit) -> tuple[float, float]:
     s, eta = x
-    return _check_coord("s", s), _check_coord("h", es.eps * eta)
+    return _check_coord("s", s), _check_coord("h", es.eps * _check_coord("eta", eta))
 
 
 def to_log(state, phys: PhysicalParams) -> tuple[float, float]:
     """(pS, pH): negative base-10 logarithms of the molar s*S_ext and h*H_ext."""
     s, h = state
-    if not (s > 0.0 and h > 0.0):
-        raise DomainError("log coordinates require s > 0 and h > 0")
-    return -math.log10(s * phys.S_ext), -math.log10(h * phys.H_ext)
+    return (-math.log10(_check_coord("s*S_ext", s * phys.S_ext, "positive")),
+            -math.log10(_check_coord("h*H_ext", h * phys.H_ext, "positive")))
 
 
 def from_log(x, phys: PhysicalParams) -> tuple[float, float]:
     pS, pH = x
-    return (_check_coord("s", 10.0 ** (-pS) / phys.S_ext),
-            _check_coord("h", 10.0 ** (-pH) / phys.H_ext))
+    try:
+        return (_check_coord("s", 10.0 ** (-pS) / phys.S_ext, "positive"),
+                _check_coord("h", 10.0 ** (-pH) / phys.H_ext, "positive"))
+    except OverflowError:  # 10**(-pS) or 10**(-pH) beyond float range
+        raise DomainError(f"s or h overflows a float at (pS, pH) = {(pS, pH)!r}") from None
 
 
 # --- integrator-facing field objects -----------------------------------------

@@ -42,6 +42,10 @@ def _store_float(obj, label: str, name: str, floor: str = "positive") -> None:
     scalars out of later messages.
     """
     value = getattr(obj, name)
+    try:
+        math.isfinite(value)
+    except OverflowError:  # an integer beyond float range reads as the infinity it rounds to
+        value = math.inf if value > 0 else -math.inf
     if not ((value > 0.0 or floor == "non-negative" and value == 0.0) and math.isfinite(value)):
         raise DomainError(f"{label}{name} must be {floor} and finite, got {value!r}")
     object.__setattr__(obj, name, float(value))
@@ -230,10 +234,7 @@ def _load_json(path: Path) -> PhysicalParams:
     for name, value in obj.items():
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ParameterFileError(f"{path}: value for {name!r} is not a number")
-        try:
-            values[name] = float(value)
-        except OverflowError as exc:
-            raise ParameterFileError(f"{path}: value for {name!r} overflows a float") from exc
+        values[name] = value
     return _build_physical(values, str(path))
 
 

@@ -443,7 +443,7 @@ _REFERENCE = {k: getattr(UREASE_VESICLE, k) for k in PARAM_KEYS}
     ("nan.json", json.dumps({**_REFERENCE, "k_S": math.nan}),
      "k_S must be positive and finite, got nan"),
     ("huge-int.json", json.dumps({**_REFERENCE, "k_S": 10 ** 400}),
-     "value for 'k_S' overflows a float"),
+     "k_S must be positive and finite, got inf"),
     ("negative.txt", _params_text({**_REFERENCE, "k_S": -1.0}),
      "k_S must be positive and finite, got -1.0"),
     ("nan.txt", _params_text({**_REFERENCE, "k_S": math.nan}),

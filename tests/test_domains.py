@@ -4,9 +4,13 @@ Each evaluator checks its arguments once, at entry: an entry that is NaN,
 infinite or outside the bound the evaluator states raises DomainError,
 naming the function (or, for the chart fields and layer problems, the
 chart), and numpy warns about nothing on the way (the suite turns warnings
-into errors).
+into errors).  The coordinate maps name the coordinate instead: each one
+a chart map takes or returns must be finite and >= 0, one divided by
+eps = 0 counting as infinite, and each one a log map makes finite and > 0.
 """
+import dataclasses
 import math
+import re
 import types
 
 import numpy as np
@@ -56,10 +60,16 @@ DOMAINS = {
                     "slow_flow_B"),
 }
 
-#: public functions of coordinates outside the table: the coordinate maps check each
-#: coordinate they return by name (test_model.py matches those messages)
-COORDINATE_MAPS = ("to_chart_A", "from_chart_A", "to_chart_B", "from_chart_B", "to_log",
-                   "from_log")
+#: public functions of coordinates outside the table, the coordinate maps: name -> (call
+#: on (x, m), the coordinate each entry of x is named by when it is NaN or infinite)
+COORDINATE_MAPS = {
+    "to_chart_A": (lambda x, m: model.to_chart_A(x, m.es), ("s", "h")),
+    "from_chart_A": (lambda x, m: model.from_chart_A(x, m.es), ("s", "h")),
+    "to_chart_B": (lambda x, m: model.to_chart_B(x, m.es), ("s", "eta")),
+    "from_chart_B": (lambda x, m: model.from_chart_B(x, m.es), ("s", "eta")),
+    "to_log": (lambda x, m: model.to_log(x, m.phys), ("s*S_ext", "h*H_ext")),
+    "from_log": (lambda x, m: model.from_log(x, m.phys), ("s", "h")),
+}
 
 
 def _cases():
@@ -89,3 +99,54 @@ def test_each_evaluator_rejects_a_bad_argument_by_name(name, i, bad, m):
     values[i] = bad
     with pytest.raises(DomainError, match=f"^{where} requires .*{args[i]}"):
         call(tuple(values), m)
+
+
+def _map_cases():
+    for name, (_, coords) in COORDINATE_MAPS.items():
+        for i, coord in enumerate(coords):
+            for label, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+                x = [0.5, 0.5]
+                x[i] = bad
+                yield pytest.param(name, tuple(x), coord, id=f"{name}-{i}-{label}")
+
+
+@pytest.mark.parametrize("name", sorted(COORDINATE_MAPS))
+def test_each_coordinate_map_answers_inside_its_domain(name, m):
+    assert all(math.isfinite(v) and v > 0.0 for v in COORDINATE_MAPS[name][0]((0.5, 0.5), m))
+
+
+@pytest.mark.parametrize("name, x, coord", _map_cases())
+def test_each_coordinate_map_names_a_non_finite_coordinate(name, x, coord, m):
+    with pytest.raises(DomainError, match=f"^{re.escape(coord)} must be finite and "):
+        COORDINATE_MAPS[name][0](x, m)
+
+
+@pytest.mark.parametrize("name, x, eps, S_ext, message", [
+    ("to_chart_A", (1e308, 0.5), 1e10, None, "sigma must be finite and non-negative, got inf"),
+    ("from_chart_A", (1e308, 0.5), 1e-3, None, "s must be finite and non-negative, got inf"),
+    ("to_chart_B", (0.5, 1e308), 1e-3, None, "eta must be finite and non-negative, got inf"),
+    ("from_chart_B", (0.5, 1e308), 1e10, None, "h must be finite and non-negative, got inf"),
+    ("to_log", (1e308, 0.5), 1e-3, 10.0, "s*S_ext must be finite and positive, got inf"),
+    ("to_log", (5e-324, 0.5), 1e-3, None, "s*S_ext must be finite and positive, got 0.0"),
+    ("from_log", (-400.0, 3.0), 1e-3, None,
+     "s or h overflows a float at (pS, pH) = (-400.0, 3.0)"),
+    ("from_log", (3.0, 400.0), 1e-3, None, "h must be finite and positive, got 0.0"),
+    # at eps = 0, the layer limit, a coordinate divided by eps is infinite
+    ("from_chart_A", (0.0, 0.5), 0.0, None, "s must be finite and non-negative, got inf"),
+    ("to_chart_B", (0.5, 0.5), 0.0, None, "eta must be finite and non-negative, got inf"),
+    ("to_chart_A", (-1.0, 0.5), 0.0, None, "s must be finite and non-negative, got -1.0"),
+    ("from_chart_B", (0.5, -1.0), 0.0, None, "eta must be finite and non-negative, got -1.0"),
+], ids=["to_chart_A", "from_chart_A", "to_chart_B", "from_chart_B", "to_log-over",
+        "to_log-under", "from_log-over", "from_log-under", "from_chart_A-eps0",
+        "to_chart_B-eps0", "to_chart_A-eps0", "from_chart_B-eps0"])
+def test_a_coordinate_beyond_float_range_or_divided_by_eps_0_is_named(name, x, eps, S_ext,
+                                                                       message, m):
+    m = types.SimpleNamespace(dp=m.dp, es=m.es.at_eps(eps),
+                              phys=dataclasses.replace(m.phys, S_ext=S_ext or m.phys.S_ext))
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        COORDINATE_MAPS[name][0](x, m)
+
+
+def test_at_eps_0_the_maps_that_scale_by_eps_give_the_layer_limit(es):
+    assert model.to_chart_A((0.5, 0.25), es.at_eps(0.0)) == (0.0, 0.25)
+    assert model.from_chart_B((0.5, 0.25), es.at_eps(0.0)) == (0.5, 0.0)

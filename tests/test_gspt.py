@@ -15,6 +15,7 @@ from phoscil.errors import (
     FoldSingularityError,
     NoPositiveEquilibriumError,
     PreconditionError,
+    SectionNoHitError,
 )
 from phoscil.gspt import (
     DEFAULT_EPS_A,
@@ -89,6 +90,15 @@ def test_fixed_point_classification_switches_with_transport(dp):
     # weak acid transport stabilizes the equilibrium
     calm = dataclasses.replace(dp, K_h=1.322 * dp.K_s, alpha=1.0)
     assert fixed_point(calm).classification.startswith("attracting")
+
+
+@pytest.mark.parametrize("trace, det, kind", [
+    (0.5, -1.0, "saddle"), (0.0, -1.0, "saddle"), (0.5, 0.0, "marginal"), (0.0, 1.0, "marginal"),
+    (1.0, 0.25, "repelling node"), (1.0, 1.0, "repelling focus"),
+    (-1.0, 0.25, "attracting node"), (-1.0, 1.0, "attracting focus"),
+])
+def test_each_jacobian_class_is_named(trace, det, kind):
+    assert gspt._classify(trace, det) == kind
 
 
 # --- nullclines -------------------------------------------------------------------
@@ -607,6 +617,14 @@ def test_scaling_preconditions(dp, es):
     for eps_list in ([0.0, 1e-6, 1e-4], [-1e-6, 1e-4], [math.nan, 1e-4], [1e-6, math.inf]):
         with pytest.raises(DomainError, match="positive and finite"):
             fold_passage_offset("A", eps_list, es, dp)
+
+
+def test_a_passage_that_misses_its_section_is_a_section_no_hit_error(dp, es):
+    # eps = 0.5 lies far outside chart A's scaling regime: by t_max = 0.05/eps + 50
+    # the run has not fallen to the section h = h_A/2
+    with pytest.raises(SectionNoHitError,
+                       match=r"^chart A, eps = 0\.5: no section hit within t = 50\.1$"):
+        fold_passage_offset("A", (1e-3, 0.5), es, dp)
 
 
 def test_scan_refines_the_hopf_curve_only_when_it_is_read(monkeypatch, dp, tmp_path):

@@ -22,7 +22,7 @@ from scipy.sparse import csc_matrix
 from phoscil import integrator
 from phoscil._fmt import fmt17, write_csv
 from phoscil.cycle import _event_pair
-from phoscil.errors import BudgetError, DomainError, StiffnessError
+from phoscil.errors import BudgetError, DomainError, EventBracketError, StiffnessError
 from phoscil.gspt import _eta_start_B, fold_location_B, manifold_B
 from phoscil.integrator import (
     EventSpec,
@@ -154,6 +154,21 @@ def test_terminal_event_truncates_the_run():
     assert abs(traj.t[-1] - 2.0 * math.pi) < 1e-9
     assert traj.events[-1].t == traj.t[-1]
     assert np.array_equal(traj.states[-1], traj.events[-1].state)
+
+
+@pytest.mark.parametrize("later", [0.5, 0.25], ids=["later", "same-time"])
+def test_the_first_terminal_hit_of_a_step_ends_the_run(later):
+    # both events cross inside the eleventh step: the terminal one at a quarter of it
+    # and the other at ``later``; only hits up to the terminal one are kept
+    lo, hi = integrate(rotation, (1.0, 0.0), (0.0, 7.0)).t[10:12].tolist()
+    other = EventSpec(func=lambda t, y: t - (lo + later * (hi - lo)), direction="rising")
+    first = EventSpec(func=lambda t, y: t - (lo + 0.25 * (hi - lo)), direction="rising",
+                      terminal=True)
+    traj = integrate(rotation, (1.0, 0.0), (0.0, 7.0), events=[first, other])
+    assert [hit.index for hit in traj.events] == [0]
+    assert traj.stats.event_polishes == 2 and len(traj.t) == 12
+    assert traj.t[-1] == traj.events[0].t > lo
+    assert np.array_equal(traj.states[-1], traj.events[0].state)
 
 
 def test_event_indices_follow_spec_order():
@@ -358,6 +373,25 @@ def test_a_step_size_that_underflows_near_t_1_is_a_stiffness_error(field):
         integrate(field, (1.0, 1.0), (0.0, 2.0))
     t_fail = float(re.match(r"step size underflow at t = (\S+):", str(info.value)).group(1))
     assert abs(t_fail - 1.0) < 1e-12
+
+
+def test_a_step_that_cannot_continue_raises_and_keeps_its_last_state():
+    solver = integrator._PlanarRadau(nan_past_one, 0.0, (1.0, 1.0), 2.0, 1e-10, 1e-12)
+    with pytest.raises(StiffnessError, match=r"^step size underflow at t = \S+: Required step"
+                                             r" size is less than spacing between numbers\.$"):
+        for _ in range(1000):
+            t, y = solver.t, solver.y
+            solver.step()
+    assert solver.t == t and solver.y == y and abs(t - 1.0) < 1e-12
+
+
+def test_an_event_function_that_is_nan_inside_a_step_is_a_bracket_error():
+    # finite at every step end, so the crossing is seen, and NaN wherever Brent probes
+    ends = set(integrate(decay, (1.0, 1.0), (0.0, 5.0)).t.tolist())
+    assert 2.5 not in ends
+    ev = EventSpec(func=lambda t, y: t - 2.5 if t in ends else math.nan, direction="rising")
+    with pytest.raises(EventBracketError, match=r"^bracketing failed on \[.*\]: .* is NaN"):
+        integrate(decay, (1.0, 1.0), (0.0, 5.0), events=[ev])
 
 
 def test_an_event_that_is_exactly_zero_at_a_step_end_needs_no_polish():
@@ -594,7 +628,7 @@ def chart_b_step(dp, es):
                                      50.0 / 1e-7 + 1000.0, 1e-10, 1e-12)
     for _ in range(100):
         t, y = solver.t, solver.y
-        assert solver.step() is None
+        solver.step()
     h = solver.sol.h
     scale = (solver.atol + abs(y[0]) * solver.rtol, solver.atol + abs(y[1]) * solver.rtol)
     return (solver, t, y, h, solver.sol.guess(t, h, y), scale,

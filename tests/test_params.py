@@ -139,6 +139,16 @@ def test_an_eps_that_leaves_float_range_is_named_in_the_split(dp, eps, law):
         split_dimless(dp, derive_eps_split(dp).at_eps(eps))
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda: dataclasses.replace(UREASE_VESICLE, k_S=10 ** 400),
+     "physical parameter k_S must be positive and finite, got inf"),
+    (lambda: EpsSplit(eps=10 ** 400, C=1.0, A=1.0), "eps must be non-negative and finite, got inf"),
+], ids=["physical", "eps-split"])
+def test_an_integer_beyond_float_range_is_an_infinite_parameter(make, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        make()
+
+
 def test_eps_split_rejects_bad_constants():
     with pytest.raises(DomainError):
         EpsSplit(eps=-1e-3, C=0.7, A=1.3)
