@@ -24,14 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._fmt import write_csv, write_json
-from .errors import (
-    DomainError,
-    MalformedCycleError,
-    NoPositiveEquilibriumError,
-    PhoscilError,
-)
+from .errors import DomainError, MalformedCycleError, PhoscilError
+from .gspt import fixed_point
 from .integrator import EventSpec, IntegratorConfig, SolverStats, Trajectory, integrate_until_event
-from .model import _rate, make_field, rate_r
+from .model import _rate, make_field
 from .params import DimlessParams, EpsSplit, PhysicalParams, derive_dimensionless, split_dimless
 
 __all__ = [
@@ -179,12 +175,10 @@ def oscillation_condition(phys: PhysicalParams) -> OscillationVerdict:
 
 
 def _start_point(dp_eps: DimlessParams) -> tuple[float, float]:
-    """(s_*, 2 h_*) of the split system: the equilibrium, displaced in h."""
-    h_star = dp_eps.h_star
-    if h_star <= 0.0:
-        raise NoPositiveEquilibriumError(
-            "cycle detection needs a positive equilibrium (alpha*K_h > K_s)")
-    return (dp_eps.K_s / rate_r(h_star, dp_eps), 2.0 * h_star)
+    """(s_*, 2 h_*) of the split system: ``fixed_point``'s equilibrium, displaced in h.
+    Its existence test, the package's one, raises NoPositiveEquilibriumError."""
+    fp = fixed_point(dp_eps)
+    return fp.s_star, 2.0 * fp.h_star
 
 
 def _event_pair(dp_eps: DimlessParams) -> tuple[EventSpec, EventSpec]:

@@ -48,9 +48,8 @@ from .model import (
     make_field_chart_B,
     rate_r,
     rhs,
-    rhs_jacobian,
 )
-from .params import DimlessParams, EpsSplit
+from .params import DimlessParams, EpsSplit, _as_float
 
 __all__ = [
     "FixedPoint",
@@ -107,19 +106,15 @@ def _classify(trace: float, det: float) -> str:
 def fixed_point(dp: DimlessParams) -> FixedPoint:
     """Closed-form positive equilibrium with its Jacobian classification.
 
-    h_star = 1 - K_s/(alpha*K_h) and s_star = K_s/r(h_star) exactly;
-    requires alpha*K_h > K_s.
+    The package's one existence test: alpha*K_h > K_s, else NoPositiveEquilibriumError.
+    h_star = 1 - K_s/(alpha*K_h) and s_star = K_s/r(h_star) exactly; trace and det are
+    ``_trace_det_grid``'s, the formula of every scan cell and Hopf refinement step.
     """
     if not dp.admissible:
         raise NoPositiveEquilibriumError(
             f"alpha*K_h = {dp.alpha * dp.K_h!r} does not exceed K_s = {dp.K_s!r}")
-    h_star = dp.h_star
-    s_star = dp.K_s / rate_r(h_star, dp)
-    J = rhs_jacobian((s_star, h_star), dp)
-    trace = float(J[0, 0] + J[1, 1])
-    det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
-    return FixedPoint(s_star=s_star, h_star=h_star, trace=trace, det=det,
-                      classification=_classify(trace, det))
+    trace, det = map(float, _trace_det_grid(dp, dp.K_h, dp.alpha))
+    return FixedPoint(dp.K_s / rate_r(dp.h_star, dp), dp.h_star, trace, det, _classify(trace, det))
 
 
 def nullclines(dp: DimlessParams, h_grid) -> tuple[np.ndarray, np.ndarray]:
@@ -173,8 +168,7 @@ class StabilityMap:
 
     @functools.cached_property
     def hopf(self) -> tuple[tuple[float, float], ...]:
-        tr, ok = self.trace, self.admissible
-        flips = _opposite(tr[:, :-1], tr[:, 1:]) & ok[:, :-1] & ok[:, 1:]
+        flips = _opposite(self.trace[:, :-1], self.trace[:, 1:])  # NaN has no sign
         hopf = []
         for i, j in zip(*np.nonzero(flips)):
             K_h = self.kh_over_ks[i] * self._dp.K_s
@@ -235,15 +229,14 @@ def stability_scan(dp: DimlessParams,
     trace, det = np.empty((nx, ny)), np.empty((nx, ny))
     step = max(1, _SCAN_BLOCK // ny)
     for i in range(0, nx, step):
-        trace[i:i + step], det[i:i + step] = _trace_det_grid(dp, K_h[i:i + step], alpha)
-    trace[~admissible] = np.nan
-    det[~admissible] = np.nan
-    oscillates = admissible & (trace > 0.0) & (det > 0.0)
+        block_alpha = np.where(admissible[i:i + step], alpha, np.nan)  # NaN in, NaN out
+        trace[i:i + step], det[i:i + step] = _trace_det_grid(dp, K_h[i:i + step], block_alpha)
+    oscillates = (trace > 0.0) & (det > 0.0)
 
-    # cells adjacent to a trace sign change between admissible neighbours
+    # cells adjacent to a trace sign change between admissible neighbours (NaN has no sign)
     boundary = np.zeros((nx, ny), dtype=bool)
-    sign_flip_x = _opposite(trace[:-1, :], trace[1:, :]) & admissible[:-1, :] & admissible[1:, :]
-    sign_flip_y = _opposite(trace[:, :-1], trace[:, 1:]) & admissible[:, :-1] & admissible[:, 1:]
+    sign_flip_x = _opposite(trace[:-1, :], trace[1:, :])
+    sign_flip_y = _opposite(trace[:, :-1], trace[:, 1:])
     boundary[:-1, :] |= sign_flip_x
     boundary[1:, :] |= sign_flip_x
     boundary[:, :-1] |= sign_flip_y
@@ -477,7 +470,7 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     about thirteenfold.  Chart A never reaches the floor, so its bits are
     scipy's, as every passage's are with ``integrator.NEWTON_FLOOR = 0``.
     """
-    eps_arr = sorted(float(e) for e in eps_list)
+    eps_arr = sorted(map(_as_float, eps_list))
     if not all(0.0 < e < math.inf for e in eps_arr):
         raise DomainError(f"every eps must be positive and finite, got {eps_arr!r}")
     if len(eps_arr) < 2:

@@ -37,6 +37,7 @@ import numpy as np
 
 from ._fmt import write_csv, write_json
 from .errors import BudgetError, DomainError, EventBracketError, PhoscilError, StiffnessError
+from .params import _as_float, _as_floats
 
 __all__ = [
     "IntegratorConfig",
@@ -183,7 +184,7 @@ class Trajectory:
 
     def __call__(self, t):
         """Dense-output evaluation; scalar t -> (d,), array t -> (n, d)."""
-        t = np.asarray(t, dtype=float)
+        t = _as_floats(t)
         if t.ndim > 1:
             raise DomainError(f"times must be a scalar or a 1-D array, got shape {t.shape}")
         if not np.all((self.t[0] <= t) & (t <= self.t[-1])):
@@ -767,10 +768,10 @@ def integrate(field, x0, t_span, cfg: IntegratorConfig | None = None,
     (the returned trajectory then answers only at its samples).
     """
     cfg = cfg if cfg is not None else IntegratorConfig()
-    t0, t1 = (float(t_span[0]), float(t_span[1]))
+    t0, t1 = _as_float(t_span[0]), _as_float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
         raise DomainError(f"t_span must be finite with t1 > t0, got {(t0, t1)!r}")
-    y0 = np.array(tuple(x0), dtype=float)
+    y0 = _as_floats(tuple(x0))
     if y0.shape != (2,):
         raise DomainError(f"the state must be planar, 2 values, got shape {y0.shape}")
     if not np.isfinite(y0).all():

@@ -40,7 +40,7 @@ import math
 import numpy as np
 
 from .errors import DomainError
-from .params import DimlessParams, EpsSplit, PhysicalParams, split_dimless
+from .params import DimlessParams, EpsSplit, PhysicalParams, _as_float, _as_floats, split_dimless
 
 __all__ = [
     "rate_r",
@@ -76,7 +76,7 @@ def _arg(where: str, value, spec: str) -> np.ndarray:
     """``value`` as a float array whose entries are finite and inside the bound ``spec``
     states ("h > 0", "s >= 0", "h in (0, 1)" or a bare name), else a DomainError that
     names ``where``, the function or chart the caller asked for."""
-    x = np.asarray(value, dtype=float)
+    x = _as_floats(value)
     ok = np.isfinite(x) & _BOUNDS[spec.partition(" ")[2]](x)
     if not ok.all():
         raise DomainError(f"{where} requires finite {spec}, got {float(x[~ok][0])!r}")
@@ -90,7 +90,6 @@ def _out(*values):
 
 
 def _check_coord(name: str, value: float, floor: str = "non-negative") -> float:
-    value = float(value)
     if not (math.isfinite(value) and (value > 0.0 if floor == "positive" else value >= 0.0)):
         raise DomainError(f"{name} must be finite and {floor}, got {value!r}")
     return value
@@ -348,35 +347,35 @@ def rhs_reference(state, phys: PhysicalParams):
 
 def to_chart_A(state, es: EpsSplit) -> tuple[float, float]:
     """(sigma, h) with sigma = eps*s."""
-    s, h = state
+    s, h = map(_as_float, state)
     return _check_coord("sigma", es.eps * _check_coord("s", s)), _check_coord("h", h)
 
 
 def from_chart_A(x, es: EpsSplit) -> tuple[float, float]:
-    sigma, h = x
+    sigma, h = map(_as_float, x)
     return _check_coord("s", sigma / es.eps if es.eps else math.inf), _check_coord("h", h)
 
 
 def to_chart_B(state, es: EpsSplit) -> tuple[float, float]:
     """(s, eta) with eta = h/eps."""
-    s, h = state
+    s, h = map(_as_float, state)
     return _check_coord("s", s), _check_coord("eta", h / es.eps if es.eps else math.inf)
 
 
 def from_chart_B(x, es: EpsSplit) -> tuple[float, float]:
-    s, eta = x
+    s, eta = map(_as_float, x)
     return _check_coord("s", s), _check_coord("h", es.eps * _check_coord("eta", eta))
 
 
 def to_log(state, phys: PhysicalParams) -> tuple[float, float]:
     """(pS, pH): negative base-10 logarithms of the molar s*S_ext and h*H_ext."""
-    s, h = state
+    s, h = map(_as_float, state)
     return (-math.log10(_check_coord("s*S_ext", s * phys.S_ext, "positive")),
             -math.log10(_check_coord("h*H_ext", h * phys.H_ext, "positive")))
 
 
 def from_log(x, phys: PhysicalParams) -> tuple[float, float]:
-    pS, pH = x
+    pS, pH = map(_as_float, x)
     try:
         return (_check_coord("s", 10.0 ** (-pS) / phys.S_ext, "positive"),
                 _check_coord("h", 10.0 ** (-pH) / phys.H_ext, "positive"))

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError, ParameterFileError
 
 __all__ = [
@@ -34,21 +36,31 @@ __all__ = [
 ]
 
 
-def _store_float(obj, label: str, name: str, floor: str = "positive") -> None:
-    """Store field ``name`` of a frozen dataclass as a plain float, or raise DomainError.
-
-    The value must be finite and ``floor``: "positive" (> 0) or
-    "non-negative" (>= 0).  Plain floats keep their bits and keep numpy
-    scalars out of later messages.
-    """
-    value = getattr(obj, name)
+def _as_float(value) -> float:
+    """``value`` as a float, an integer beyond float range as the infinity it rounds to:
+    a finiteness check then rejects it as DomainError, where float() raises OverflowError."""
     try:
-        math.isfinite(value)
-    except OverflowError:  # an integer beyond float range reads as the infinity it rounds to
-        value = math.inf if value > 0 else -math.inf
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _as_floats(value) -> np.ndarray:
+    """``value`` as a float array, each entry read by :func:`_as_float`."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        return np.vectorize(_as_float, otypes=[float])(value)
+
+
+def _store_float(obj, label: str, name: str, floor: str = "positive") -> None:
+    """Store field ``name`` of a frozen dataclass as the plain float :func:`_as_float` reads
+    (which keeps numpy scalars out of later messages), or raise DomainError unless it is
+    finite and ``floor``: "positive" (> 0) or "non-negative" (>= 0)."""
+    value = _as_float(getattr(obj, name))
     if not ((value > 0.0 or floor == "non-negative" and value == 0.0) and math.isfinite(value)):
         raise DomainError(f"{label}{name} must be {floor} and finite, got {value!r}")
-    object.__setattr__(obj, name, float(value))
+    object.__setattr__(obj, name, value)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """One domain rule for every public evaluator of coordinates.
 
 Each evaluator checks its arguments once, at entry: an entry that is NaN,
-infinite or outside the bound the evaluator states raises DomainError,
+infinite (an integer beyond float range counts as infinite) or outside the
+bound the evaluator states raises DomainError,
 naming the function (or, for the chart fields and layer problems, the
 chart), and numpy warns about nothing on the way (the suite turns warnings
 into errors).  The coordinate maps name the coordinate instead: each one
@@ -75,7 +76,8 @@ COORDINATE_MAPS = {
 def _cases():
     for name, (_, valid, args, out_of_range, _) in DOMAINS.items():
         for i, arg in enumerate(args):
-            for label, bad in (("nan", math.nan), ("inf", math.inf), ("out", out_of_range[i])):
+            for label, bad in (("nan", math.nan), ("inf", math.inf), ("int", 10 ** 400),
+                               ("out", out_of_range[i])):
                 if bad is not None:
                     yield pytest.param(name, i, bad, id=f"{name}-{arg}-{label}")
 
@@ -104,7 +106,8 @@ def test_each_evaluator_rejects_a_bad_argument_by_name(name, i, bad, m):
 def _map_cases():
     for name, (_, coords) in COORDINATE_MAPS.items():
         for i, coord in enumerate(coords):
-            for label, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf)):
+            for label, bad in (("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                               ("int", 10 ** 400), ("-int", -10 ** 400)):
                 x = [0.5, 0.5]
                 x[i] = bad
                 yield pytest.param(name, tuple(x), coord, id=f"{name}-{i}-{label}")

@@ -80,6 +80,19 @@ def test_fixed_point_log_coordinates(dp, phys):
     assert math.isclose(pH, 4.928936644174555, rel_tol=1e-13)
 
 
+def test_fixed_point_takes_trace_and_det_from_the_scan_kernel(dp):
+    """fixed_point and every scan cell share one formula, so they agree to the bit
+    (rhs_jacobian's quadratic solve differed in 1,206 of these 2,558 sets)."""
+    rng = random.Random(1)
+    sets = [dataclasses.replace(dp, **{name: getattr(dp, name) * 10.0 ** rng.uniform(-2.0, 2.0)
+                                       for name in ("K_h", "alpha", "K")}) for _ in range(5000)]
+    sets = [p for p in sets if p.admissible]
+    assert len(sets) == 2558
+    for p in sets:
+        fp = fixed_point(p)
+        assert (fp.trace, fp.det) == tuple(map(float, gspt._trace_det_grid(p, p.K_h, p.alpha)))
+
+
 def test_fixed_point_requires_admissibility(dp):
     bad = dataclasses.replace(dp, alpha=dp.K_s / dp.K_h)  # alpha*K_h == K_s
     with pytest.raises(NoPositiveEquilibriumError):
@@ -424,6 +437,13 @@ def test_blocked_scan_matches_one_full_grid_call(dp, monkeypatch, shape, block_r
     assert np.array_equal(sm.det, det, equal_nan=True)
 
 
+def test_a_scan_computes_no_inadmissible_cell(dp):
+    # these cells have no equilibrium; evaluated, they overflow in the kernel
+    # (a RuntimeWarning, an error under this suite's filterwarnings)
+    sm = stability_scan(dp, (1e-300, 1e-299), (1.0, 12.0), (2, 2))
+    assert not sm.admissible.any() and np.isnan(sm.trace).all() and np.isnan(sm.det).all()
+
+
 def test_scan_and_its_csv_run_in_bounded_memory(dp, tmp_path):
     # the 200x200 grid's own arrays take 0.8 MB; one full-grid kernel call
     # and a CSV built in one string peak near 5.5 and 12.6 MB
@@ -451,6 +471,8 @@ def test_scan_rejects_degenerate_grids(dp):
         stability_scan(dp, (2.0, 10.0), (1.5, 8.0), (1, 10))
     with pytest.raises(DomainError):
         stability_scan(dp, (0.0, 10.0), (1.5, 8.0), (4, 4))
+    with pytest.raises(DomainError, match="^stability_scan requires finite kh_over_ks > 0, got inf$"):
+        stability_scan(dp, (1.0, 10 ** 400), (1.5, 8.0), (4, 4))  # an integer beyond float range
 
 
 def test_scan_csv_export(dp, tmp_path):
@@ -614,7 +636,8 @@ def test_scaling_preconditions(dp, es):
         fold_passage_offset("A", (1e-5, 1e-4), es, dp)  # one decade only
     with pytest.raises(DomainError):
         fold_passage_offset("Z", QUICK_EPS_A, es, dp)
-    for eps_list in ([0.0, 1e-6, 1e-4], [-1e-6, 1e-4], [math.nan, 1e-4], [1e-6, math.inf]):
+    for eps_list in ([0.0, 1e-6, 1e-4], [-1e-6, 1e-4], [math.nan, 1e-4], [1e-6, math.inf],
+                     [1e-6, 10 ** 400]):
         with pytest.raises(DomainError, match="positive and finite"):
             fold_passage_offset("A", eps_list, es, dp)
 

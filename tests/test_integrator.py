@@ -221,6 +221,8 @@ def test_dense_output_is_bounded_by_span():
         traj(-0.1)
     with pytest.raises(DomainError):
         traj(2.0 + 1e-9)
+    with pytest.raises(DomainError, match="outside the integrated span"):
+        traj(10 ** 400)  # an integer beyond float range
 
 
 @pytest.mark.parametrize("keep_dense", [True, False])
@@ -303,6 +305,8 @@ def test_t_span_must_increase():
         integrate(decay, (1.0, 1.0), (2.0, 1.0))
     with pytest.raises(DomainError):
         integrate(decay, (1.0, 1.0), (0.0, math.nan))
+    with pytest.raises(DomainError, match=r"^t_span must be finite with t1 > t0, got \(0\.0, inf\)$"):
+        integrate(decay, (1.0, 1.0), (0.0, 10 ** 400))  # an integer beyond float range
 
 
 def test_step_budget_is_enforced(monkeypatch):
@@ -1028,8 +1032,9 @@ def test_empty_and_2d_times_answer_alike_for_both_kinds(keep_dense):
         traj(np.array([[traj.t[1], traj.t[2]], [traj.t[3], traj.t[4]]]))
 
 
-@pytest.mark.parametrize("x0", [(), ((1.0, 2.0),), (math.nan, 1.0), (1.0,), (1.0, 2.0, 3.0)],
-                         ids=["empty", "2d", "nan", "1-entry", "3-entry"])
+@pytest.mark.parametrize("x0", [(), ((1.0, 2.0),), (math.nan, 1.0), (10 ** 400, 1.0), (1.0,),
+                                (1.0, 2.0, 3.0)],
+                         ids=["empty", "2d", "nan", "int", "1-entry", "3-entry"])
 def test_a_bad_initial_state_is_a_domain_error(x0):
     with pytest.raises(DomainError):
         integrate(rotation, x0, (0.0, 1.0))
