@@ -113,8 +113,11 @@ def fixed_point(dp: DimlessParams) -> FixedPoint:
     if not dp.admissible:
         raise NoPositiveEquilibriumError(
             f"alpha*K_h = {dp.alpha * dp.K_h!r} does not exceed K_s = {dp.K_s!r}")
+    h_star = dp.h_star
+    s_star = dp.K_s / rate_r(h_star, dp)
     trace, det = map(float, _trace_det_grid(dp, dp.K_h, dp.alpha))
-    return FixedPoint(dp.K_s / rate_r(dp.h_star, dp), dp.h_star, trace, det, _classify(trace, det))
+    return FixedPoint(s_star=s_star, h_star=h_star, trace=trace, det=det,
+                      classification=_classify(trace, det))
 
 
 def nullclines(dp: DimlessParams, h_grid) -> tuple[np.ndarray, np.ndarray]:

@@ -149,6 +149,15 @@ def test_an_integer_beyond_float_range_is_an_infinite_parameter(make, message):
         make()
 
 
+def test_a_parameter_record_reads_each_value_by_float_like_every_entry_point():
+    # the one reading rule of params._as_float: a numeric string or bytes is its float
+    assert dataclasses.replace(UREASE_VESICLE, k_S="1.4e-3").k_S == 1.4e-3
+    assert EpsSplit(eps=b"1e-3", C="1", A=1).eps == 1e-3
+    assert type(EpsSplit(eps=b"1e-3", C="1", A=1).C) is float
+    with pytest.raises(DomainError, match="^eps must be non-negative and finite, got inf$"):
+        EpsSplit(eps="inf", C=1.0, A=1.0)
+
+
 def test_eps_split_rejects_bad_constants():
     with pytest.raises(DomainError):
         EpsSplit(eps=-1e-3, C=0.7, A=1.3)
