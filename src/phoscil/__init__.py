@@ -15,8 +15,10 @@ Layout:
 - :mod:`phoscil.cycle`      limit-cycle detection and analytic timescale accounting
 - :mod:`phoscil.cli`        reproducible command-line front end
 
-All analyses are deterministic and single-threaded: no randomness and
-no wall-clock state, so identical inputs give identical output bytes.
+All analyses are deterministic: no randomness and no wall-clock state,
+so identical inputs give identical output bytes.  The independent rows of
+``cycle.compare`` and passages of ``gspt.fold_passage_offset`` run on
+forked processes and return the bits a serial run gives.
 """
 from . import cycle, errors, gspt, integrator, model, params
 from .errors import *

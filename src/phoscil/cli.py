@@ -29,9 +29,11 @@ Exit codes:
 3     invalid arguments or malformed parameter-file contents
 ====  =========================================================
 
-Every subcommand runs in one thread.  JSON files may contain ``NaN``
-tokens for undefined entries (Python's :mod:`json` reads them back
-natively).
+``timescales`` and ``fold-scaling`` run their eps rows or passages on
+forked processes, at most one per entry and per CPU; every other
+subcommand runs in one process.  No flag sets a worker count.  JSON
+files may contain ``NaN`` tokens for undefined entries (Python's
+:mod:`json` reads them back natively).
 """
 from __future__ import annotations
 

@@ -18,6 +18,7 @@ divergence on demand over a recorded period's dense output.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,9 +27,11 @@ import numpy as np
 from ._fmt import write_csv, write_json
 from .errors import DomainError, MalformedCycleError, PhoscilError
 from .gspt import fixed_point
-from .integrator import EventSpec, IntegratorConfig, SolverStats, Trajectory, integrate_until_event
+from .integrator import (EventSpec, IntegratorConfig, SolverStats, Trajectory, _fork_map,
+                         integrate_until_event)
 from .model import _rate, make_field
-from .params import DimlessParams, EpsSplit, PhysicalParams, derive_dimensionless, split_dimless
+from .params import (DimlessParams, EpsSplit, PhysicalParams, _as_float, derive_dimensionless,
+                     split_dimless)
 
 __all__ = [
     "AnalyticTimescales",
@@ -349,15 +352,19 @@ def winding_number(traj: Trajectory, center: tuple[float, float]) -> int:
     swept angle over 2*pi: the circulation sense is fixed by the flow
     (clockwise in the (s, h) plane -- the fall off the acid branch happens
     at the substrate maximum) and carries no extra information, so a cycle
-    that encloses ``center`` exactly once reports 1.
+    that encloses ``center`` exactly once reports 1.  A ``center`` that
+    is not finite raises DomainError.
     """
+    cx, cy = map(_as_float, center)
+    if not (math.isfinite(cx) and math.isfinite(cy)):
+        raise DomainError(f"winding_number needs a finite center, got {(cx, cy)!r}")
     t = np.linspace(traj.t[0], traj.t[-1], 4096)
     pts = traj(t)
     span = pts.max(axis=0) - pts.min(axis=0)
     if np.any(span <= 0.0):
         raise MalformedCycleError("degenerate orbit: zero coordinate span")
-    x = (pts[:, 0] - center[0]) / span[0]
-    y = (pts[:, 1] - center[1]) / span[1]
+    x = (pts[:, 0] - cx) / span[0]
+    y = (pts[:, 1] - cy) / span[1]
     angles = np.unwrap(np.arctan2(y, x))
     return int(round(abs(angles[-1] - angles[0]) / (2.0 * math.pi)))
 
@@ -391,6 +398,8 @@ class CompareRow:
     measured_ratio is tau_A_to_B/tau_B_to_A (basic over acidic residence,
     the measured twin of the analytic T_basic/T_acid).  ``error`` carries
     a message when cycle detection failed; numeric fields are nan then.
+    ``stats`` counts the row's integration work (zeros when detection
+    raised); no output carries it.
     """
 
     eps: float
@@ -402,16 +411,18 @@ class CompareRow:
     period: float
     ratio_analytic: float
     ratio_measured: float
+    stats: SolverStats
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        if self.error is None:
-            del out["error"]
+        out = {c: getattr(self, c) for c in _COMPARE_COLUMNS}
+        if self.error is not None:
+            out["error"] = self.error
         return out
 
 
-_COMPARE_COLUMNS = tuple(f.name for f in dataclasses.fields(CompareRow) if f.name != "error")
+_COMPARE_COLUMNS = tuple(f.name for f in dataclasses.fields(CompareRow)
+                         if f.name not in ("stats", "error"))
 
 
 @dataclass(frozen=True)
@@ -437,27 +448,33 @@ class CompareTable:
         return "\n".join(lines)
 
 
+def _compare_row(dp: DimlessParams, cfg: IntegratorConfig | None, es: EpsSplit) -> CompareRow:
+    """One row of :func:`compare`: the cycle at ``es``, or the error that stopped it."""
+    try:
+        rep = find_limit_cycle(dp, es, cfg=cfg)
+    except PhoscilError as exc:
+        ts, tau_b, tau_a = _analytic_or_nan(dp, es), math.nan, math.nan
+        error, stats = f"{type(exc).__name__}: {exc}", SolverStats()
+    else:
+        ts, tau_b, tau_a = rep.analytic, rep.tau_B_to_A, rep.tau_A_to_B
+        error = None if rep.converged else f"no limit cycle: {rep.terminus}"
+        stats = (rep.transient_stats if rep.trajectory is None
+                 else rep.transient_stats + rep.trajectory.stats)
+    return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=tau_b, T_basic=ts.T_basic,
+                      tau_A_to_B=tau_a, T_analytic=ts.T_total, period=tau_b + tau_a,
+                      ratio_analytic=ts.ratio, ratio_measured=tau_a / tau_b, stats=stats,
+                      error=error)
+
+
 def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None) -> CompareTable:
     """Analytic vs measured segment times, one row per eps-split entry.
 
-    Rows run one after another in input order; a row whose cycle detection
-    fails carries the error message without affecting its neighbours.
+    The rows are independent integrations, so they run on forked processes
+    (``integrator._fork_map``) and come back in input order, each with the
+    bits a serial run gives; a row whose cycle detection fails carries the
+    error message without affecting its neighbours.
     """
     es_list = list(es_list)
     if not es_list:
         raise DomainError("es_list must not be empty")
-
-    def run_row(es: EpsSplit) -> CompareRow:
-        try:
-            rep = find_limit_cycle(dp, es, cfg=cfg)
-        except PhoscilError as exc:
-            ts, tau_b, tau_a = _analytic_or_nan(dp, es), math.nan, math.nan
-            error = f"{type(exc).__name__}: {exc}"
-        else:
-            ts, tau_b, tau_a = rep.analytic, rep.tau_B_to_A, rep.tau_A_to_B
-            error = None if rep.converged else f"no limit cycle: {rep.terminus}"
-        return CompareRow(eps=es.eps, T_acid=ts.T_acid, tau_B_to_A=tau_b, T_basic=ts.T_basic,
-                          tau_A_to_B=tau_a, T_analytic=ts.T_total, period=tau_b + tau_a,
-                          ratio_analytic=ts.ratio, ratio_measured=tau_a / tau_b, error=error)
-
-    return CompareTable(rows=tuple(run_row(es) for es in es_list))
+    return CompareTable(rows=tuple(_fork_map(functools.partial(_compare_row, dp, cfg), es_list)))

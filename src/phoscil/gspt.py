@@ -33,7 +33,8 @@ from .errors import (
     PreconditionError,
     SectionNoHitError,
 )
-from .integrator import EventSpec, IntegratorConfig, SolverStats, _brentq, integrate_until_event
+from .integrator import (EventSpec, IntegratorConfig, SolverStats, _brentq, _fork_map,
+                         integrate_until_event)
 from .model import (
     _arg,
     _chart_A,
@@ -450,6 +451,16 @@ def _fold_passage(chart: str, es: EpsSplit, dp: DimlessParams) -> tuple:
     raise DomainError(f"chart must be 'A' or 'B', got {chart!r}")
 
 
+def _passage(chart: str, es: EpsSplit, dp: DimlessParams, cfg: IntegratorConfig,
+             eps: float) -> tuple[float, SolverStats]:
+    """(offset, work) of one passage of :func:`fold_passage_offset` at ``eps``."""
+    field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
+    traj = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
+    if not traj.events:
+        raise SectionNoHitError(f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")
+    return abs(float(traj.events[-1].state[0]) - fold_slow), traj.stats
+
+
 def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
                         cfg: IntegratorConfig | None = None) -> FoldScaling:
     """Slow-coordinate overshoot past the fold for each eps, with its slope.
@@ -472,6 +483,9 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     floor (``integrator._PlanarRadau``), which cuts chart B's field calls
     about thirteenfold.  Chart A never reaches the floor, so its bits are
     scipy's, as every passage's are with ``integrator.NEWTON_FLOOR = 0``.
+    The passages are independent: they run on forked processes
+    (``integrator._fork_map``), smallest and slowest eps first, with the
+    bits a serial run gives.
     """
     eps_arr = sorted(map(_as_float, eps_list))
     if not all(0.0 < e < math.inf for e in eps_arr):
@@ -483,20 +497,11 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
         raise PreconditionError(f"eps_list must span >= 1.5 decades, got {span:.3f}")
     cfg = cfg if cfg is not None else IntegratorConfig()
 
-    entries, stats = [], []
-    for eps in eps_arr:
-        field, x0, event, t_max, fold_slow = _fold_passage(chart, es.at_eps(eps), dp)
-        traj = integrate_until_event(field, x0, event, cfg, t_max=t_max, keep_dense=False)
-        if not traj.events:
-            raise SectionNoHitError(
-                f"chart {chart}, eps = {eps}: no section hit within t = {t_max}")
-        offset = abs(float(traj.events[-1].state[0]) - fold_slow)
-        entries.append((eps, offset))
-        stats.append(traj.stats)
-
+    offsets, stats = zip(*_fork_map(functools.partial(_passage, chart, es, dp, cfg), eps_arr))
+    entries = tuple(zip(eps_arr, offsets))
     logs = np.log(np.asarray(entries))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
-    return FoldScaling(chart=chart, entries=tuple(entries), slope=slope, stats=tuple(stats))
+    return FoldScaling(chart=chart, entries=entries, slope=slope, stats=stats)
 
 
 # --- invariant region -----------------------------------------------------------

@@ -27,6 +27,7 @@ everywhere with ``NEWTON_FLOOR = 0``, the results are scipy's ``Radau``'s.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import astuple, dataclass, fields
 from fractions import Fraction
@@ -92,12 +93,16 @@ class IntegratorConfig:
     atol: float = 1e-12
 
     def __post_init__(self) -> None:
+        # stored as the plain floats _as_float reads, as the parameter records store theirs
+        rtol, atol = _as_float(self.rtol), _as_float(self.atol)
         # below 100 eps Radau's error test cannot hold (scipy clamps rtol there)
-        if not (100.0 * _MACH_EPS <= self.rtol <= 1e-3):
-            raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {self.rtol!r}")
+        if not (100.0 * _MACH_EPS <= rtol <= 1e-3):
+            raise DomainError(f"rtol must lie in [{100.0 * _MACH_EPS!r}, 1e-3], got {rtol!r}")
         # a huge atol switches the error test off; rtol's cap bounds it too
-        if not (0.0 < self.atol <= 1e-3):
-            raise DomainError(f"atol must lie in (0, 1e-3], got {self.atol!r}")
+        if not (0.0 < atol <= 1e-3):
+            raise DomainError(f"atol must lie in (0, 1e-3], got {atol!r}")
+        object.__setattr__(self, "rtol", rtol)
+        object.__setattr__(self, "atol", atol)
 
 
 @dataclass(frozen=True)
@@ -846,6 +851,28 @@ def integrate_until_event(field, x0, event: EventSpec, cfg: IntegratorConfig | N
     """
     terminal = EventSpec(func=event.func, direction=event.direction, terminal=True)
     return integrate(field, x0, (t0, t_max), cfg, events=[terminal], keep_dense=keep_dense)
+
+
+def _fork_map(fn, items: Sequence) -> list:
+    """``[fn(x) for x in items]``, in input order, on forked worker processes.
+
+    At most one process per item and per CPU this process may run on; with
+    fewer than two of either the list is built here, in a loop.  ``fn``,
+    the items and the results cross the process boundary pickled.  The
+    first item in input order whose call raises re-raises its exception
+    here, as the loop would; no child outlives the call.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = min(len(items), cpus)
+    if n < 2:
+        return [fn(x) for x in items]
+    import multiprocessing  # costs 10-17 ms, paid only where a pool runs
+
+    with multiprocessing.get_context("fork").Pool(n) as pool:
+        out = list(pool.imap(fn, items, chunksize=1))
+        pool.close()
+        pool.join()
+    return out
 
 
 def export_trajectory(traj: Trajectory, csv_path: str | Path,

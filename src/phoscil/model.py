@@ -334,7 +334,7 @@ def rhs_reference(state, phys: PhysicalParams):
     of p^2 + b p - c = 0 for b = 1 + k'*H_ext*h + (1 - 1/h) k_H/k and
     c = 2 k_cat k' S_ext s / k (same conjugate-form evaluation as q).
     """
-    s, h = state
+    s, h = map(_as_float, state)
     _, k_cat, b = _reference_terms(s, h, phys)
     c = 2.0 * k_cat * phys.k_prime * phys.S_ext * s / phys.k
     p = _monic_root(b, c)

@@ -1,4 +1,6 @@
 """Shared fixtures: the reference parameter set and derived objects."""
+import os
+
 import hypothesis
 import pytest
 
@@ -16,6 +18,15 @@ def scipy_newton(monkeypatch):
     """Newton solves without the rounding-floor stop (kappa = 0): scipy's Radau step."""
     from phoscil import integrator
     monkeypatch.setattr(integrator, "NEWTON_FLOOR", 0.0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs ``integrator._fork_map`` sees: ``cpus({0, 1})`` runs its
+    pool on any machine, ``cpus({0})`` its serial loop."""
+    def pin(ids):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(ids), raising=False)
+    return pin
 
 
 @pytest.fixture(scope="session")

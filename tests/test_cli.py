@@ -56,8 +56,9 @@ def test_fixed_point_json_format(tmp_path):
     ["fixed-point"],
     ["scan", "--kh-over-ks", "2:10", "--inv-alpha", "1.5:8", "--grid", "9x7"],
     ["timescales", "--eps-list", "1e-3"],
+    ["timescales", "--eps-list", "1e-3,3e-3"],
     ["fold-scaling", "--chart", "A", "--eps-list", "1e-6,1e-5,1e-4"],
-], ids=["fixed-point", "scan", "timescales", "fold-scaling"])
+], ids=["fixed-point", "scan", "timescales", "timescales-rows", "fold-scaling"])
 def test_outputs_are_byte_deterministic(tmp_path, argv):
     a, b = tmp_path / "a", tmp_path / "b"
     assert main(argv + ["--out", str(a)]) == EXIT_OK
@@ -413,7 +414,8 @@ def test_a_bad_eps_is_a_usage_error(tmp_path, capsys, argv, message):
 
 
 def test_workers_flag_is_a_usage_error(tmp_path):
-    # every subcommand runs in one thread; there is no worker count to set
+    # no subcommand has a worker count to set: compare and the fold passages
+    # fork one process per item and per CPU, up to the CPUs they may run on
     with pytest.raises(SystemExit) as exc:
         main(["scan", "--workers", "2", "--out", str(tmp_path)])
     assert exc.value.code == EXIT_USAGE

@@ -2,6 +2,9 @@
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
+import re
 
 import numpy as np
 import pytest
@@ -449,6 +452,16 @@ def test_winding_of_the_cycle_around_the_equilibrium(dp, es, cycle_1e3):
     assert winding_number(cycle_1e3.trajectory, (fp.s_star, fp.h_star)) == 1
 
 
+@pytest.mark.parametrize("center, shown", [
+    ((10 ** 400, 0.1), "(inf, 0.1)"), ((0.0, -10 ** 400), "(0.0, -inf)"),
+    ((math.nan, 0.1), "(nan, 0.1)"),
+])
+def test_winding_needs_a_finite_center(cycle_1e3, center, shown):
+    with pytest.raises(DomainError, match=f"^winding_number needs a finite center, got "
+                                          f"{re.escape(shown)}$"):
+        winding_number(cycle_1e3.trajectory, center)
+
+
 def test_winding_rejects_degenerate_orbits():
     flat = Trajectory.single(0.0, np.array([1.0, 2.0]), ("s", "h"))
     with pytest.raises((MalformedCycleError, DomainError)):
@@ -548,12 +561,44 @@ def test_compare_single_row_matches_the_cycle_report(dp, es, cycle_1e3):
     assert row.tau_A_to_B > row.tau_B_to_A
 
 
+@pytest.fixture(scope="module")
+def forked_rows(dp, es):
+    """compare's rows at eps = 1e-3 and 1e-4 (the seed-0 timescales job), run on
+    the two-process pool whatever the machine's CPU count, and the child
+    processes still alive after the call."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        rows = compare(dp, [es.at_eps(1e-3), es.at_eps(1e-4)]).rows
+    return rows, multiprocessing.active_children()
+
+
+def test_forked_rows_are_the_cycle_reports_bit_for_bit(forked_rows, cycle_1e3, cycle_1e4):
+    rows, children = forked_rows
+    assert children == []
+    for row, rep in zip(rows, (cycle_1e3, cycle_1e4), strict=True):
+        assert row.error is None and row.eps == rep.eps
+        assert (row.period, row.tau_B_to_A, row.tau_A_to_B) == (
+            rep.period, rep.tau_B_to_A, rep.tau_A_to_B)
+
+
+def test_each_row_carries_its_work(forked_rows, cycle_1e3, cycle_1e4):
+    rows, _ = forked_rows
+    for row, rep in zip(rows, (cycle_1e3, cycle_1e4), strict=True):
+        assert row.stats == rep.transient_stats + rep.trajectory.stats
+    # test_cycle_counts_the_transients_work's totals, back from the children
+    total = sum((row.stats for row in rows), SolverStats())
+    assert (total.steps, total.nfev, total.njev) == (17_955, 140_299, 1_959)
+
+
 def test_compare_isolates_failed_rows(dp, es):
     table = compare(equilibrium_variant(dp), [es.at_eps(1e-3)])
     row = table.rows[0]
     assert row.error == "no limit cycle: equilibrium"
     assert math.isnan(row.period) and math.isnan(row.ratio_measured)
     assert math.isclose(row.T_acid, 11.575499301287192, rel_tol=1e-6)
+    # without a recorded period the row carries the work of its transient
+    rep = find_limit_cycle(equilibrium_variant(dp), es.at_eps(1e-3))
+    assert rep.trajectory is None and row.stats == rep.transient_stats and row.stats.steps > 0
 
 
 def test_compare_reports_a_raised_cycle_detection_as_an_all_nan_row(phys, es):
@@ -565,8 +610,9 @@ def test_compare_reports_a_raised_cycle_detection_as_an_all_nan_row(phys, es):
                          f" does not exceed K_s = {calm.K_s!r}")
     assert row.eps == 1e-3
     numeric = [getattr(row, f.name) for f in dataclasses.fields(CompareRow)
-               if f.name not in ("eps", "error")]
+               if f.name not in ("eps", "stats", "error")]
     assert len(numeric) == 8 and all(math.isnan(v) for v in numeric)
+    assert row.stats == SolverStats()
 
 
 def test_compare_is_deterministic(dp, es, tmp_path):
@@ -601,6 +647,9 @@ def test_compare_table_exports(dp, es, tmp_path):
     text = table.format_text()
     assert "ratio_measured" in text.splitlines()[0]
     assert len(text.splitlines()) == 2
+    # the row's work counts stay out of every output
+    assert table.rows[0].stats.steps > 0
+    assert "stats" not in lines[1] and "stats" not in payload["rows"][0] and "stats" not in text
 
 
 def test_compare_text_marks_failed_rows(dp, es):

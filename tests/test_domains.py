@@ -153,3 +153,8 @@ def test_a_coordinate_beyond_float_range_or_divided_by_eps_0_is_named(name, x, e
 def test_at_eps_0_the_maps_that_scale_by_eps_give_the_layer_limit(es):
     assert model.to_chart_A((0.5, 0.25), es.at_eps(0.0)) == (0.0, 0.25)
     assert model.from_chart_B((0.5, 0.25), es.at_eps(0.0)) == (0.5, 0.0)
+
+
+def test_the_reference_kinetics_read_an_integer_beyond_float_range_as_inf(phys):
+    with pytest.raises(DomainError, match=r"^rhs_reference requires 0 <= s <= 1, got s=inf$"):
+        model.rhs_reference((10 ** 400, 0.5), phys)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import math
+import multiprocessing
 import random
 import tracemalloc
 
@@ -659,6 +660,35 @@ def test_a_passage_that_misses_its_section_is_a_section_no_hit_error(dp, es):
     with pytest.raises(SectionNoHitError,
                        match=r"^chart A, eps = 0\.5: no section hit within t = 50\.1$"):
         fold_passage_offset("A", (1e-3, 0.5), es, dp)
+
+
+@pytest.mark.parametrize("chart, eps_list", [("A", DEFAULT_EPS_A), ("B", DEFAULT_EPS_B)])
+def test_forked_passages_equal_the_serial_loop(dp, es, cpus, chart, eps_list):
+    runs = []
+    for ids in ({0, 1}, {0}):
+        cpus(ids)
+        runs.append(fold_passage_offset(chart, eps_list, es, dp))
+        assert multiprocessing.active_children() == []
+    forked, serial = runs
+    assert forked.entries == serial.entries and forked.slope == serial.slope
+    assert forked.stats == serial.stats
+
+
+def test_a_section_no_hit_in_a_child_reaches_the_caller(dp, es, cpus, monkeypatch):
+    # every passage gets t_max = 1, and the fork inherits the patch; the
+    # error is the first eps's, as in the serial loop
+    real = gspt._fold_passage
+
+    def short(chart, es, dp):
+        field, x0, event, _, fold_slow = real(chart, es, dp)
+        return field, x0, event, 1.0, fold_slow
+
+    monkeypatch.setattr(gspt, "_fold_passage", short)
+    cpus({0, 1})
+    with pytest.raises(SectionNoHitError,
+                       match=r"^chart B, eps = 1e-07: no section hit within t = 1\.0$"):
+        fold_passage_offset("B", DEFAULT_EPS_B, es, dp)
+    assert multiprocessing.active_children() == []
 
 
 def test_scan_refines_the_hopf_curve_only_when_it_is_read(monkeypatch, dp, tmp_path):

@@ -5,6 +5,8 @@ import ctypes.util
 import dataclasses
 import json
 import math
+import multiprocessing
+import os
 import re
 import warnings
 
@@ -101,6 +103,46 @@ def test_config_defaults_are_tight():
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(DomainError):
         IntegratorConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name, message", [
+    ("rtol", "rtol must lie in [2.220446049250313e-14, 1e-3], got inf"),
+    ("atol", "atol must lie in (0, 1e-3], got inf"),
+])
+def test_config_reads_an_integer_beyond_float_range_as_inf(name, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        IntegratorConfig(**{name: 10 ** 400})
+
+
+def test_config_stores_plain_floats():
+    cfg = IntegratorConfig(rtol=np.float64(1e-8), atol=1e-11)
+    assert type(cfg.rtol) is float and cfg == IntegratorConfig(rtol=1e-8, atol=1e-11)
+
+
+# --- forked map -----------------------------------------------------------------
+
+def _pid_and_square(x):
+    return os.getpid(), x * x
+
+
+@pytest.mark.parametrize("ids, n_items, forks", [
+    ({0}, 5, False), ({0, 1}, 1, False), ({0, 1}, 5, True), ({0, 1, 2}, 5, True),
+])
+def test_fork_map_keeps_input_order_and_forks_for_two_items_and_two_cpus(cpus, ids, n_items,
+                                                                          forks):
+    cpus(ids)
+    out = integrator._fork_map(_pid_and_square, range(n_items))
+    assert [sq for _, sq in out] == [x * x for x in range(n_items)]
+    pids = {pid for pid, _ in out}
+    assert (os.getpid() not in pids) == forks
+    assert len(pids) <= min(len(ids), n_items)
+    assert multiprocessing.active_children() == []
+
+
+def test_fork_map_runs_serially_without_sched_getaffinity(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert integrator._fork_map(_pid_and_square, range(3)) == [(os.getpid(), x * x)
+                                                               for x in range(3)]
 
 
 # --- accuracy oracles -----------------------------------------------------------
