@@ -31,7 +31,11 @@ Exit codes:
 
 ``timescales`` and ``fold-scaling`` run their eps rows or passages on
 forked processes, at most one per entry and per CPU; every other
-subcommand runs in one process.  No flag sets a worker count.  JSON
+subcommand runs in one process.  No flag sets a worker count.  Where
+fork() fails (an OS process limit) the entries run in this process and
+the run exits 0 with the same bytes; a worker process that dies (an
+out-of-memory kill) is a numeric failure, ``WorkerError``, exit 1; an
+entry that raises exits with its error's code, as in one process.  JSON
 files may contain ``NaN`` tokens for undefined entries (Python's
 :mod:`json` reads them back natively).
 """

@@ -472,7 +472,9 @@ def compare(dp: DimlessParams, es_list, cfg: IntegratorConfig | None = None) -> 
     The rows are independent integrations, so they run on forked processes
     (``integrator._fork_map``) and come back in input order, each with the
     bits a serial run gives; a row whose cycle detection fails carries the
-    error message without affecting its neighbours.
+    error message without affecting its neighbours.  Where no process can
+    be forked the rows run here, with the same bits; a worker process that
+    dies raises WorkerError.
     """
     es_list = list(es_list)
     if not es_list:

@@ -17,6 +17,7 @@ __all__ = [
     "SectionNoHitError",
     "PreconditionError",
     "MalformedCycleError",
+    "WorkerError",
 ]
 
 
@@ -62,3 +63,7 @@ class PreconditionError(PhoscilError, ValueError):
 
 class MalformedCycleError(PhoscilError, RuntimeError):
     """A recorded cycle is missing the event hits needed for segment timing."""
+
+
+class WorkerError(PhoscilError, RuntimeError):
+    """A forked worker process ended before its item's result came back."""

@@ -39,6 +39,7 @@ from .model import (
     _arg,
     _chart_A,
     _chart_B,
+    _in_float_range,
     _jacobian_rows,
     _monic_root,
     _out,
@@ -121,6 +122,7 @@ def fixed_point(dp: DimlessParams) -> FixedPoint:
                       classification=_classify(trace, det))
 
 
+@_in_float_range
 def nullclines(dp: DimlessParams, h_grid) -> tuple[np.ndarray, np.ndarray]:
     """Samples of n_s(h) = K_s/r(h) and n_h(h) = alpha*K_h*(1-h)/r(h), for h > 0."""
     h = _arg("nullclines", h_grid, "h > 0")
@@ -263,18 +265,21 @@ def fold_location_B(es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     return (dp.alpha * (2.0 * dp.beta + 1.0) * dp.K_h, es.C)
 
 
+@_in_float_range
 def manifold_A(h, es: EpsSplit, dp: DimlessParams):
     """phi(h) = (alpha*beta*K_h/C) h(1-h), the chart-A critical manifold, for h in (0, 1)."""
     h = _arg("manifold_A", h, "h in (0, 1)")
     return _out((dp.alpha * dp.beta * dp.K_h / es.C) * h * (1.0 - h))
 
 
+@_in_float_range
 def manifold_B(eta, es: EpsSplit, dp: DimlessParams):
     """psi(eta) = alpha*K_h/r_hat(eta), the chart-B critical manifold, for eta > 0."""
     eta = _arg("manifold_B", eta, "eta > 0")
     return _out(dp.alpha * dp.K_h * (dp.beta * es.C / eta + 1.0 + (dp.beta / es.C) * eta))
 
 
+@_in_float_range
 def manifold_A_stability(h, es: EpsSplit, dp: DimlessParams):
     """d(g0)/dh on the chart-A manifold: -2 K_h (h - 1/2)/h.
 
@@ -285,6 +290,7 @@ def manifold_A_stability(h, es: EpsSplit, dp: DimlessParams):
     return _out(-2.0 * dp.K_h * (h - 0.5) / h)
 
 
+@_in_float_range
 def manifold_B_stability(eta, es: EpsSplit, dp: DimlessParams):
     """d(g0)/deta on the chart-B manifold, eta > 0; negative (attracting) for eta < C."""
     eta = _arg("manifold_B_stability", eta, "eta > 0")
@@ -293,6 +299,7 @@ def manifold_B_stability(eta, es: EpsSplit, dp: DimlessParams):
                 * (eta ** 2 - eta_B ** 2) / (eta ** 2 + dp.K_h / (dp.alpha * es.A * dp.K)))
 
 
+@_in_float_range
 def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     """Layer problem of chart A, its (f_tilde, g_tilde) at eps = 0, for sigma >= 0 and h > 0.
 
@@ -301,11 +308,13 @@ def layer_A(sigma, h, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     return _chart_A(sigma, h, es.at_eps(0.0), dp)
 
 
+@_in_float_range
 def layer_B(s, eta, es: EpsSplit, dp: DimlessParams) -> tuple[float, float]:
     """Layer problem of chart B: its (f_hat, g_hat) at eps = 0; g0 is 0 on the s-axis."""
     return _chart_B(s, eta, es.at_eps(0.0), dp)
 
 
+@_in_float_range
 def slow_flow_A(h, es: EpsSplit, dp: DimlessParams):
     """Reduced flow dh/dtau = -C h_A (h - h_star) / (beta (h - h_A)), for finite h."""
     h = _arg("slow_flow_A", h, "h")
@@ -314,6 +323,7 @@ def slow_flow_A(h, es: EpsSplit, dp: DimlessParams):
     return _out(-es.C * 0.5 * (h - dp.h_star) / (dp.beta * (h - 0.5)))
 
 
+@_in_float_range
 def slow_flow_B(eta, es: EpsSplit, dp: DimlessParams):
     """Reduced flow deta/dt = (C h_star / beta) eta^2 / (eta_B^2 - eta^2), for finite eta."""
     eta = _arg("slow_flow_B", eta, "eta")
@@ -485,7 +495,9 @@ def fold_passage_offset(chart: str, eps_list, es: EpsSplit, dp: DimlessParams,
     scipy's, as every passage's are with ``integrator.NEWTON_FLOOR = 0``.
     The passages are independent: they run on forked processes
     (``integrator._fork_map``), smallest and slowest eps first, with the
-    bits a serial run gives.
+    bits a serial run gives, or here when no process can be forked.  The
+    first failing passage in eps order raises its error, and a worker
+    process that dies raises WorkerError.
     """
     eps_arr = sorted(map(_as_float, eps_list))
     if not all(0.0 < e < math.inf for e in eps_arr):

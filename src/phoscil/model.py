@@ -31,11 +31,16 @@ All evaluators are pure and accept scalars or numpy arrays.  Each public
 one checks its arguments once, at entry: every entry must be finite and
 inside the bound it states (h > 0, s >= 0, ...), or a DomainError names
 the function, or the chart for the chart fields.  Past that check only
-unchecked kernels run; a 0-d result comes back as a float.
+unchecked kernels run, with numpy's float errors raised (_in_float_range):
+an argument whose arithmetic overflows is a DomainError naming the
+function and the float range, not a warning.  A 0-d result comes back as
+a float.
 """
 from __future__ import annotations
 
+import functools
 import math
+import sys
 
 import numpy as np
 
@@ -83,6 +88,21 @@ def _arg(where: str, value, spec: str) -> np.ndarray:
     return x
 
 
+def _in_float_range(fn):
+    """Run the public evaluator ``fn`` with numpy's float errors raised: where its
+    arithmetic overflows, or divides by a product that underflowed to 0, a DomainError
+    names ``fn`` and the float range instead of a warning and an inf or nan answer."""
+    @functools.wraps(fn)
+    def evaluate(*args, **kwargs):
+        try:
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                return fn(*args, **kwargs)
+        except FloatingPointError as exc:
+            raise DomainError(f"{fn.__name__} leaves the float range |x| <= "
+                              f"{sys.float_info.max!r}: {exc}") from None
+    return evaluate
+
+
 def _out(*values):
     """Each 0-d result as a float, arrays as they are; one result alone, several as a tuple."""
     out = tuple(float(v) if np.ndim(v) == 0 else v for v in values)
@@ -102,6 +122,7 @@ def _rate(h, dp: DimlessParams):
     return 1.0 / (dp.beta * dp.eps1 / h + 1.0 + dp.beta * h / dp.eps1)
 
 
+@_in_float_range
 def rate_r(h, dp: DimlessParams):
     """Bell-shaped enzymatic rate r(h); maximal at h = eps1.
 
@@ -116,6 +137,7 @@ def _rate_slope(h, r, dp: DimlessParams):
     return (dp.beta * dp.eps1 / (h * h) - dp.beta / dp.eps1) * r * r
 
 
+@_in_float_range
 def rate_r_prime(h, dp: DimlessParams):
     """dr/dh, from r' = (beta*eps1/h^2 - beta/eps1) r^2."""
     h = _arg("rate_r_prime", h, "h > 0")
@@ -128,6 +150,7 @@ def _rate_hat(eta, es: EpsSplit, dp: DimlessParams):
         return 1.0 / (dp.beta * es.C / eta + 1.0 + (dp.beta / es.C) * eta)
 
 
+@_in_float_range
 def rate_r_hat(eta, es: EpsSplit, dp: DimlessParams):
     """Chart-B rate r_hat(eta) = 1/(beta*C/eta + 1 + (beta/C)*eta); eps-free."""
     return _out(_rate_hat(_arg("rate_r_hat", eta, "eta > 0"), es, dp))
@@ -160,6 +183,7 @@ def _w_of(s, h, dp: DimlessParams):
     return dp.K / dp.eps2 * rh2 * s
 
 
+@_in_float_range
 def q_func(s, h, dp: DimlessParams):
     """Non-negative root q of q^2 + v(h) q - w(s,h) = 0.
 
@@ -171,6 +195,7 @@ def q_func(s, h, dp: DimlessParams):
     return _out(_monic_root_array(_v_of(h, dp), _w_of(s, h, dp)))
 
 
+@_in_float_range
 def rhs(state, dp: DimlessParams):
     """(ds/dt, dh/dt) of the reduced model, for s >= 0 and h > 0."""
     s, h = state
@@ -200,6 +225,7 @@ def _jacobian_rows(s, h, r, q, v, alpha, K_h, dp: DimlessParams):
     return -r, -rp * s, -q_s, -q_h - K_h
 
 
+@_in_float_range
 def rhs_jacobian(state, dp: DimlessParams):
     """Analytic Jacobian of ``rhs`` with respect to (s, h), on rhs's domain."""
     s, h = state
@@ -220,6 +246,7 @@ def h_plus_eps(es: EpsSplit, dp: DimlessParams) -> float:
     return e * (-e * dp.K_h + math.sqrt((e * dp.K_h) ** 2 + 4.0 * aAK * dp.K_h)) / (2.0 * aAK)
 
 
+@_in_float_range
 def q_tilde_eps(sigma, h, es: EpsSplit, dp: DimlessParams, branch: str | None = None):
     """Chart-A q evaluated through the three-branch case split.
 
@@ -272,6 +299,7 @@ def _chart_A(sigma, h, es: EpsSplit, dp: DimlessParams):
     return _out(f_tilde, g_tilde)
 
 
+@_in_float_range
 def rhs_chart_A(x, es: EpsSplit, dp: DimlessParams):
     """(dsigma/dt, dh/dt) = (eps*f_tilde, g_tilde) in chart A, original time.
 
@@ -295,6 +323,7 @@ def _chart_B(s, eta, es: EpsSplit, dp: DimlessParams):
     return _out(f_hat, g_hat)
 
 
+@_in_float_range
 def rhs_chart_B(x, es: EpsSplit, dp: DimlessParams):
     """(ds/dt', deta/dt') = (eps*f_hat, g_hat) in chart B, time t' = t/eps.
 

@@ -1,5 +1,6 @@
 """Shared fixtures: the reference parameter set and derived objects."""
 import os
+import sys
 
 import hypothesis
 import pytest
@@ -11,6 +12,19 @@ hypothesis.settings.register_profile(
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 hypothesis.settings.load_profile("phoscil")
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_a_test():
+    """Fail a test after which a ``multiprocessing`` child is still alive, and end it."""
+    yield
+    mp = sys.modules.get("multiprocessing")  # not imported: no child can exist
+    children = mp.active_children() if mp is not None else []
+    for child in children:
+        child.terminate()
+        child.join()
+    if children:
+        pytest.fail(f"child processes outlived the test: {children}", pytrace=False)
 
 
 @pytest.fixture

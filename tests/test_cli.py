@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, determinism and exit codes."""
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 
 import phoscil
+from phoscil import cycle
 from phoscil._fmt import fmt17
 from phoscil.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, _build_parser, main
 from phoscil.gspt import verify_generic_fold
 from phoscil.params import UREASE_VESICLE
+from test_cli_sweep import budget
 
 PARAM_KEYS = ("S_ext", "H_ext", "v_max", "k_M", "k_E1", "k_E2",
               "k2", "k2r", "k_H", "k_S", "k", "k_plus")
@@ -264,6 +267,49 @@ def test_fold_scaling_json_carries_the_csvs_entries_and_slope(tmp_path):
     assert payload["chart"] == "A"
     assert payload["entries"] == [[float(e), float(o)] for e, o in rows]
     assert f"# slope = {fmt17(payload['slope'])}" in comments
+
+
+# --- forked rows and passages -------------------------------------------------------
+
+def _no_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def test_a_fork_that_fails_runs_the_passages_here_with_the_same_bytes(tmp_path, capsys,
+                                                                      monkeypatch, cpus):
+    argv = ["fold-scaling", "--chart", "B"]
+    cpus({0})
+    assert main(argv + ["--out", str(tmp_path / "serial")]) == EXIT_OK
+    cpus({0, 1})
+    monkeypatch.setattr(os, "fork", _no_fork)  # as at a process limit
+    with budget(argv):
+        assert main(argv + ["--out", str(tmp_path / "forked")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert ((tmp_path / "forked" / "fold_scaling_b.csv").read_bytes()
+            == (tmp_path / "serial" / "fold_scaling_b.csv").read_bytes())
+
+
+_compare_row = cycle._compare_row
+
+
+def _row_or_exit(dp, cfg, es):
+    if es.eps == 1e-4:
+        os._exit(1)  # as an out-of-memory kill ends a worker
+    return _compare_row(dp, cfg, es)
+
+
+def test_a_worker_that_dies_is_a_numeric_failure_that_writes_nothing(tmp_path, capsys,
+                                                                      monkeypatch, cpus):
+    cpus({0, 1})
+    monkeypatch.setattr(cycle, "_compare_row", _row_or_exit)  # the fork inherits it
+    out = tmp_path / "out"
+    argv = ["timescales", "--eps-list", "1e-3,1e-4", "--out", str(out)]
+    with budget(argv):
+        assert main(argv) == EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert err.startswith("phoscil: WorkerError: a worker process died, and items[")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # --- parameter files ----------------------------------------------------------------

@@ -10,6 +10,7 @@ subcommands run on every file; ``cycle``, ``simulate`` and
 of the ``--rtol`` range, so that every pair of the two occurs.  Each
 ``main`` call has a wall-time budget, so a case that hangs fails instead.
 """
+import contextlib
 import dataclasses
 import json
 import random
@@ -45,19 +46,27 @@ def _scaled_params(k: int) -> dict:
             for name, value in dataclasses.asdict(UREASE_VESICLE).items()}
 
 
-def _run(argv, capsys) -> int:
-    """The exit code of ``main(argv)``, checked against the documented set."""
+@contextlib.contextmanager
+def budget(what):
+    """Fail the test, naming ``what``, if the block runs past BUDGET_S wall seconds."""
     previous = signal.signal(signal.SIGALRM, _over_budget)
     signal.setitimer(signal.ITIMER_REAL, BUDGET_S)
     try:
-        code = main(argv)
-    except SystemExit as exc:  # the parser's usage errors
-        code = exc.code
+        yield
     except _OverBudget:
-        pytest.fail(f"{argv} ran past its budget of {BUDGET_S} s", pytrace=False)
+        pytest.fail(f"{what} ran past its budget of {BUDGET_S} s", pytrace=False)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _run(argv, capsys) -> int:
+    """The exit code of ``main(argv)``, checked against the documented set."""
+    with budget(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # the parser's usage errors
+            code = exc.code
     err = capsys.readouterr().err
     assert code in (EXIT_OK, EXIT_NUMERIC, EXIT_IO, EXIT_USAGE), (argv, code, err)
     if code == EXIT_NUMERIC:

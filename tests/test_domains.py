@@ -5,9 +5,12 @@ infinite (an integer beyond float range counts as infinite) or outside the
 bound the evaluator states raises DomainError,
 naming the function (or, for the chart fields and layer problems, the
 chart), and numpy warns about nothing on the way (the suite turns warnings
-into errors).  The coordinate maps name the coordinate instead: each one
-a chart map takes or returns must be finite and >= 0, one divided by
-eps = 0 counting as infinite, and each one a log map makes finite and > 0.
+into errors): an argument inside the bound whose arithmetic overflows, or
+divides by a product that underflowed to 0, raises DomainError naming the
+function and the float range.  The coordinate maps name the coordinate
+instead: each one a chart map takes or returns must be finite and >= 0,
+one divided by eps = 0 counting as infinite, and each one a log map makes
+finite and > 0.
 """
 import dataclasses
 import math
@@ -61,6 +64,20 @@ DOMAINS = {
                     "slow_flow_B"),
 }
 
+#: finite arguments inside each bound whose arithmetic leaves the float range: name -> call on m
+EXTREMES = {
+    "rate_r": lambda m: model.rate_r(1e-320, m.dp),
+    "rate_r_hat": lambda m: model.rate_r_hat(1e-320, m.es, m.dp),
+    "nullclines": lambda m: gspt.nullclines(m.dp, 1e-320),
+    "manifold_B": lambda m: gspt.manifold_B(1e-320, m.es, m.dp),
+    "manifold_B_stability": lambda m: gspt.manifold_B_stability(1e-320, m.es, m.dp),
+    "rate_r_prime": lambda m: model.rate_r_prime(1e-200, m.dp),  # h*h underflows to 0
+    "rhs": lambda m: model.rhs((1e308, 0.5), m.dp),
+    "q_func": lambda m: model.q_func(1e308, 0.5, m.dp),
+    "rhs_jacobian": lambda m: model.rhs_jacobian((1e308, 0.5), m.dp),
+    "slow_flow_B": lambda m: gspt.slow_flow_B(1e200, m.es, m.dp),
+}
+
 #: public functions of coordinates outside the table, the coordinate maps: name -> (call
 #: on (x, m), the coordinate each entry of x is named by when it is NaN or infinite)
 COORDINATE_MAPS = {
@@ -101,6 +118,13 @@ def test_each_evaluator_rejects_a_bad_argument_by_name(name, i, bad, m):
     values[i] = bad
     with pytest.raises(DomainError, match=f"^{where} requires .*{args[i]}"):
         call(tuple(values), m)
+
+
+@pytest.mark.parametrize("name", EXTREMES)
+def test_an_argument_whose_arithmetic_leaves_the_float_range_is_named(name, m):
+    with pytest.raises(DomainError, match=rf"^{name} leaves the float range "
+                                          rf"\|x\| <= 1\.7976931348623157e\+308: "):
+        EXTREMES[name](m)
 
 
 def _map_cases():

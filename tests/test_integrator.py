@@ -3,11 +3,13 @@ scalar Radau step against scipy's Radau and the numpy/LAPACK operations it resta
 import ctypes
 import ctypes.util
 import dataclasses
+import functools
 import json
 import math
 import multiprocessing
 import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -24,7 +26,7 @@ from scipy.sparse import csc_matrix
 from phoscil import integrator
 from phoscil._fmt import fmt17, write_csv
 from phoscil.cycle import _event_pair
-from phoscil.errors import BudgetError, DomainError, EventBracketError, StiffnessError
+from phoscil.errors import BudgetError, DomainError, EventBracketError, StiffnessError, WorkerError
 from phoscil.gspt import _eta_start_B, fold_location_B, manifold_B
 from phoscil.integrator import (
     EventSpec,
@@ -37,6 +39,8 @@ from phoscil.integrator import (
 )
 from phoscil.model import make_field, make_field_chart_B, make_field_reference
 from phoscil.params import split_dimless
+from test_cli import _fresh_python
+from test_cli_sweep import budget
 
 
 def _with_jac(J):
@@ -143,6 +147,81 @@ def test_fork_map_runs_serially_without_sched_getaffinity(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     assert integrator._fork_map(_pid_and_square, range(3)) == [(os.getpid(), x * x)
                                                                for x in range(3)]
+
+
+def _item_3_fails_first(x):
+    # in the pool, item 3 raises while item 0 is still running
+    if x == 0:
+        time.sleep(0.2)
+        raise ValueError("item 0")
+    if x == 3:
+        raise KeyError("item 3")
+    return x
+
+
+@pytest.mark.parametrize("ids", [{0}, {0, 1}], ids=["loop", "pool"])
+def test_fork_map_raises_the_first_failing_item_in_input_order(cpus, ids):
+    cpus(ids)
+    with pytest.raises(ValueError, match="^item 0$"):
+        integrator._fork_map(_item_3_fails_first, range(6))
+
+
+def _exit_on_item_1(x):
+    if x == 1:
+        os._exit(1)  # as an out-of-memory kill ends a worker
+    return x
+
+
+def test_a_worker_that_dies_raises_worker_error(cpus):
+    cpus({0, 1})
+    with budget("_fork_map"), pytest.raises(
+            WorkerError, match=r"^a worker process died, and items\[1\] = 1 is the first item "
+                               r"left without a result$"):
+        integrator._fork_map(_exit_on_item_1, [0, 1])
+    assert multiprocessing.active_children() == []
+
+
+def _one_second_then_mark(marks, x):
+    if x == 0:
+        raise ValueError("item 0")
+    time.sleep(1.0)
+    if x == 3:
+        raise KeyError("item 3")
+    (marks / str(x)).touch()
+    return x
+
+
+def test_a_failing_item_stops_the_workers_at_once(cpus, tmp_path):
+    # the items queued behind item 0 are not waited for: none of them finishes,
+    # and with no worker left alive none can finish later
+    cpus({0, 1})
+    with pytest.raises(ValueError, match="^item 0$"):
+        integrator._fork_map(functools.partial(_one_second_then_mark, tmp_path), range(6))
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("failing_call", [1, 2], ids=["first-fork", "second-fork"])
+def test_a_failed_fork_runs_the_serial_loop(failing_call):
+    # in a new interpreter, which must exit: a worker left running would keep it alive
+    code = f"""
+import json, math, multiprocessing, os
+from phoscil import integrator
+os.sched_getaffinity = lambda pid: {{0, 1}}
+fork, calls = os.fork, []
+def failing_fork():
+    calls.append(1)
+    if len(calls) == {failing_call}:
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+    return fork()
+os.fork = failing_fork
+out = integrator._fork_map(math.sqrt, [2.0, 3.0, 5.0])
+print(json.dumps([[x.hex() for x in out], len(calls), len(multiprocessing.active_children())]))
+"""
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[math.sqrt(x).hex() for x in (2.0, 3.0, 5.0)],
+                                       failing_call, 0]
 
 
 # --- accuracy oracles -----------------------------------------------------------
